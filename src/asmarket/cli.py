@@ -294,7 +294,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="'endogenous', 'profile' (scenario p_loss_cap_mw) or a constant MW value")
     p.add_argument("--gap", type=float, default=1e-6, help="relative MIP gap")
     p.add_argument("--hours", type=int, default=None, help="truncate the horizon")
-    p.add_argument("--jobs", type=int, default=4, help="stand-alone solve fan-out")
+    p.add_argument("--jobs", type=int, default=4,
+                   help="worker threads over the distinct stand-alone loss profiles")
     p.add_argument("--group-tol", type=float, default=1e-9,
                    help="relative tolerance for nucleolus type grouping")
     p.add_argument("--feas-tol", type=float, default=1e-6,

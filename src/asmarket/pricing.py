@@ -14,6 +14,7 @@ aggregation (or max-loss) row; disagreement signals an invalid dual vector.
 """
 from __future__ import annotations
 
+import logging
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -30,6 +31,8 @@ from .solve import (
     solve_relaxed,
 )
 from .ucmodel import FixedProfile, InitialState, build_uc
+
+log = logging.getLogger(__name__)
 
 
 class StationarityError(Exception):
@@ -308,11 +311,15 @@ def standalone_markets(
     jobs: int = 1,
     zero_clamp: float = 1e-8,
 ) -> StandAloneCosts:
-    """One relaxed solve per dispatched unit, with the loss parameter fixed
-    to that unit's hourly dispatch; Omega_{i,t} = p_i_t * omega_t.
+    """One relaxed solve per distinct dispatched loss profile, with the loss
+    parameter fixed to that profile; Omega_{i,t} = p_i_t * omega_t.
 
-    Pure function of its inputs; per-unit solves are independent, so they may
-    fan out over ``jobs`` worker threads without changing the result.
+    The stand-alone model depends on a unit only through its hourly loss
+    profile, so units with bit-equal profiles share one solve. Pure function
+    of its inputs; the solves are independent, so they may fan out over
+    ``jobs`` worker threads (one task per distinct profile) without changing
+    the result. Entries at or below ``zero_clamp`` times the largest
+    magnitude are zeroed and logged at DEBUG.
     """
     _, dispatch = block_i
     T = scenario.horizon
@@ -326,32 +333,42 @@ def standalone_markets(
         prof[prof <= DISPATCH_TOL] = 0.0
         profiles[unit.id] = prof
 
-    def solve_unit(uid: str) -> np.ndarray:
-        prof = profiles[uid]
-        if not prof.any():
-            return np.zeros(T)
-        model = build_uc(scenario, FixedProfile(tuple(prof)), relaxed=True)
+    # first unit (in scenario order) of each distinct non-zero profile
+    representative: dict[bytes, str] = {}
+    for uid, prof in profiles.items():
+        if prof.any():
+            representative.setdefault(prof.tobytes(), uid)
+
+    def solve_profile(uid: str) -> np.ndarray:
+        model = build_uc(scenario, FixedProfile(tuple(profiles[uid])), relaxed=True)
         try:
             _, duals, _ = solve_relaxed(model, options)
         except InfeasibleError as exc:
             raise StandaloneError(uid, exc) from exc
-        return prof * duals.omega_loss
+        return duals.omega_loss
 
-    ids = list(profiles)
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(solve_unit, ids))
+    reps = list(representative.values())
+    if jobs > 1 and len(reps) > 1:
+        with ThreadPoolExecutor(max_workers=min(jobs, len(reps))) as pool:
+            results = list(pool.map(solve_profile, reps))
     else:
-        results = [solve_unit(uid) for uid in ids]
+        results = [solve_profile(uid) for uid in reps]
+    omega_of = dict(zip(representative, results))
 
-    omegas = dict(zip(ids, results))
+    omegas = {
+        uid: prof * omega_of[prof.tobytes()] if prof.any() else np.zeros(T)
+        for uid, prof in profiles.items()
+    }
     scale = max(1.0, max((float(np.max(np.abs(v))) for v in omegas.values()), default=1.0))
-    for v in omegas.values():
-        v[np.abs(v) <= zero_clamp * scale] = 0.0
-    dispatched = {uid: profiles[uid] > 0.0 for uid in ids}
+    for uid, v in omegas.items():
+        clamp = np.abs(v) <= zero_clamp * scale
+        for t in np.flatnonzero(clamp & (v != 0.0)):
+            log.debug("stand-alone zero-clamp: unit %s hour %d value %r", uid, t, float(v[t]))
+        v[clamp] = 0.0
+    dispatched = {uid: prof > 0.0 for uid, prof in profiles.items()}
     return StandAloneCosts(
         horizon=T,
         omegas=omegas,
         dispatched=dispatched,
-        technology={uid: tech[uid] for uid in ids},
+        technology={uid: tech[uid] for uid in profiles},
     )

@@ -810,12 +810,13 @@ def solve_mip(
         x[idx] = 0.0
     fixed = {idx: (round(x[idx]), round(x[idx])) for idx in model.binary_indices}
     polished = _oa_solve(model, asm, cuts, fixed, opts, stats)
-    if polished.status == lp.OPTIMAL:
-        x = polished.x
-        inc_obj = polished.objective
-    else:
-        for idx in model.binary_indices:
-            x[idx] = round(x[idx])
+    if polished.status != lp.OPTIMAL:
+        raise SolverError(
+            f"fixed-binary polish of the incumbent failed (LP status {polished.status}: "
+            f"{polished.message})"
+        )
+    x = polished.x
+    inc_obj = polished.objective
     stats.rel_mip_gap = max(0.0, (inc_obj - best_bound) / max(1.0, abs(inc_obj)))
     stats.budget_exhausted = budget_exhausted
     stats.cuts = len(cuts)

@@ -1,9 +1,12 @@
 import dataclasses
+import logging
 
 import numpy as np
 import pytest
 
+from asmarket import pricing
 from asmarket.pricing import (
+    DISPATCH_TOL,
     AuditError,
     StandaloneError,
     StationarityError,
@@ -225,6 +228,53 @@ class TestStandalone:
         b = standalone_markets(sc, block, jobs=4)
         for uid in a.omegas:
             assert a.omegas[uid] == pytest.approx(b.omegas[uid], abs=0.0)
+
+    def test_equal_profiles_share_one_solve(self, monkeypatch):
+        sc = endog_scenario()
+        block = self.block_i(sc)
+        _, dispatch = block
+        calls = []
+
+        def counting(model, *args, **kwargs):
+            calls.append(model.loss_rule.p_mw)
+            return solve_relaxed(model, *args, **kwargs)
+
+        monkeypatch.setattr(pricing, "solve_relaxed", counting)
+        sa = standalone_markets(sc, block, jobs=4)
+        profiles = {}
+        for unit in sc.all_units:
+            if unit.loss_eligible:
+                prof = np.maximum(dispatch.dispatch_of(unit.id), 0.0)
+                prof[prof <= DISPATCH_TOL] = 0.0
+                profiles[unit.id] = prof
+        # g1, g2 and g3 are dispatched identically
+        assert profiles["g1"].any()
+        assert profiles["g1"].tobytes() == profiles["g2"].tobytes() == profiles["g3"].tobytes()
+        distinct = {p.tobytes() for p in profiles.values() if p.any()}
+        assert len(calls) == len(distinct)
+        assert len(set(calls)) == len(calls)
+        # each unit matches its own stand-alone solve exactly
+        for uid, prof in profiles.items():
+            ref = np.zeros(sc.horizon)
+            if prof.any():
+                m = build_uc(sc, FixedProfile(tuple(prof)), relaxed=True)
+                _, duals, _ = solve_relaxed(m)
+                ref = prof * duals.omega_loss
+            assert sa.omegas[uid] == pytest.approx(ref, abs=0.0)
+        ids = list(sa.omegas)
+        for i, a in enumerate(ids):
+            for b in ids[i + 1:]:
+                assert not np.shares_memory(sa.omegas[a], sa.omegas[b])
+
+    def test_zero_clamp_logged(self, caplog):
+        sc = endog_scenario()
+        block = self.block_i(sc)
+        with caplog.at_level(logging.DEBUG, logger="asmarket.pricing"):
+            sa = standalone_markets(sc, block, zero_clamp=0.5)
+        assert sa.dispatched["g4"][0]
+        assert sa.omegas["g4"][0] == 0.0
+        clamped = [r.getMessage() for r in caplog.records if "zero-clamp" in r.getMessage()]
+        assert any("unit g4 hour 0 value 354.0" in msg for msg in clamped)
 
     def test_technology_labels_carried(self):
         sc = endog_scenario()

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+from asmarket import lp, solve
 from asmarket.scenario import Scenario, SystemParams
 from asmarket.solve import (
     InfeasibleError,
     SolveOptions,
+    SolverError,
     solve_fixed_binaries,
     solve_mip,
     solve_relaxed,
@@ -157,6 +159,35 @@ class TestMip:
         schedule, dispatch, stats = solve_mip(m, options=opts)
         assert stats.budget_exhausted
         assert dispatch.objective > 0  # heuristic incumbent returned
+
+    def test_polish_failure_raises(self, monkeypatch):
+        sc = binding_scenario()
+        m = build_uc(sc, FixedProfile.constant(100.0, 3), relaxed=False)
+        real = solve._oa_solve
+        calls = []
+
+        def counting(*args):
+            calls.append(args[3])
+            return real(*args)
+
+        monkeypatch.setattr(solve, "_oa_solve", counting)
+        solve_mip(m)
+        polish_call = len(calls)  # the polish is the last OA solve
+        assert set(calls[-1]) == set(m.binary_indices)
+
+        def failing_polish(*args):
+            calls.append(args[3])
+            out = real(*args)
+            if len(calls) == polish_call:
+                out.status, out.message = lp.ITERATION_LIMIT, "iteration limit reached"
+            return out
+
+        calls.clear()
+        monkeypatch.setattr(solve, "_oa_solve", failing_polish)
+        with pytest.raises(SolverError, match="polish") as err:
+            solve_mip(m)
+        assert not isinstance(err.value, InfeasibleError)
+        assert "iteration limit reached" in str(err.value)
 
     def test_start_up_lead_time(self):
         sc = Scenario(
