@@ -1,4 +1,12 @@
-"""Thin wrapper around the HiGHS LP backend (scipy.optimize.linprog).
+"""LP sessions on the HiGHS simplex solver that ships with scipy.
+
+An :class:`LpSession` holds one HiGHS model with the rows ``[A_eq; A_ub]``.
+``<=`` rows can be appended between solves (:meth:`LpSession.add_ub_rows`);
+:func:`solve_lp` then re-runs dual simplex from the basis HiGHS kept from the
+last solve, which stays dual feasible because appending rows leaves every
+reduced cost unchanged. Solver options follow ``scipy.optimize.linprog``
+(method ``"highs"``): presolve on, dual simplex, both feasibility tolerances
+set to ``feasibility_tol``.
 
 Marginal conventions (verified against scipy): every marginal is the
 sensitivity of the optimal objective to the corresponding right-hand side or
@@ -12,12 +20,27 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.optimize import linprog
+
+# scipy's HiGHS binding is private; pyproject pins the scipy release it was tested with
+from scipy.optimize._highspy import _core
 
 OPTIMAL = 0
 ITERATION_LIMIT = 1
 INFEASIBLE = 2
 UNBOUNDED = 3
+OTHER = 4
+
+# HiGHS model status -> status code, as in scipy's linprog
+_STATUS = {
+    _core.HighsModelStatus.kOptimal: OPTIMAL,
+    _core.HighsModelStatus.kTimeLimit: ITERATION_LIMIT,
+    _core.HighsModelStatus.kIterationLimit: ITERATION_LIMIT,
+    _core.HighsModelStatus.kInfeasible: INFEASIBLE,
+    _core.HighsModelStatus.kModelError: INFEASIBLE,
+    _core.HighsModelStatus.kUnbounded: UNBOUNDED,
+}
+_AT_LOWER = int(_core.HighsBasisStatus.kLower)
+_AT_UPPER = int(_core.HighsBasisStatus.kUpper)
 
 
 @dataclass
@@ -33,41 +56,87 @@ class LpOutcome:
     iterations: int
 
 
-def solve_lp(
-    c: np.ndarray,
-    a_eq: sparse.csr_matrix | None,
-    b_eq: np.ndarray | None,
-    a_ub: sparse.csr_matrix | None,
-    b_ub: np.ndarray | None,
-    lb: np.ndarray,
-    ub: np.ndarray,
-    feasibility_tol: float = 1e-9,
-) -> LpOutcome:
-    res = linprog(
-        c,
-        A_ub=a_ub if a_ub is not None and a_ub.shape[0] else None,
-        b_ub=b_ub if b_ub is not None and len(b_ub) else None,
-        A_eq=a_eq if a_eq is not None and a_eq.shape[0] else None,
-        b_eq=b_eq if b_eq is not None and len(b_eq) else None,
-        bounds=np.column_stack([lb, ub]),
-        method="highs",
-        options={
-            "presolve": True,
-            "primal_feasibility_tolerance": feasibility_tol,
-            "dual_feasibility_tolerance": feasibility_tol,
-        },
-    )
-    nit = int(res.nit) if res.nit is not None else 0
-    if res.status != OPTIMAL:
-        return LpOutcome(res.status, res.message, float("nan"), None, None, None, None, None, nit)
+class LpSession:
+    """min c@x s.t. a_eq@x = b_eq, a_ub@x <= b_ub, lb <= x <= ub, kept in HiGHS."""
+
+    def __init__(
+        self,
+        c: np.ndarray,
+        a_eq: sparse.spmatrix | np.ndarray,
+        b_eq: np.ndarray,
+        a_ub: sparse.spmatrix | np.ndarray,
+        b_ub: np.ndarray,
+        lb: np.ndarray,
+        ub: np.ndarray,
+        feasibility_tol: float = 1e-9,
+    ):
+        b_eq = np.asarray(b_eq, dtype=float)
+        b_ub = np.asarray(b_ub, dtype=float)
+        a = sparse.vstack([sparse.csr_matrix(a_eq), sparse.csr_matrix(a_ub)], format="csr")
+        model = _core.HighsLp()
+        model.num_col_ = len(c)
+        model.num_row_ = a.shape[0]
+        model.col_cost_ = np.asarray(c, dtype=float)
+        model.col_lower_ = np.asarray(lb, dtype=float)
+        model.col_upper_ = np.asarray(ub, dtype=float)
+        model.row_lower_ = np.concatenate([b_eq, np.full(len(b_ub), -np.inf)])
+        model.row_upper_ = np.concatenate([b_eq, b_ub])
+        matrix = model.a_matrix_
+        matrix.format_ = _core.MatrixFormat.kRowwise
+        matrix.num_col_ = len(c)
+        matrix.num_row_ = a.shape[0]
+        matrix.start_ = a.indptr
+        matrix.index_ = a.indices
+        matrix.value_ = a.data
+        model.a_matrix_ = matrix
+
+        self.highs = _core._Highs()
+        for option, value in (
+            ("output_flag", False),
+            ("presolve", "on"),
+            ("simplex_strategy", 1),  # dual simplex
+            ("primal_feasibility_tolerance", feasibility_tol),
+            ("dual_feasibility_tolerance", feasibility_tol),
+        ):
+            self.highs.setOptionValue(option, value)
+        if self.highs.passModel(model) == _core.HighsStatus.kError:
+            raise ValueError("HiGHS rejected the LP")
+        self.n_eq = len(b_eq)
+
+    def add_ub_rows(self, a: sparse.spmatrix | np.ndarray, b: np.ndarray) -> None:
+        """Append rows ``a @ x <= b``; their marginals come last in ``ub_marginals``."""
+        a = sparse.csr_matrix(a)
+        status = self.highs.addRows(
+            a.shape[0], np.full(a.shape[0], -np.inf), np.asarray(b, dtype=float),
+            a.nnz, a.indptr[:-1], a.indices, a.data,
+        )
+        if status == _core.HighsStatus.kError:
+            raise ValueError("HiGHS rejected the added rows")
+
+
+def solve_lp(session: LpSession) -> LpOutcome:
+    """Solve the session's current LP, warm from its last basis if it has one."""
+    highs = session.highs
+    highs.run()
+    model_status = highs.getModelStatus()
+    status = _STATUS.get(model_status, OTHER)
+    message = highs.modelStatusToString(model_status)
+    info = highs.getInfo()
+    nit = max(int(info.simplex_iteration_count), 0)
+    if status != OPTIMAL:
+        return LpOutcome(status, message, float("nan"), None, None, None, None, None, nit)
+    solution = highs.getSolution()
+    row_dual = np.array(solution.row_dual)
+    col_dual = np.array(solution.col_dual)
+    col_status = np.array(highs.getBasis().col_status, dtype=np.int8)
     return LpOutcome(
         status=OPTIMAL,
-        message=res.message,
-        objective=float(res.fun),
-        x=np.asarray(res.x, dtype=float),
-        eq_marginals=np.asarray(res.eqlin.marginals, dtype=float) if res.eqlin is not None else np.zeros(0),
-        ub_marginals=np.asarray(res.ineqlin.marginals, dtype=float) if res.ineqlin is not None else np.zeros(0),
-        lower_marginals=np.asarray(res.lower.marginals, dtype=float),
-        upper_marginals=np.asarray(res.upper.marginals, dtype=float),
+        message=message,
+        objective=float(info.objective_function_value),
+        x=np.array(solution.col_value),
+        eq_marginals=row_dual[: session.n_eq],
+        ub_marginals=row_dual[session.n_eq:],
+        lower_marginals=np.where(col_status == _AT_LOWER, col_dual, 0.0),
+        upper_marginals=np.where(col_status == _AT_UPPER, col_dual, 0.0),
         iterations=nit,
     )

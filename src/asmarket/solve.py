@@ -170,6 +170,11 @@ class SolveStats:
     max_cs_residual: float = 0.0
     wall_s: float = 0.0
     budget_exhausted: bool = False
+    oa_rounds: int = 0               # LPs solved inside OA loops
+    # "converged", "graced" (some OA loop accepted a point within feas_tol
+    # after its grace rounds; takes precedence) or "budget" (solve_mip ran
+    # out of nodes or time; see also budget_exhausted)
+    stop_reason: str = "converged"
 
 
 # ---------------------------------------------------------------------------
@@ -248,26 +253,14 @@ def _cut_matrix(model: UCModel, cuts: list[NadirCut]) -> sparse.csr_matrix:
     return sparse.csr_matrix((data, (rows, cols)), shape=(len(cuts), model.n_vars))
 
 
-def _solve_once(
-    asm: _Assembled,
-    cut_a: sparse.csr_matrix | None,
-    patch: dict[int, tuple[float, float]] | None,
-    opts: SolveOptions,
-) -> lp.LpOutcome:
-    lb, ub = asm.lb, asm.ub
-    if patch:
-        lb = lb.copy()
-        ub = ub.copy()
-        for idx, (lo, hi) in patch.items():
-            lb[idx] = lo
-            ub[idx] = hi
-    if cut_a is not None and cut_a.shape[0]:
-        a_ub = sparse.vstack([asm.a_ub, cut_a], format="csr")
-        b_ub = np.concatenate([asm.b_ub, np.zeros(cut_a.shape[0])])
-    else:
-        a_ub = asm.a_ub
-        b_ub = asm.b_ub
-    return lp.solve_lp(asm.c, asm.a_eq, asm.b_eq, a_ub, b_ub, lb, ub, opts.lp_tol)
+def _patched_bounds(asm: _Assembled, patch: dict[int, tuple[float, float]] | None):
+    if not patch:
+        return asm.lb, asm.ub
+    lb, ub = asm.lb.copy(), asm.ub.copy()
+    for idx, (lo, hi) in patch.items():
+        lb[idx] = lo
+        ub[idx] = hi
+    return lb, ub
 
 
 def _cone_violations(model: UCModel, x: np.ndarray, rel_tol: float):
@@ -294,22 +287,32 @@ def _oa_solve(
 ) -> lp.LpOutcome:
     """Solve the LP, adding nadir cuts until the cone holds at the optimum.
 
-    Targets the tight cone tolerance; on flat optimal faces the vertex can
-    wander among near-feasible corners, so after a grace number of rounds any
-    point inside the scaled feasibility tolerance is accepted.
+    One HiGHS model serves every round: each round's new cuts are appended as
+    rows and the LP is re-solved warm from the previous optimal basis, which
+    cut rows leave dual feasible. Targets the tight cone tolerance; on flat
+    optimal faces the vertex can wander among near-feasible corners, so after
+    a grace number of rounds any point inside the scaled feasibility
+    tolerance is accepted and ``stats.stop_reason`` becomes ``"graced"``.
     """
+    lb, ub = _patched_bounds(asm, patch)
+    a_ub = sparse.vstack([asm.a_ub, _cut_matrix(model, cuts)], format="csr")
+    b_ub = np.concatenate([asm.b_ub, np.zeros(len(cuts))])
+    session = lp.LpSession(asm.c, asm.a_eq, asm.b_eq, a_ub, b_ub, lb, ub, opts.lp_tol)
     for round_no in range(opts.max_cut_rounds):
-        out = _solve_once(asm, _cut_matrix(model, cuts), patch, opts)
+        out = lp.solve_lp(session)
         stats.lp_iterations += out.iterations
+        stats.oa_rounds += 1
         if out.status != lp.OPTIMAL:
             return out
         viols = _cone_violations(model, out.x, opts.cone_rel_tol)
         if not viols:
             return out
         if round_no >= 50 and max(v[3] for v in viols) <= opts.feas_tol:
+            stats.stop_reason = "graced"
             return out
-        for t, u1, u2, _ in viols:
-            cuts.append(separating_cut(t, u1, u2))
+        new_cuts = [separating_cut(t, u1, u2) for t, u1, u2, _ in viols]
+        cuts.extend(new_cuts)
+        session.add_ub_rows(_cut_matrix(model, new_cuts), np.zeros(len(new_cuts)))
         stats.cuts = len(cuts)
     raise SolverError("nadir outer approximation did not converge")
 
@@ -338,16 +341,12 @@ def _diagnose_infeasible(
         [a_ub_full, sparse.csr_matrix((n_ub, 2 * n_eq)), -sparse.identity(n_ub, format="csr")],
         format="csr",
     )
-    lb, ub = asm.lb.copy(), asm.ub.copy()
-    if patch:
-        for idx, (lo, hi) in patch.items():
-            lb[idx] = lo
-            ub[idx] = hi
+    lb, ub = _patched_bounds(asm, patch)
     n_slack = 2 * n_eq + n_ub
     c = np.concatenate([np.zeros(n), np.ones(n_slack)])
     lb_full = np.concatenate([lb, np.zeros(n_slack)])
     ub_full = np.concatenate([ub, np.full(n_slack, np.inf)])
-    out = lp.solve_lp(c, a_eq, asm.b_eq, a_ub, b_ub_full, lb_full, ub_full, opts.lp_tol)
+    out = lp.solve_lp(lp.LpSession(c, a_eq, asm.b_eq, a_ub, b_ub_full, lb_full, ub_full, opts.lp_tol))
     if out.status != lp.OPTIMAL or out.objective <= 1e-6:
         return InfeasibleError("unknown (elastic diagnosis inconclusive)")
     slack = out.x[n:]
@@ -819,6 +818,8 @@ def solve_mip(
     inc_obj = polished.objective
     stats.rel_mip_gap = max(0.0, (inc_obj - best_bound) / max(1.0, abs(inc_obj)))
     stats.budget_exhausted = budget_exhausted
+    if budget_exhausted and stats.stop_reason == "converged":
+        stats.stop_reason = "budget"
     stats.cuts = len(cuts)
     stats.wall_s = time.perf_counter() - t0
     schedule = _commitment_from_x(model, x)

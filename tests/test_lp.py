@@ -1,0 +1,70 @@
+"""The HiGHS session against scipy.optimize.linprog, the reference oracle for
+objective, primal point and the sign of every marginal family."""
+import numpy as np
+import pytest
+from scipy.optimize import linprog
+
+from asmarket import lp
+from asmarket.lp import LpSession, solve_lp
+
+# min x0 + 2 x1 - 3 x2 + x3
+#   x0 + x1      = 2     (active equality)
+#   x0 + x2     <= 1.5   (active <= row)
+#   x3 >= 0.5 at its lower bound, x2 <= 1 at its upper bound
+C = np.array([1.0, 2.0, -3.0, 1.0])
+A_EQ = np.array([[1.0, 1.0, 0.0, 0.0]])
+B_EQ = np.array([2.0])
+A_UB = np.array([[1.0, 0.0, 1.0, 0.0]])
+B_UB = np.array([1.5])
+LB = np.array([0.0, 0.0, 0.0, 0.5])
+UB = np.array([10.0, 10.0, 1.0, 5.0])
+
+
+def reference(a_ub, b_ub):
+    return linprog(C, A_ub=a_ub, b_ub=b_ub, A_eq=A_EQ, b_eq=B_EQ,
+                   bounds=np.column_stack([LB, UB]), method="highs")
+
+
+def assert_matches(out, ref):
+    assert out.status == lp.OPTIMAL
+    assert out.objective == pytest.approx(ref.fun, abs=1e-12)
+    np.testing.assert_allclose(out.x, ref.x, atol=1e-12)
+    np.testing.assert_allclose(out.eq_marginals, ref.eqlin.marginals, atol=1e-12)
+    np.testing.assert_allclose(out.ub_marginals, ref.ineqlin.marginals, atol=1e-12)
+    np.testing.assert_allclose(out.lower_marginals, ref.lower.marginals, atol=1e-12)
+    np.testing.assert_allclose(out.upper_marginals, ref.upper.marginals, atol=1e-12)
+
+
+def test_marginals_match_linprog():
+    out = solve_lp(LpSession(C, A_EQ, B_EQ, A_UB, B_UB, LB, UB))
+    assert_matches(out, reference(A_UB, B_UB))
+    # the hand-derived sensitivities, so a sign flip on both sides is caught
+    np.testing.assert_allclose(out.x, [0.5, 1.5, 1.0, 0.5], atol=1e-12)
+    assert out.eq_marginals == pytest.approx([2.0])
+    assert out.ub_marginals == pytest.approx([-1.0])
+    assert out.lower_marginals == pytest.approx([0.0, 0.0, 0.0, 1.0])
+    assert out.upper_marginals == pytest.approx([0.0, 0.0, -2.0, 0.0])
+
+
+def test_added_row_marginal_comes_last():
+    session = LpSession(C, A_EQ, B_EQ, A_UB, B_UB, LB, UB)
+    solve_lp(session)
+    extra = np.array([[0.0, 1.0, 0.0, 0.0]])  # x1 <= 1.2 cuts off the first optimum
+    session.add_ub_rows(extra, np.array([1.2]))
+    out = solve_lp(session)
+    ref = reference(np.vstack([A_UB, extra]), np.concatenate([B_UB, [1.2]]))
+    assert_matches(out, ref)
+    assert len(out.ub_marginals) == 2
+    assert out.ub_marginals[1] < 0.0
+
+
+def test_infeasible_status():
+    out = solve_lp(LpSession(C, A_EQ, B_EQ, A_UB, B_UB, LB, np.full(4, 0.5)))
+    assert out.status == lp.INFEASIBLE
+    assert out.x is None
+
+
+def test_unbounded_status():
+    out = solve_lp(LpSession(-C, A_EQ, B_EQ, A_UB, B_UB, np.full(4, -np.inf), np.full(4, np.inf)))
+    assert out.status == lp.UNBOUNDED
+    assert out.x is None

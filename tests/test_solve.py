@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from scipy import sparse
+from scipy.optimize import linprog
 
 from asmarket import lp, solve
 from asmarket.scenario import Scenario, SystemParams
@@ -12,7 +14,7 @@ from asmarket.solve import (
     solve_relaxed,
 )
 from asmarket.ucmodel import EndogenousMax, FixedProfile, InitialState, build_uc
-from conftest import bess, binding_scenario, gen, single_gen_scenario
+from conftest import bess, binding_scenario, gen, single_gen_scenario, toy10_scenario
 from oracles import enumerate_commitments
 
 
@@ -101,6 +103,68 @@ class TestRelaxed:
         with pytest.raises(ValueError):
             solve_relaxed(m)
 
+    def test_converged_stop_is_reported(self):
+        m = build_uc(binding_scenario(), FixedProfile.constant(100.0, 3), relaxed=True)
+        _, _, stats = solve_relaxed(m)
+        assert stats.stop_reason == "converged"
+        assert stats.oa_rounds >= 1
+
+    def test_grace_acceptance_is_reported(self, monkeypatch):
+        # a violation inside feas_tol on every round: only the grace rule stops the loop
+        opts = SolveOptions()
+
+        def within_feas_tol(model, x, rel_tol):
+            return [(model.cones[0].t, 0.0, 0.0, opts.feas_tol / 2)]
+
+        monkeypatch.setattr(solve, "_cone_violations", within_feas_tol)
+        m = build_uc(binding_scenario(), FixedProfile.constant(100.0, 3), relaxed=True)
+        _, _, stats = solve_relaxed(m, opts)
+        assert stats.stop_reason == "graced"
+        assert stats.oa_rounds == 51
+
+        m = build_uc(binding_scenario(), FixedProfile.constant(100.0, 3), relaxed=False)
+        _, _, stats = solve_mip(m, options=opts)
+        assert stats.stop_reason == "graced"
+
+
+class TestWarmStart:
+    @pytest.mark.parametrize(
+        "scenario, loss",
+        [
+            (binding_scenario, lambda: FixedProfile.constant(100.0, 3)),
+            (lambda: toy10_scenario(6), EndogenousMax),
+        ],
+        ids=["binding", "toy10-6h"],
+    )
+    def test_final_lp_solved_cold_gives_same_objective(self, monkeypatch, scenario, loss):
+        # the warm OA rounds must end where a cold solve of base rows + all
+        # cuts ends; duals of this degenerate LP need not be unique, so only
+        # the objective is compared
+        model = build_uc(scenario(), loss(), relaxed=True)
+        real = solve._oa_solve
+        seen = []
+
+        def spy(model, asm, cuts, *rest):
+            seen.append((asm, cuts))
+            return real(model, asm, cuts, *rest)
+
+        monkeypatch.setattr(solve, "_oa_solve", spy)
+        dispatch, _, stats = solve_relaxed(model)
+        asm, cuts = seen[-1]
+        assert stats.cuts == len(cuts) > len(model.cones)
+        cold = linprog(
+            asm.c,
+            A_ub=sparse.vstack([asm.a_ub, solve._cut_matrix(model, cuts)]),
+            b_ub=np.concatenate([asm.b_ub, np.zeros(len(cuts))]),
+            A_eq=asm.a_eq,
+            b_eq=asm.b_eq,
+            bounds=np.column_stack([asm.lb, asm.ub]),
+            method="highs",
+            options={"primal_feasibility_tolerance": 1e-9, "dual_feasibility_tolerance": 1e-9},
+        )
+        assert cold.status == 0
+        assert dispatch.objective == pytest.approx(cold.fun, rel=1e-9)
+
 
 class TestMip:
     def test_unconstrained_dispatch(self):
@@ -158,6 +222,7 @@ class TestMip:
         opts = SolveOptions(max_nodes=1)
         schedule, dispatch, stats = solve_mip(m, options=opts)
         assert stats.budget_exhausted
+        assert stats.stop_reason == "budget"
         assert dispatch.objective > 0  # heuristic incumbent returned
 
     def test_polish_failure_raises(self, monkeypatch):
