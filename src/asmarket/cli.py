@@ -91,6 +91,13 @@ def _realized_loss_profile(scenario: Scenario, dispatch) -> tuple[float, ...]:
     return tuple(float(v) for v in worst)
 
 
+# SolveStats fields written to the manifest; wall times are left out so that
+# reruns stay identical apart from the stage timings
+_SOLVER_FIELDS = (
+    "nodes", "lp_iterations", "oa_rounds", "cuts", "rel_mip_gap", "stop_reason", "budget_exhausted",
+)
+
+
 def cmd_run(args) -> int:
     t_start = time.perf_counter()
     out_dir = Path(args.out or os.environ.get(OUT_DIR_ENV) or "asmarket_out")
@@ -125,14 +132,18 @@ def cmd_run(args) -> int:
         manifest.save(manifest_path)
         return code
 
-    def run_stage(name, fn):
+    def run_stage(name, fn, stats_of=None):
         t0 = time.perf_counter()
         try:
             result = fn()
         except Exception:
             manifest.add_stage(name, "failed", time.perf_counter() - t0)
             raise
-        manifest.add_stage(name, "ok", time.perf_counter() - t0)
+        solver = None
+        if stats_of is not None:
+            stats = stats_of(result)
+            solver = {f: getattr(stats, f) for f in _SOLVER_FIELDS}
+        manifest.add_stage(name, "ok", time.perf_counter() - t0, solver)
         return result
 
     opts = SolveOptions(
@@ -154,7 +165,7 @@ def cmd_run(args) -> int:
             model = build_uc(scenario, loss_rule, relaxed=False)
             return solve_mip(model, rel_gap=args.gap, options=opts)
 
-        schedule, dispatch, mip_stats = run_stage("uc_mip", block_i)
+        schedule, dispatch, mip_stats = run_stage("uc_mip", block_i, lambda r: r[2])
         if mip_stats.budget_exhausted:
             print(
                 f"warning: MIP budget exhausted at gap {mip_stats.rel_mip_gap:.2e}; "
@@ -170,12 +181,14 @@ def cmd_run(args) -> int:
             else:
                 profile = _realized_loss_profile(scenario, dispatch)
             model = build_uc(scenario, FixedProfile(profile), relaxed=True)
-            relaxed_dispatch, duals, _ = solve_relaxed(model, opts)
+            relaxed_dispatch, duals, stats = solve_relaxed(model, opts)
             prices = as_prices_from_duals(duals, scenario.params)
             breakdown = duality_audit(relaxed_dispatch, duals, scenario)
-            return relaxed_dispatch, duals, prices, breakdown
+            return relaxed_dispatch, duals, prices, breakdown, stats
 
-        relaxed_dispatch, duals, prices, breakdown = run_stage("prices", price_stage)
+        relaxed_dispatch, duals, prices, breakdown, _ = run_stage(
+            "prices", price_stage, lambda r: r[4]
+        )
 
         standalone = run_stage(
             "standalone",

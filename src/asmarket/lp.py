@@ -1,12 +1,13 @@
 """LP sessions on the HiGHS simplex solver that ships with scipy.
 
 An :class:`LpSession` holds one HiGHS model with the rows ``[A_eq; A_ub]``.
-``<=`` rows can be appended between solves (:meth:`LpSession.add_ub_rows`);
-:func:`solve_lp` then re-runs dual simplex from the basis HiGHS kept from the
-last solve, which stays dual feasible because appending rows leaves every
-reduced cost unchanged. Solver options follow ``scipy.optimize.linprog``
-(method ``"highs"``): presolve on, dual simplex, both feasibility tolerances
-set to ``feasibility_tol``.
+Between solves, ``<=`` rows can be appended (:meth:`LpSession.add_ub_rows`),
+column bounds replaced (:meth:`LpSession.set_bounds`) and an earlier basis
+put back (:meth:`LpSession.restore`); :func:`solve_lp` then re-runs dual
+simplex from the basis HiGHS holds, which stays dual feasible because neither
+appended rows nor changed bounds alter any reduced cost. Solver options
+follow ``scipy.optimize.linprog`` (method ``"highs"``): presolve on, dual
+simplex, both feasibility tolerances set to ``feasibility_tol``.
 
 Marginal conventions (verified against scipy): every marginal is the
 sensitivity of the optimal objective to the corresponding right-hand side or
@@ -112,6 +113,29 @@ class LpSession:
         )
         if status == _core.HighsStatus.kError:
             raise ValueError("HiGHS rejected the added rows")
+
+    def set_bounds(self, lb: np.ndarray, ub: np.ndarray) -> None:
+        """Replace every column bound; the current basis is kept."""
+        n = self.highs.getNumCol()
+        status = self.highs.changeColsBounds(
+            n, np.arange(n, dtype=np.int32), np.asarray(lb, dtype=float), np.asarray(ub, dtype=float)
+        )
+        if status == _core.HighsStatus.kError:
+            raise ValueError("HiGHS rejected the column bounds")
+
+    def basis(self) -> _core.HighsBasis:
+        """A copy of the current basis, for :meth:`restore`."""
+        return self.highs.getBasis()
+
+    def restore(self, basis: _core.HighsBasis) -> None:
+        """Start the next solve from ``basis``; rows added since it was taken
+        enter basic (``basis.row_status`` is padded in place)."""
+        rows = basis.row_status
+        n_new = self.highs.getNumRow() - len(rows)
+        if n_new:
+            basis.row_status = rows + [_core.HighsBasisStatus.kBasic] * n_new
+        if self.highs.setBasis(basis) == _core.HighsStatus.kError:
+            raise ValueError("HiGHS rejected the basis")
 
 
 def solve_lp(session: LpSession) -> LpOutcome:

@@ -2,9 +2,12 @@
 recovery, and best-first branch-and-bound for the mixed-integer form.
 
 The nadir cone is handled by outer-approximation cutting planes over the LP
-core; cone multipliers are reconstructed by aggregating the active-cut
-multipliers through the cut gradients, so the pricing layer sees exactly the
-(mu_1, mu_2, mu_3) triple of the conic formulation.
+core. Each public solve keeps one HiGHS session: cuts are appended as rows
+and stay, bounds are changed in place, and branch-and-bound nodes restart
+dual simplex from their parent's optimal basis. Cone multipliers are
+reconstructed by aggregating the active-cut multipliers through the cut
+gradients, so the pricing layer sees exactly the (mu_1, mu_2, mu_3) triple of
+the conic formulation.
 """
 from __future__ import annotations
 
@@ -277,6 +280,13 @@ def _cone_violations(model: UCModel, x: np.ndarray, rel_tol: float):
     return out
 
 
+def _session(model: UCModel, asm: _Assembled, cuts: list[NadirCut], opts: SolveOptions) -> lp.LpSession:
+    """One HiGHS model holding the base rows and ``cuts``; later cuts are appended."""
+    a_ub = sparse.vstack([asm.a_ub, _cut_matrix(model, cuts)], format="csr")
+    b_ub = np.concatenate([asm.b_ub, np.zeros(len(cuts))])
+    return lp.LpSession(asm.c, asm.a_eq, asm.b_eq, a_ub, b_ub, asm.lb, asm.ub, opts.lp_tol)
+
+
 def _oa_solve(
     model: UCModel,
     asm: _Assembled,
@@ -284,20 +294,20 @@ def _oa_solve(
     patch: dict[int, tuple[float, float]] | None,
     opts: SolveOptions,
     stats: SolveStats,
+    session: lp.LpSession,
 ) -> lp.LpOutcome:
     """Solve the LP, adding nadir cuts until the cone holds at the optimum.
 
-    One HiGHS model serves every round: each round's new cuts are appended as
-    rows and the LP is re-solved warm from the previous optimal basis, which
-    cut rows leave dual feasible. Targets the tight cone tolerance; on flat
-    optimal faces the vertex can wander among near-feasible corners, so after
-    a grace number of rounds any point inside the scaled feasibility
-    tolerance is accepted and ``stats.stop_reason`` becomes ``"graced"``.
+    ``session`` holds the base rows and every cut in ``cuts``; the patched
+    bounds are set in place and the LP is solved from whatever basis the
+    session holds. Each round's new cuts are appended to both and the LP is
+    re-solved warm from the previous optimal basis, which cut rows leave dual
+    feasible. Targets the tight cone tolerance; on flat optimal faces the
+    vertex can wander among near-feasible corners, so after a grace number of
+    rounds any point inside the scaled feasibility tolerance is accepted and
+    ``stats.stop_reason`` becomes ``"graced"``.
     """
-    lb, ub = _patched_bounds(asm, patch)
-    a_ub = sparse.vstack([asm.a_ub, _cut_matrix(model, cuts)], format="csr")
-    b_ub = np.concatenate([asm.b_ub, np.zeros(len(cuts))])
-    session = lp.LpSession(asm.c, asm.a_eq, asm.b_eq, a_ub, b_ub, lb, ub, opts.lp_tol)
+    session.set_bounds(*_patched_bounds(asm, patch))
     for round_no in range(opts.max_cut_rounds):
         out = lp.solve_lp(session)
         stats.lp_iterations += out.iterations
@@ -631,7 +641,7 @@ def solve_relaxed(
     t0 = time.perf_counter()
     asm = _assemble(model)
     cuts = _initial_cuts(model)
-    out = _oa_solve(model, asm, cuts, None, opts, stats)
+    out = _oa_solve(model, asm, cuts, None, opts, stats, _session(model, asm, cuts, opts))
     if out.status == lp.INFEASIBLE:
         raise _diagnose_infeasible(model, asm, cuts, None, opts)
     if out.status == lp.UNBOUNDED:
@@ -726,8 +736,12 @@ def solve_mip(
     """Best-first branch-and-bound on the commitment binaries.
 
     Branches on the most fractional commitment variable (ties: unit size
-    descending). Returns the incumbent with stats flagged when the node or
-    time budget runs out before the gap is proven.
+    descending). The root, the rounding heuristic, every node and the
+    fixed-binary polish share one LP session and one cut pool (the cuts are
+    globally valid). A node sets its bound patch in place and restarts dual
+    simplex from its parent's optimal basis, which bound changes leave dual
+    feasible. Returns the incumbent with stats flagged when the node or time
+    budget runs out before the gap is proven.
     """
     if model.relaxed:
         raise ValueError("solve_mip requires a model built with relaxed=False")
@@ -737,8 +751,9 @@ def solve_mip(
     asm = _assemble(model)
     cuts = _initial_cuts(model)
     dangling = _dangling_yst(model)
+    session = _session(model, asm, cuts, opts)
 
-    root = _oa_solve(model, asm, cuts, None, opts, stats)
+    root = _oa_solve(model, asm, cuts, None, opts, stats, session)
     if root.status == lp.INFEASIBLE:
         raise _diagnose_infeasible(model, asm, cuts, None, opts)
     if root.status == lp.UNBOUNDED:
@@ -746,19 +761,21 @@ def solve_mip(
     if root.status != lp.OPTIMAL:
         raise SolverError(f"LP backend failure: {root.message}")
 
+    root_basis = session.basis()
     incumbent: np.ndarray | None = None
     inc_obj = math.inf
     patch0 = _heuristic_fix(model, root.x, opts.integrality_tol)
     if patch0 is not None:
         try:
-            h_out = _oa_solve(model, asm, cuts, patch0, opts, stats)
+            h_out = _oa_solve(model, asm, cuts, patch0, opts, stats, session)
         except SolverError:
             h_out = None
         if h_out is not None and h_out.status == lp.OPTIMAL:
             incumbent, inc_obj = h_out.x.copy(), h_out.objective
 
     seq = 0
-    heap: list[tuple[float, int, dict]] = [(root.objective, seq, {})]
+    # (bound, tie-break, bound patch, parent's optimal basis)
+    heap: list[tuple[float, int, dict, object]] = [(root.objective, seq, {}, root_basis)]
     best_bound = root.objective
     budget_exhausted = False
 
@@ -766,7 +783,7 @@ def solve_mip(
         return inc_obj - rel_gap * max(1.0, abs(inc_obj))
 
     while heap:
-        bound, _, patch = heapq.heappop(heap)
+        bound, _, patch, basis = heapq.heappop(heap)
         best_bound = bound
         if incumbent is not None and bound >= threshold():
             break
@@ -776,7 +793,8 @@ def solve_mip(
             budget_exhausted = True
             break
         stats.nodes += 1
-        out = _oa_solve(model, asm, cuts, patch, opts, stats)
+        session.restore(basis)
+        out = _oa_solve(model, asm, cuts, patch, opts, stats, session)
         if out.status != lp.OPTIMAL:
             continue
         if incumbent is not None and out.objective >= threshold():
@@ -787,11 +805,12 @@ def solve_mip(
                 incumbent, inc_obj = out.x.copy(), out.objective
             continue
         var = _pick_branch_var(model, out.x, frac)
+        basis = session.basis()
         for val in (0.0, 1.0):
             seq += 1
             child = dict(patch)
             child[var] = (val, val)
-            heapq.heappush(heap, (out.objective, seq, child))
+            heapq.heappush(heap, (out.objective, seq, child, basis))
     else:
         best_bound = inc_obj  # search space exhausted: proven optimal
 
@@ -808,7 +827,7 @@ def solve_mip(
     for idx in dangling:
         x[idx] = 0.0
     fixed = {idx: (round(x[idx]), round(x[idx])) for idx in model.binary_indices}
-    polished = _oa_solve(model, asm, cuts, fixed, opts, stats)
+    polished = _oa_solve(model, asm, cuts, fixed, opts, stats, session)
     if polished.status != lp.OPTIMAL:
         raise SolverError(
             f"fixed-binary polish of the incumbent failed (LP status {polished.status}: "
@@ -856,7 +875,7 @@ def solve_fixed_binaries(
     asm = _assemble(model)
     cuts = _initial_cuts(model)
     patch = {idx: (float(v), float(v)) for idx, v in values.items()}
-    out = _oa_solve(model, asm, cuts, patch, opts, stats)
+    out = _oa_solve(model, asm, cuts, patch, opts, stats, _session(model, asm, cuts, opts))
     if out.status == lp.INFEASIBLE:
         return None
     if out.status != lp.OPTIMAL:

@@ -186,8 +186,11 @@ class RunManifest:
     stages: list = field(default_factory=list)
     outputs: list = field(default_factory=list)
 
-    def add_stage(self, name: str, status: str, wall_s: float) -> None:
-        self.stages.append({"name": name, "status": status, "wall_s": round(wall_s, 3)})
+    def add_stage(self, name: str, status: str, wall_s: float, solver: dict | None = None) -> None:
+        stage = {"name": name, "status": status, "wall_s": round(wall_s, 3)}
+        if solver is not None:
+            stage["solver"] = solver
+        self.stages.append(stage)
 
     def save(self, path: Path) -> None:
         Path(path).write_text(json.dumps(asdict(self), indent=1, sort_keys=True), encoding="utf-8")

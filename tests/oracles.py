@@ -1,6 +1,7 @@
 """Independent search oracles used by the tests: exhaustive enumeration over
 binary commitment patterns (the LP evaluator is shared with the solver, the
-search is not)."""
+search is not: each pattern gets its own cold LP session through
+``solve_fixed_binaries``, independent of the branch-and-bound's warm one)."""
 from __future__ import annotations
 
 from itertools import product

@@ -103,6 +103,25 @@ class TestRun:
                 s.pop("wall_s")
         assert m1 == m2
 
+    def test_solver_stats_in_manifest(self, scenario_file, tmp_path):
+        out = tmp_path / "out"
+        assert self.run(scenario_file, out, ["--rule", "shapley"]) == EXIT_OK
+        stages = {s["name"]: s for s in load_manifest(out / "manifest.json")["stages"]}
+        for name in ("uc_mip", "prices"):
+            solver = stages[name]["solver"]
+            assert set(solver) == {
+                "nodes", "lp_iterations", "oa_rounds", "cuts", "rel_mip_gap", "stop_reason",
+                "budget_exhausted",
+            }
+            assert solver["lp_iterations"] >= 0
+            assert solver["oa_rounds"] >= 1
+            assert solver["cuts"] >= 2  # at least the v >= 0 facet of each hour
+            assert solver["stop_reason"] == "converged"
+            assert solver["budget_exhausted"] is False
+        assert 0.0 <= stages["uc_mip"]["solver"]["rel_mip_gap"] <= 1e-6
+        assert stages["prices"]["solver"]["nodes"] == 0
+        assert "solver" not in stages["standalone"]
+
     def test_infeasible_exit_code(self, tmp_path):
         path = tmp_path / "hard.json"
         write_scenario(binding_scenario(), path)

@@ -20,9 +20,9 @@ LB = np.array([0.0, 0.0, 0.0, 0.5])
 UB = np.array([10.0, 10.0, 1.0, 5.0])
 
 
-def reference(a_ub, b_ub):
+def reference(a_ub, b_ub, ub=UB):
     return linprog(C, A_ub=a_ub, b_ub=b_ub, A_eq=A_EQ, b_eq=B_EQ,
-                   bounds=np.column_stack([LB, UB]), method="highs")
+                   bounds=np.column_stack([LB, ub]), method="highs")
 
 
 def assert_matches(out, ref):
@@ -56,6 +56,33 @@ def test_added_row_marginal_comes_last():
     assert_matches(out, ref)
     assert len(out.ub_marginals) == 2
     assert out.ub_marginals[1] < 0.0
+
+
+def test_bounds_changed_in_place():
+    session = LpSession(C, A_EQ, B_EQ, A_UB, B_UB, LB, UB)
+    first = solve_lp(session)
+    tighter = UB.copy()
+    tighter[2] = 0.4  # x2 <= 0.4 moves the optimum off x2 = 1
+    session.set_bounds(LB, tighter)
+    out = solve_lp(session)
+    assert not np.allclose(out.x, first.x)
+    assert_matches(out, reference(A_UB, B_UB, tighter))
+
+
+def test_restored_basis_after_added_rows():
+    session = LpSession(C, A_EQ, B_EQ, A_UB, B_UB, LB, UB)
+    solve_lp(session)
+    basis = session.basis()
+    tighter = UB.copy()
+    tighter[2] = 0.4
+    session.set_bounds(LB, tighter)  # leave HiGHS on another basis
+    solve_lp(session)
+    session.set_bounds(LB, UB)
+    extra = np.array([[0.0, 1.0, 0.0, 0.0]])
+    session.add_ub_rows(extra, np.array([1.2]))
+    session.restore(basis)  # taken with one row fewer than the session has now
+    out = solve_lp(session)
+    assert_matches(out, reference(np.vstack([A_UB, extra]), np.concatenate([B_UB, [1.2]])))
 
 
 def test_infeasible_status():

@@ -13,7 +13,18 @@ from asmarket.solve import (
     solve_mip,
     solve_relaxed,
 )
-from asmarket.ucmodel import EndogenousMax, FixedProfile, InitialState, build_uc
+from asmarket.ucmodel import (
+    V_Y,
+    V_YCHA,
+    V_YDIS,
+    V_YSD,
+    V_YSG,
+    V_YST,
+    EndogenousMax,
+    FixedProfile,
+    InitialState,
+    build_uc,
+)
 from conftest import bess, binding_scenario, gen, single_gen_scenario, toy10_scenario
 from oracles import enumerate_commitments
 
@@ -224,6 +235,40 @@ class TestMip:
         assert stats.budget_exhausted
         assert stats.stop_reason == "budget"
         assert dispatch.objective > 0  # heuristic incumbent returned
+
+    def test_time_limit_flagging(self):
+        sc = binding_scenario()
+        m = build_uc(sc, FixedProfile.constant(100.0, 3), relaxed=False)
+        _, dispatch, stats = solve_mip(m, options=SolveOptions(time_limit_s=0.0))
+        assert stats.budget_exhausted
+        assert stats.stop_reason == "budget"
+        assert stats.nodes == 0
+        assert dispatch.objective > 0  # heuristic incumbent returned
+
+    def test_binaries_resolved_cold_give_same_objective(self):
+        # the search shares one warm session across nodes; its commitment,
+        # solved cold on a fresh session, must give the same dispatch cost
+        sc = toy10_scenario(6)
+        m = build_uc(sc, EndogenousMax(), relaxed=False)
+        schedule, dispatch, stats = solve_mip(m)
+        values = {}
+        for kind, series in (
+            (V_Y, schedule.gen_on),
+            (V_YST, schedule.gen_start_up),
+            (V_YSG, schedule.gen_start_gen),
+            (V_YSD, schedule.gen_shut_down),
+            (V_YCHA, schedule.sto_charging),
+            (V_YDIS, schedule.sto_discharging),
+        ):
+            for unit, bits in series.items():
+                for t, bit in enumerate(bits):
+                    values[m.vid(kind, unit, t)] = int(bit)
+        assert set(values) == set(m.binary_indices)
+        cold, _ = solve_fixed_binaries(m, values)
+        assert dispatch.objective == pytest.approx(cold, rel=1e-9)
+        assert stats.rel_mip_gap <= 1e-6
+        relaxed, _, _ = solve_relaxed(build_uc(sc, EndogenousMax(), relaxed=True))
+        assert dispatch.objective >= relaxed.objective
 
     def test_polish_failure_raises(self, monkeypatch):
         sc = binding_scenario()
