@@ -1,19 +1,23 @@
 """LP sessions on the HiGHS simplex solver that ships with scipy.
 
-An :class:`LpSession` holds one HiGHS model with the rows ``[A_eq; A_ub]``.
-Between solves, ``<=`` rows can be appended (:meth:`LpSession.add_ub_rows`),
-column bounds replaced (:meth:`LpSession.set_bounds`) and an earlier basis
-put back (:meth:`LpSession.restore`); :func:`solve_lp` then re-runs dual
-simplex from the basis HiGHS holds, which stays dual feasible because neither
-appended rows nor changed bounds alter any reduced cost. Solver options
-follow ``scipy.optimize.linprog`` (method ``"highs"``): presolve on, dual
-simplex, both feasibility tolerances set to ``feasibility_tol``.
+An :class:`LpSession` holds one HiGHS model in HiGHS' own form: ranged rows
+``row_lower <= A x <= row_upper`` (an equality row has equal bounds, a ``<=``
+row a lower bound of ``-inf``) and column bounds. Between solves, ``<=`` rows
+can be appended (:meth:`LpSession.add_ub_rows`), column bounds replaced
+(:meth:`LpSession.set_bounds`) and an earlier basis put back
+(:meth:`LpSession.restore`); :func:`solve_lp` then re-runs dual simplex from
+the basis HiGHS holds, which stays dual feasible because neither appended
+rows nor changed bounds alter any reduced cost. Solver options follow
+``scipy.optimize.linprog`` (method ``"highs"``): presolve on, dual simplex,
+both feasibility tolerances set to ``feasibility_tol``. When a solve reports
+infeasibility, :meth:`LpSession.elastic_violations` asks HiGHS for the
+smallest total row violation that makes the LP feasible.
 
 Marginal conventions (verified against scipy): every marginal is the
 sensitivity of the optimal objective to the corresponding right-hand side or
-bound. For a minimisation this means equality marginals are free-signed,
-``A_ub x <= b_ub`` marginals are <= 0, lower-bound marginals >= 0 and
-upper-bound marginals <= 0.
+bound. For a minimisation this means equality-row marginals are free-signed,
+``<=`` row marginals are <= 0, lower-bound marginals >= 0 and upper-bound
+marginals <= 0.
 """
 from __future__ import annotations
 
@@ -50,38 +54,34 @@ class LpOutcome:
     message: str
     objective: float
     x: np.ndarray | None
-    eq_marginals: np.ndarray | None
-    ub_marginals: np.ndarray | None
+    row_marginals: np.ndarray | None
     lower_marginals: np.ndarray | None
     upper_marginals: np.ndarray | None
     iterations: int
 
 
 class LpSession:
-    """min c@x s.t. a_eq@x = b_eq, a_ub@x <= b_ub, lb <= x <= ub, kept in HiGHS."""
+    """min c@x s.t. row_lower <= a@x <= row_upper, lb <= x <= ub, kept in HiGHS."""
 
     def __init__(
         self,
         c: np.ndarray,
-        a_eq: sparse.spmatrix | np.ndarray,
-        b_eq: np.ndarray,
-        a_ub: sparse.spmatrix | np.ndarray,
-        b_ub: np.ndarray,
+        a: sparse.spmatrix | np.ndarray,
+        row_lower: np.ndarray,
+        row_upper: np.ndarray,
         lb: np.ndarray,
         ub: np.ndarray,
         feasibility_tol: float = 1e-9,
     ):
-        b_eq = np.asarray(b_eq, dtype=float)
-        b_ub = np.asarray(b_ub, dtype=float)
-        a = sparse.vstack([sparse.csr_matrix(a_eq), sparse.csr_matrix(a_ub)], format="csr")
+        a = sparse.csr_matrix(a)
         model = _core.HighsLp()
         model.num_col_ = len(c)
         model.num_row_ = a.shape[0]
         model.col_cost_ = np.asarray(c, dtype=float)
         model.col_lower_ = np.asarray(lb, dtype=float)
         model.col_upper_ = np.asarray(ub, dtype=float)
-        model.row_lower_ = np.concatenate([b_eq, np.full(len(b_ub), -np.inf)])
-        model.row_upper_ = np.concatenate([b_eq, b_ub])
+        model.row_lower_ = np.asarray(row_lower, dtype=float)
+        model.row_upper_ = np.asarray(row_upper, dtype=float)
         matrix = model.a_matrix_
         matrix.format_ = _core.MatrixFormat.kRowwise
         matrix.num_col_ = len(c)
@@ -102,10 +102,9 @@ class LpSession:
             self.highs.setOptionValue(option, value)
         if self.highs.passModel(model) == _core.HighsStatus.kError:
             raise ValueError("HiGHS rejected the LP")
-        self.n_eq = len(b_eq)
 
     def add_ub_rows(self, a: sparse.spmatrix | np.ndarray, b: np.ndarray) -> None:
-        """Append rows ``a @ x <= b``; their marginals come last in ``ub_marginals``."""
+        """Append rows ``a @ x <= b``; their marginals come last in ``row_marginals``."""
         a = sparse.csr_matrix(a)
         status = self.highs.addRows(
             a.shape[0], np.full(a.shape[0], -np.inf), np.asarray(b, dtype=float),
@@ -137,6 +136,17 @@ class LpSession:
         if self.highs.setBasis(basis) == _core.HighsStatus.kError:
             raise ValueError("HiGHS rejected the basis")
 
+    def elastic_violations(self) -> np.ndarray:
+        """Per-row violation at HiGHS' elastic optimum: the rows alone are
+        relaxed at unit penalty (column bounds hold) and the total violation
+        is minimised. The session's LP is left unchanged."""
+        if self.highs.feasibilityRelaxation(-1, -1, 1) == _core.HighsStatus.kError:
+            raise ValueError("HiGHS could not solve the elastic relaxation")
+        model = self.highs.getLp()
+        value = np.array(self.highs.getSolution().row_value)
+        below = np.asarray(model.row_lower_) - value
+        return np.maximum(np.maximum(below, value - model.row_upper_), 0.0)
+
 
 def solve_lp(session: LpSession) -> LpOutcome:
     """Solve the session's current LP, warm from its last basis if it has one."""
@@ -148,9 +158,8 @@ def solve_lp(session: LpSession) -> LpOutcome:
     info = highs.getInfo()
     nit = max(int(info.simplex_iteration_count), 0)
     if status != OPTIMAL:
-        return LpOutcome(status, message, float("nan"), None, None, None, None, None, nit)
+        return LpOutcome(status, message, float("nan"), None, None, None, None, nit)
     solution = highs.getSolution()
-    row_dual = np.array(solution.row_dual)
     col_dual = np.array(solution.col_dual)
     col_status = np.array(highs.getBasis().col_status, dtype=np.int8)
     return LpOutcome(
@@ -158,8 +167,7 @@ def solve_lp(session: LpSession) -> LpOutcome:
         message=message,
         objective=float(info.objective_function_value),
         x=np.array(solution.col_value),
-        eq_marginals=row_dual[: session.n_eq],
-        ub_marginals=row_dual[session.n_eq:],
+        row_marginals=np.array(solution.row_dual),
         lower_marginals=np.where(col_status == _AT_LOWER, col_dual, 0.0),
         upper_marginals=np.where(col_status == _AT_UPPER, col_dual, 0.0),
         iterations=nit,

@@ -1,13 +1,16 @@
 """Solvers for the frequency-secured UC: convex relaxation with full dual
 recovery, and best-first branch-and-bound for the mixed-integer form.
 
-The nadir cone is handled by outer-approximation cutting planes over the LP
-core. Each public solve keeps one HiGHS session: cuts are appended as rows
+The model's rows are assembled once in HiGHS' row-bound form (equality rows
+first, then every inequality as ``<=``), so one marginal vector covers every
+row. The nadir cone is handled by outer-approximation cutting planes over the
+LP core. Each public solve keeps one HiGHS session: cuts are appended as rows
 and stay, bounds are changed in place, and branch-and-bound nodes restart
 dual simplex from their parent's optimal basis. Cone multipliers are
 reconstructed by aggregating the active-cut multipliers through the cut
 gradients, so the pricing layer sees exactly the (mu_1, mu_2, mu_3) triple of
-the conic formulation.
+the conic formulation. An infeasible LP is diagnosed by HiGHS' elastic
+relaxation of its rows, with the violations summed per constraint class.
 """
 from __future__ import annotations
 
@@ -186,56 +189,38 @@ class SolveStats:
 
 @dataclass
 class _Assembled:
+    """The base rows as HiGHS holds them: ``row_lower <= a @ x <= b``, with the
+    equality rows first, then every inequality as ``<=`` (``>=`` rows negated),
+    each block in model order; ``rows[i]`` is the model row behind row ``i``."""
+
     c: np.ndarray
     lb: np.ndarray
     ub: np.ndarray
-    a_eq: sparse.csr_matrix
-    b_eq: np.ndarray
-    eq_rows: list
-    a_ub: sparse.csr_matrix
-    b_ub: np.ndarray
-    ub_rows: list
+    a: sparse.csr_matrix
+    b: np.ndarray
+    row_lower: np.ndarray
+    rows: list
 
 
 def _assemble(model: UCModel) -> _Assembled:
-    n = model.n_vars
     c = np.array([v.cost for v in model.vardefs])
     lb = np.array([v.lb for v in model.vardefs])
     ub = np.array([v.ub for v in model.vardefs])
 
-    eq_rows, ub_rows = [], []
-    eq_data: tuple[list, list, list] = ([], [], [])
-    ub_data: tuple[list, list, list] = ([], [], [])
-    b_eq: list[float] = []
-    b_ub: list[float] = []
-    for row in model.rows:
-        if row.sense == "=":
-            r = len(b_eq)
-            for idx, coef in row.coeffs:
-                eq_data[0].append(r)
-                eq_data[1].append(idx)
-                eq_data[2].append(coef)
-            b_eq.append(row.rhs)
-            eq_rows.append(row)
-        else:
-            flip = -1.0 if row.sense == ">=" else 1.0
-            r = len(b_ub)
-            for idx, coef in row.coeffs:
-                ub_data[0].append(r)
-                ub_data[1].append(idx)
-                ub_data[2].append(flip * coef)
-            b_ub.append(flip * row.rhs)
-            ub_rows.append(row)
-
-    a_eq = sparse.csr_matrix(
-        (eq_data[2], (eq_data[0], eq_data[1])), shape=(len(b_eq), n)
-    )
-    a_ub = sparse.csr_matrix(
-        (ub_data[2], (ub_data[0], ub_data[1])), shape=(len(b_ub), n)
-    )
-    return _Assembled(
-        c, lb, ub, a_eq, np.array(b_eq), eq_rows, a_ub, np.array(b_ub), ub_rows
-    )
+    rows = [row for row in model.rows if row.sense == "="]
+    rows += [row for row in model.rows if row.sense != "="]
+    r_idx, c_idx, data, b = [], [], [], []
+    for r, row in enumerate(rows):
+        flip = -1.0 if row.sense == ">=" else 1.0
+        for idx, coef in row.coeffs:
+            r_idx.append(r)
+            c_idx.append(idx)
+            data.append(flip * coef)
+        b.append(flip * row.rhs)
+    a = sparse.csr_matrix((data, (r_idx, c_idx)), shape=(len(rows), model.n_vars))
+    b = np.array(b)
+    row_lower = np.where([row.sense == "=" for row in rows], b, -np.inf)
+    return _Assembled(c, lb, ub, a, b, row_lower, rows)
 
 
 def _cut_matrix(model: UCModel, cuts: list[NadirCut]) -> sparse.csr_matrix:
@@ -282,9 +267,10 @@ def _cone_violations(model: UCModel, x: np.ndarray, rel_tol: float):
 
 def _session(model: UCModel, asm: _Assembled, cuts: list[NadirCut], opts: SolveOptions) -> lp.LpSession:
     """One HiGHS model holding the base rows and ``cuts``; later cuts are appended."""
-    a_ub = sparse.vstack([asm.a_ub, _cut_matrix(model, cuts)], format="csr")
-    b_ub = np.concatenate([asm.b_ub, np.zeros(len(cuts))])
-    return lp.LpSession(asm.c, asm.a_eq, asm.b_eq, a_ub, b_ub, asm.lb, asm.ub, opts.lp_tol)
+    a = sparse.vstack([asm.a, _cut_matrix(model, cuts)], format="csr")
+    row_lower = np.concatenate([asm.row_lower, np.full(len(cuts), -np.inf)])
+    row_upper = np.concatenate([asm.b, np.zeros(len(cuts))])
+    return lp.LpSession(asm.c, a, row_lower, row_upper, asm.lb, asm.ub, opts.lp_tol)
 
 
 def _oa_solve(
@@ -332,49 +318,18 @@ def _initial_cuts(model: UCModel) -> list[NadirCut]:
     return [NadirCut(t=cone.t, a1=0.0, a2=0.0) for cone in model.cones]
 
 
-def _diagnose_infeasible(
-    model: UCModel, asm: _Assembled, cuts: list[NadirCut], patch, opts: SolveOptions
-) -> InfeasibleError:
-    """Elastic re-solve: slacks on every row, grouped by constraint class."""
-    cut_a = _cut_matrix(model, cuts)
-    n = model.n_vars
-    n_eq = asm.a_eq.shape[0]
-    n_ub = asm.a_ub.shape[0] + cut_a.shape[0]
-    a_ub_full = sparse.vstack([asm.a_ub, cut_a], format="csr") if cut_a.shape[0] else asm.a_ub
-    b_ub_full = np.concatenate([asm.b_ub, np.zeros(cut_a.shape[0])])
-
-    eye_eq = sparse.identity(n_eq, format="csr")
-    a_eq = sparse.hstack(
-        [asm.a_eq, eye_eq, -eye_eq, sparse.csr_matrix((n_eq, n_ub))], format="csr"
-    )
-    a_ub = sparse.hstack(
-        [a_ub_full, sparse.csr_matrix((n_ub, 2 * n_eq)), -sparse.identity(n_ub, format="csr")],
-        format="csr",
-    )
-    lb, ub = _patched_bounds(asm, patch)
-    n_slack = 2 * n_eq + n_ub
-    c = np.concatenate([np.zeros(n), np.ones(n_slack)])
-    lb_full = np.concatenate([lb, np.zeros(n_slack)])
-    ub_full = np.concatenate([ub, np.full(n_slack, np.inf)])
-    out = lp.solve_lp(lp.LpSession(c, a_eq, asm.b_eq, a_ub, b_ub_full, lb_full, ub_full, opts.lp_tol))
-    if out.status != lp.OPTIMAL or out.objective <= 1e-6:
-        return InfeasibleError("unknown (elastic diagnosis inconclusive)")
-    slack = out.x[n:]
+def _diagnose_infeasible(asm: _Assembled, session: lp.LpSession) -> InfeasibleError:
+    """HiGHS' elastic row violations, summed by constraint class; the rows past
+    the base rows are nadir cuts."""
     by_class: dict[str, float] = {}
-    for i, row in enumerate(asm.eq_rows):
-        amount = slack[i] + slack[n_eq + i]
+    for i, amount in enumerate(session.elastic_violations()):
         if amount > 1e-6:
-            label = INFEASIBILITY_LABELS.get(row.kind, row.kind)
-            by_class[label] = by_class.get(label, 0.0) + amount
-    base_rows = list(asm.ub_rows) + [None] * cut_a.shape[0]
-    for i, row in enumerate(base_rows):
-        amount = slack[2 * n_eq + i]
-        if amount > 1e-6:
-            kind = K_NADIR_CUT if row is None else row.kind
+            kind = asm.rows[i].kind if i < len(asm.rows) else K_NADIR_CUT
             label = INFEASIBILITY_LABELS.get(kind, kind)
             by_class[label] = by_class.get(label, 0.0) + amount
-    worst = max(by_class.items(), key=lambda kv: kv[1])[0] if by_class else "unknown"
-    return InfeasibleError(worst, by_class)
+    if not by_class:
+        return InfeasibleError("unknown (elastic diagnosis inconclusive)")
+    return InfeasibleError(max(by_class, key=by_class.get), by_class)
 
 
 # ---------------------------------------------------------------------------
@@ -463,10 +418,7 @@ def _duals_from(
 ) -> DualSolution:
     sc = model.scenario
     T = sc.horizon
-    n_base_ub = asm.a_ub.shape[0]
-    cut_marg = out.ub_marginals[n_base_ub:]
-    base_marg = out.ub_marginals[:n_base_ub]
-
+    n_base = len(asm.rows)
     z = lambda: np.zeros(T)
     lambda_e, lambda_h, lambda_pfr, lambda_efr = z(), z(), z(), z()
     mu_rocof, mu_qss, omega = z(), z(), z()
@@ -475,9 +427,13 @@ def _duals_from(
     initial_rhs_term = 0.0
     as_payment_rhs = 0.0
     psi_mdt = {g.id: np.zeros(T) for g in sc.generators}
+    psi_mutex = {s.id: np.zeros(T) for s in sc.storage_units}
+    psi_ini, psi_end = {}, {}
 
-    for i, row in enumerate(asm.eq_rows):
-        m = out.eq_marginals[i]
+    # equality rows report price_sign * m; inequality rows hold their <=
+    # form, so their multiplier is mu = -m >= 0
+    for row, m in zip(asm.rows, out.row_marginals[:n_base]):
+        mu = -m
         if row.kind == K_BALANCE:
             lambda_e[row.t] = row.price_sign * m
         elif row.kind == K_HDEF:
@@ -486,11 +442,10 @@ def _duals_from(
             lambda_pfr[row.t] = row.price_sign * m
         elif row.kind == K_EFRDEF:
             lambda_efr[row.t] = row.price_sign * m
-        elif row.kind == K_COMMIT and row.rhs != 0.0:
+        elif row.kind in (K_COMMIT, K_MUT) and row.rhs != 0.0:
+            # both keep their natural orientation (= and <=)
             initial_rhs_term -= row.rhs * m
-    for i, row in enumerate(asm.ub_rows):
-        mu = -base_marg[i]
-        if row.kind == K_ROCOF:
+        elif row.kind == K_ROCOF:
             mu_rocof[row.t] = mu
         elif row.kind == K_QSS:
             mu_qss[row.t] = mu
@@ -499,10 +454,13 @@ def _duals_from(
             as_payment_rhs += row.rhs * mu
         elif row.kind == K_MDT:
             psi_mdt[row.unit][row.t] = mu
-        elif row.kind == K_MUT and row.rhs != 0.0:
-            # solved form kept the <= orientation; rhs constant is natural
-            initial_rhs_term -= row.rhs * base_marg[i]
-    for cut, m in zip(cuts, cut_marg):
+        elif row.kind == K_MUTEX:
+            psi_mutex[row.unit][row.t] = mu
+        elif row.kind == K_E0CAP:
+            psi_ini[row.unit] = mu
+        elif row.kind == K_EEND:
+            psi_end[row.unit] = mu
+    for cut, m in zip(cuts, out.row_marginals[n_base:]):
         nu = -m
         mu1[cut.t] += nu * cut.a1
         mu2[cut.t] += nu * cut.a2
@@ -543,9 +501,9 @@ def _duals_from(
         psi_e_max={s.id: ub_series(V_E, s.id) for s in sc.storage_units},
         psi_max_ycha={s.id: ub_series(V_YCHA, s.id) for s in sc.storage_units},
         psi_max_ydis={s.id: ub_series(V_YDIS, s.id) for s in sc.storage_units},
-        psi_mutex=_mutex_duals(model, asm, base_marg),
-        psi_ini=_scalar_row_duals(model, asm, base_marg, K_E0CAP),
-        psi_end=_scalar_row_duals(model, asm, base_marg, K_EEND),
+        psi_mutex=psi_mutex,
+        psi_ini=psi_ini,
+        psi_end=psi_end,
         initial_rhs_term=initial_rhs_term,
         as_payment_rhs=as_payment_rhs,
         dual_objective=_dual_objective(asm, out, cuts),
@@ -559,29 +517,9 @@ def _duals_from(
     return duals
 
 
-def _mutex_duals(model, asm, base_marg) -> dict[str, np.ndarray]:
-    T = model.scenario.horizon
-    res = {s.id: np.zeros(T) for s in model.scenario.storage_units}
-    for i, row in enumerate(asm.ub_rows):
-        if row.kind == K_MUTEX:
-            res[row.unit][row.t] = -base_marg[i]
-    return res
-
-
-def _scalar_row_duals(model, asm, base_marg, kind) -> dict[str, float]:
-    res = {}
-    for i, row in enumerate(asm.ub_rows):
-        if row.kind == kind:
-            res[row.unit] = -base_marg[i]
-    return res
-
-
 def _dual_objective(asm: _Assembled, out: lp.LpOutcome, cuts) -> float:
-    total = float(asm.b_eq @ out.eq_marginals) if len(asm.b_eq) else 0.0
-    n_base = asm.a_ub.shape[0]
-    if n_base:
-        total += float(asm.b_ub @ out.ub_marginals[:n_base])
     # cut rows are homogeneous; bounds contribute their finite terms
+    total = float(asm.b @ out.row_marginals[: len(asm.b)])
     lb, ub = asm.lb, asm.ub
     fin = np.isfinite(lb)
     total += float(lb[fin] @ out.lower_marginals[fin])
@@ -592,18 +530,11 @@ def _dual_objective(asm: _Assembled, out: lp.LpOutcome, cuts) -> float:
 
 def _max_cs_residual(asm: _Assembled, out: lp.LpOutcome, cuts, model) -> float:
     x = out.x
-    worst = 0.0
-    if asm.a_eq.shape[0]:
-        resid = asm.a_eq @ x - asm.b_eq
-        worst = max(worst, float(np.max(np.abs(resid * out.eq_marginals))))
-    n_base = asm.a_ub.shape[0]
-    if n_base:
-        slack = asm.b_ub - asm.a_ub @ x
-        worst = max(worst, float(np.max(np.abs(slack * out.ub_marginals[:n_base]))))
+    n_base = len(asm.b)
+    worst = float(np.max(np.abs((asm.a @ x - asm.b) * out.row_marginals[:n_base]), initial=0.0))
     if len(cuts):
-        cut_a = _cut_matrix(model, cuts)
-        slack = -(cut_a @ x)
-        worst = max(worst, float(np.max(np.abs(slack * out.ub_marginals[n_base:]))))
+        slack = -(_cut_matrix(model, cuts) @ x)
+        worst = max(worst, float(np.max(np.abs(slack * out.row_marginals[n_base:]))))
     fin = np.isfinite(asm.lb)
     worst = max(worst, float(np.max(np.abs((x - asm.lb)[fin] * out.lower_marginals[fin]), initial=0.0)))
     fin = np.isfinite(asm.ub)
@@ -612,14 +543,11 @@ def _max_cs_residual(asm: _Assembled, out: lp.LpOutcome, cuts, model) -> float:
 
 
 def _verify_feasibility(asm: _Assembled, x: np.ndarray, tol: float) -> None:
-    if asm.a_eq.shape[0]:
-        resid = np.abs(asm.a_eq @ x - asm.b_eq) / np.maximum(1.0, np.abs(asm.b_eq))
-        if resid.max() > tol:
-            raise SolverError(f"equality residual {resid.max():.3e} above tolerance")
-    if asm.a_ub.shape[0]:
-        viol = (asm.a_ub @ x - asm.b_ub) / np.maximum(1.0, np.abs(asm.b_ub))
-        if viol.max() > tol:
-            raise SolverError(f"inequality violation {viol.max():.3e} above tolerance")
+    ax = asm.a @ x
+    viol = np.maximum(asm.row_lower - ax, ax - asm.b) / np.maximum(1.0, np.abs(asm.b))
+    if viol.max() > tol:
+        i = int(np.argmax(viol))
+        raise SolverError(f"row {asm.rows[i].name} violated by {viol[i]:.3e} (scaled), above tolerance")
 
 
 # ---------------------------------------------------------------------------
@@ -641,9 +569,10 @@ def solve_relaxed(
     t0 = time.perf_counter()
     asm = _assemble(model)
     cuts = _initial_cuts(model)
-    out = _oa_solve(model, asm, cuts, None, opts, stats, _session(model, asm, cuts, opts))
+    session = _session(model, asm, cuts, opts)
+    out = _oa_solve(model, asm, cuts, None, opts, stats, session)
     if out.status == lp.INFEASIBLE:
-        raise _diagnose_infeasible(model, asm, cuts, None, opts)
+        raise _diagnose_infeasible(asm, session)
     if out.status == lp.UNBOUNDED:
         raise UnboundedError("relaxed model is unbounded")
     if out.status != lp.OPTIMAL:
@@ -755,7 +684,7 @@ def solve_mip(
 
     root = _oa_solve(model, asm, cuts, None, opts, stats, session)
     if root.status == lp.INFEASIBLE:
-        raise _diagnose_infeasible(model, asm, cuts, None, opts)
+        raise _diagnose_infeasible(asm, session)
     if root.status == lp.UNBOUNDED:
         raise UnboundedError("model is unbounded")
     if root.status != lp.OPTIMAL:

@@ -107,8 +107,8 @@ class InitialState:
     def y0(self, gen_id: str) -> int:
         return int(self.gen_on.get(gen_id, 0))
 
-    def e0(self, storage, default_attr: str = "e_ini_mwh") -> float:
-        return float(self.storage_e0_mwh.get(storage.id, getattr(storage, default_attr)))
+    def e0(self, storage) -> float:
+        return float(self.storage_e0_mwh.get(storage.id, storage.e_ini_mwh))
 
 
 @dataclass

@@ -2,6 +2,7 @@
 objective, primal point and the sign of every marginal family."""
 import numpy as np
 import pytest
+from scipy import sparse
 from scipy.optimize import linprog
 
 from asmarket import lp
@@ -18,6 +19,10 @@ A_UB = np.array([[1.0, 0.0, 1.0, 0.0]])
 B_UB = np.array([1.5])
 LB = np.array([0.0, 0.0, 0.0, 0.5])
 UB = np.array([10.0, 10.0, 1.0, 5.0])
+# the same rows in HiGHS' form: row_lower <= A x <= row_upper
+A = np.vstack([A_EQ, A_UB])
+ROW_LOWER = np.array([2.0, -np.inf])
+ROW_UPPER = np.array([2.0, 1.5])
 
 
 def reference(a_ub, b_ub, ub=UB):
@@ -29,37 +34,36 @@ def assert_matches(out, ref):
     assert out.status == lp.OPTIMAL
     assert out.objective == pytest.approx(ref.fun, abs=1e-12)
     np.testing.assert_allclose(out.x, ref.x, atol=1e-12)
-    np.testing.assert_allclose(out.eq_marginals, ref.eqlin.marginals, atol=1e-12)
-    np.testing.assert_allclose(out.ub_marginals, ref.ineqlin.marginals, atol=1e-12)
+    np.testing.assert_allclose(out.row_marginals[:1], ref.eqlin.marginals, atol=1e-12)
+    np.testing.assert_allclose(out.row_marginals[1:], ref.ineqlin.marginals, atol=1e-12)
     np.testing.assert_allclose(out.lower_marginals, ref.lower.marginals, atol=1e-12)
     np.testing.assert_allclose(out.upper_marginals, ref.upper.marginals, atol=1e-12)
 
 
 def test_marginals_match_linprog():
-    out = solve_lp(LpSession(C, A_EQ, B_EQ, A_UB, B_UB, LB, UB))
+    out = solve_lp(LpSession(C, A, ROW_LOWER, ROW_UPPER, LB, UB))
     assert_matches(out, reference(A_UB, B_UB))
     # the hand-derived sensitivities, so a sign flip on both sides is caught
     np.testing.assert_allclose(out.x, [0.5, 1.5, 1.0, 0.5], atol=1e-12)
-    assert out.eq_marginals == pytest.approx([2.0])
-    assert out.ub_marginals == pytest.approx([-1.0])
+    assert out.row_marginals == pytest.approx([2.0, -1.0])
     assert out.lower_marginals == pytest.approx([0.0, 0.0, 0.0, 1.0])
     assert out.upper_marginals == pytest.approx([0.0, 0.0, -2.0, 0.0])
 
 
 def test_added_row_marginal_comes_last():
-    session = LpSession(C, A_EQ, B_EQ, A_UB, B_UB, LB, UB)
+    session = LpSession(C, A, ROW_LOWER, ROW_UPPER, LB, UB)
     solve_lp(session)
     extra = np.array([[0.0, 1.0, 0.0, 0.0]])  # x1 <= 1.2 cuts off the first optimum
     session.add_ub_rows(extra, np.array([1.2]))
     out = solve_lp(session)
     ref = reference(np.vstack([A_UB, extra]), np.concatenate([B_UB, [1.2]]))
     assert_matches(out, ref)
-    assert len(out.ub_marginals) == 2
-    assert out.ub_marginals[1] < 0.0
+    assert len(out.row_marginals) == 3
+    assert out.row_marginals[2] < 0.0
 
 
 def test_bounds_changed_in_place():
-    session = LpSession(C, A_EQ, B_EQ, A_UB, B_UB, LB, UB)
+    session = LpSession(C, A, ROW_LOWER, ROW_UPPER, LB, UB)
     first = solve_lp(session)
     tighter = UB.copy()
     tighter[2] = 0.4  # x2 <= 0.4 moves the optimum off x2 = 1
@@ -70,7 +74,7 @@ def test_bounds_changed_in_place():
 
 
 def test_restored_basis_after_added_rows():
-    session = LpSession(C, A_EQ, B_EQ, A_UB, B_UB, LB, UB)
+    session = LpSession(C, A, ROW_LOWER, ROW_UPPER, LB, UB)
     solve_lp(session)
     basis = session.basis()
     tighter = UB.copy()
@@ -86,12 +90,45 @@ def test_restored_basis_after_added_rows():
 
 
 def test_infeasible_status():
-    out = solve_lp(LpSession(C, A_EQ, B_EQ, A_UB, B_UB, LB, np.full(4, 0.5)))
+    out = solve_lp(LpSession(C, A, ROW_LOWER, ROW_UPPER, LB, np.full(4, 0.5)))
     assert out.status == lp.INFEASIBLE
     assert out.x is None
 
 
+def elastic_reference(ub):
+    # slack columns on every row, column bounds kept: the equality row gets a
+    # pair (s+, s-), the <= row one s; minimise the total slack
+    eye = sparse.identity(1)
+    a_eq = sparse.hstack([A_EQ, eye, -eye, sparse.csr_matrix((1, 1))])
+    a_ub = sparse.hstack([A_UB, sparse.csr_matrix((1, 2)), -eye])
+    ref = linprog(np.concatenate([np.zeros(4), np.ones(3)]), A_ub=a_ub, b_ub=B_UB,
+                  A_eq=a_eq, b_eq=B_EQ, method="highs",
+                  bounds=np.column_stack([np.concatenate([LB, np.zeros(3)]),
+                                          np.concatenate([ub, np.full(3, np.inf)])]))
+    assert ref.status == 0
+    slack = ref.x[4:]
+    return np.array([slack[0] + slack[1], slack[2]])
+
+
+def test_elastic_violations_on_infeasible_lp():
+    # x0 + x1 = 2 cannot hold with every column capped at 0.5: the row is
+    # short by 1.0 and the <= row has room
+    ub = np.full(4, 0.5)
+    session = LpSession(C, A, ROW_LOWER, ROW_UPPER, LB, ub)
+    assert solve_lp(session).status == lp.INFEASIBLE
+    violations = session.elastic_violations()
+    np.testing.assert_allclose(violations, [1.0, 0.0], atol=1e-12)
+    np.testing.assert_allclose(violations, elastic_reference(ub), atol=1e-12)
+    # the session still holds the original LP
+    assert solve_lp(session).status == lp.INFEASIBLE
+
+
+def test_elastic_violations_on_feasible_lp():
+    session = LpSession(C, A, ROW_LOWER, ROW_UPPER, LB, UB)
+    np.testing.assert_allclose(session.elastic_violations(), [0.0, 0.0], atol=1e-12)
+
+
 def test_unbounded_status():
-    out = solve_lp(LpSession(-C, A_EQ, B_EQ, A_UB, B_UB, np.full(4, -np.inf), np.full(4, np.inf)))
+    out = solve_lp(LpSession(-C, A, ROW_LOWER, ROW_UPPER, np.full(4, -np.inf), np.full(4, np.inf)))
     assert out.status == lp.UNBOUNDED
     assert out.x is None

@@ -14,6 +14,8 @@ from asmarket.solve import (
     solve_relaxed,
 )
 from asmarket.ucmodel import (
+    V_PLOSS,
+    V_PRES,
     V_Y,
     V_YCHA,
     V_YDIS,
@@ -138,6 +140,47 @@ class TestRelaxed:
         assert stats.stop_reason == "graced"
 
 
+class TestInfeasibility:
+    def test_infeasible_loss_names_max_loss(self):
+        # toy10 cannot secure a 5 GW loss in any hour; the elastic relaxation
+        # violates the max-loss rows most, 27,078 in total with the mode rows
+        m = build_uc(toy10_scenario(6), FixedProfile.constant(5000.0, 6), relaxed=True)
+        with pytest.raises(InfeasibleError) as err:
+            solve_relaxed(m)
+        assert err.value.certificate == "max loss"
+        assert sum(err.value.by_class.values()) == pytest.approx(27078.0, rel=1e-6)
+
+
+class TestVerifyFeasibility:
+    @pytest.fixture(scope="class")
+    def solved(self):
+        model = build_uc(toy10_scenario(6), FixedProfile.constant(300.0, 6), relaxed=True)
+        asm = solve._assemble(model)
+        out = lp.solve_lp(solve._session(model, asm, [], SolveOptions()))
+        assert out.status == lp.OPTIMAL
+        return model, asm, out.x
+
+    def test_accepts_solved_point(self, solved):
+        _, asm, x = solved
+        solve._verify_feasibility(asm, x, 1e-6)
+
+    def test_rejects_point_off_equality_row(self, solved):
+        model, asm, x = solved
+        x = x.copy()
+        x[model.vid(V_PRES, "wind1", 0)] -= 1.0  # wind enters no row but balance[0]
+        with pytest.raises(SolverError, match=r"balance\[0\]"):
+            solve._verify_feasibility(asm, x, 1e-6)
+
+    def test_rejects_point_below_ge_row(self, solved):
+        # max_loss[0] is p_loss >= 300, held negated as -p_loss <= -300; a
+        # smaller p_loss only loosens the RoCoF and QSS rows
+        model, asm, x = solved
+        x = x.copy()
+        x[model.vid(V_PLOSS, None, 0)] -= 1.0
+        with pytest.raises(SolverError, match=r"max_loss\[0\]"):
+            solve._verify_feasibility(asm, x, 1e-6)
+
+
 class TestWarmStart:
     @pytest.mark.parametrize(
         "scenario, loss",
@@ -163,12 +206,13 @@ class TestWarmStart:
         dispatch, _, stats = solve_relaxed(model)
         asm, cuts = seen[-1]
         assert stats.cuts == len(cuts) > len(model.cones)
+        eq = np.isfinite(asm.row_lower)
         cold = linprog(
             asm.c,
-            A_ub=sparse.vstack([asm.a_ub, solve._cut_matrix(model, cuts)]),
-            b_ub=np.concatenate([asm.b_ub, np.zeros(len(cuts))]),
-            A_eq=asm.a_eq,
-            b_eq=asm.b_eq,
+            A_ub=sparse.vstack([asm.a[~eq], solve._cut_matrix(model, cuts)]),
+            b_ub=np.concatenate([asm.b[~eq], np.zeros(len(cuts))]),
+            A_eq=asm.a[eq],
+            b_eq=asm.b[eq],
             bounds=np.column_stack([asm.lb, asm.ub]),
             method="highs",
             options={"primal_feasibility_tolerance": 1e-9, "dual_feasibility_tolerance": 1e-9},
