@@ -13,7 +13,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
+
+from . import lp
 
 
 class AllocationError(Exception):
@@ -245,18 +246,13 @@ def nucleolus_airport(groups: TypedGroups, hour: int | None = None) -> Allocatio
         remaining = int(cum[m - 1] - cum[best_k - 1])
         steps.append(NucleolusState(iteration=q, alpha=alpha, split=best_k, remaining=remaining))
         k_prev = best_k
-        if k_prev >= m - 1:
-            break
     if k_prev == m - 1:
         last = groups.groups[m - 1]
         share = (costs[m - 1] - assigned_total) / last.count
         for uid in last.members:
             phi[uid] = share
-    return _finalize("nucleolus", AirportGame.from_costs(_expand(groups), hour), phi, hour, steps)
-
-
-def _expand(groups: TypedGroups) -> list[tuple[str, float]]:
-    return [(uid, g.cost) for g in groups.groups for uid in g.members]
+    expanded = [(uid, g.cost) for g in groups.groups for uid in g.members]
+    return _finalize("nucleolus", AirportGame.from_costs(expanded, hour), phi, hour, steps)
 
 
 def nucleolus(game: AirportGame, group_tol: float = 1e-9) -> Allocation:
@@ -268,30 +264,19 @@ def nucleolus(game: AirportGame, group_tol: float = 1e-9) -> Allocation:
 # Lexicographic-LP nucleolus oracle
 
 
-def _solve_small_lp(c, a_ub, b_ub, a_eq, b_eq):
-    res = linprog(
-        c,
-        A_ub=a_ub if a_ub is not None and len(b_ub) else None,
-        b_ub=b_ub if a_ub is not None and len(b_ub) else None,
-        A_eq=a_eq,
-        b_eq=b_eq,
-        bounds=[(None, None)] * len(c),
-        method="highs",
-    )
-    if res.status != 0:
-        raise AllocationError(f"nucleolus oracle LP failed: {res.message}")
-    return res
-
-
 def nucleolus_lp_oracle(game: AirportGame, max_n: int = 8) -> Allocation:
     """Nucleolus by lexicographic minimisation of sorted coalition excesses.
 
-    Each round minimises the worst remaining excess; the coalitions fixed at
-    the optimum are those tight in EVERY optimal solution (positive duals,
-    plus an auxiliary-LP check for the other tight candidates), i.e. the
-    maximal tight set over the optimal face. Coalitions whose indicator rows
-    become linearly dependent on the fixed system carry implied excesses and
-    are retired, so every remaining round pins at least one new dimension.
+    One HiGHS session per game holds a row ``x(S) - eps <= C(S)`` for every
+    proper coalition S and the efficiency row ``x(N) = C(N)``. Each round
+    minimises the worst remaining excess eps and fixes, as rows
+    ``x(S) = C(S) + eps_q``, the coalitions tight in EVERY optimal solution
+    (positive duals, plus an auxiliary LP that pins eps and minimises x(S) for
+    the other tight candidates), i.e. the maximal tight set over the optimal
+    face. Coalitions whose indicator rows become linearly dependent on the
+    fixed system carry implied excesses and are retired (their rows freed), so
+    every remaining round pins at least one new dimension. The allocation
+    solves the fixed system by least squares.
     """
     n = game.n
     if n > max_n:
@@ -303,77 +288,70 @@ def nucleolus_lp_oracle(game: AirportGame, max_n: int = 8) -> Allocation:
         return _finalize("nucleolus_lp", game, {game.ids[0]: float(costs[0])}, game.hour)
     scale = max(1.0, float(costs.max()))
 
-    coal_cost = _coalition_costs(costs)
-    full = (1 << n) - 1
+    # row r is coalition mask r + 1; the last row is the grand coalition
+    n_rows = (1 << n) - 1
+    coal_cost = _coalition_costs(costs)[1:]
+    members = ((np.arange(1, n_rows + 1)[:, None] >> np.arange(n)) & 1).astype(float)
+    eps_col = np.append(-np.ones(n_rows - 1), 0.0)
+    objective = np.append(np.zeros(n), 1.0)
+    lb, ub = np.full(n + 1, -np.inf), np.full(n + 1, np.inf)
+    row_lower = np.append(np.full(n_rows - 1, -np.inf), coal_cost[-1])
+    session = lp.LpSession(objective, np.column_stack([members, eps_col]), row_lower, coal_cost, lb, ub)
 
-    def members(mask):
-        return np.array([(mask >> i) & 1 for i in range(n)], dtype=float)
+    def solve() -> lp.LpOutcome:
+        out = lp.solve_lp(session)
+        if out.status != lp.OPTIMAL:
+            raise AllocationError(f"nucleolus oracle LP failed: {out.message}")
+        return out
 
-    rows = {mask: members(mask) for mask in range(1, full)}
+    def stays_tight(r: int, eps: float) -> bool:
+        # can x(S) drop below C(S) + eps anywhere on the optimal face?
+        session.set_cost(np.append(members[r], 0.0))
+        return solve().objective >= coal_cost[r] + eps - 1e-8 * scale
 
-    fixed: dict[int, float] = {}
-    free = set(rows)
-    system = np.ones((1, n))  # efficiency row; grows with each fixed coalition
+    pinned = [n_rows - 1]   # rows of the fixed system, efficiency row first
+    levels = [0.0]          # their excess levels
+    free = np.arange(n_rows - 1)
 
-    def retire_implied():
+    def retire_implied(free: np.ndarray) -> np.ndarray:
         # rank-truncated orthonormal basis of the fixed row space
-        _, s, vt = np.linalg.svd(system, full_matrices=False)
+        _, s, vt = np.linalg.svd(members[pinned], full_matrices=False)
         basis = vt[s > 1e-10 * max(1.0, s[0])]
-        for mask in sorted(free):
-            row = rows[mask]
-            resid = row - basis.T @ (basis @ row)
-            if np.linalg.norm(resid) <= 1e-9 * math.sqrt(n):
-                free.discard(mask)
+        rows = members[free]
+        implied = np.linalg.norm(rows - (rows @ basis.T) @ basis, axis=1) <= 1e-9 * math.sqrt(n)
+        for r in free[implied]:
+            session.set_row_bounds(r, -np.inf, np.inf)
+        return free[~implied]
 
-    retire_implied()
-    x = None
     for _ in range(n + 1):
-        if not free:
+        if not len(free):
             break
-        free_list = sorted(free)
-        a_ub = np.array([np.append(rows[mask], -1.0) for mask in free_list])
-        b_ub = np.array([coal_cost[mask] for mask in free_list])
-        a_eq = [np.append(np.ones(n), 0.0)]
-        b_eq = [coal_cost[full]]
-        for mask, level in fixed.items():
-            a_eq.append(np.append(rows[mask], 0.0))
-            b_eq.append(coal_cost[mask] + level)
-        c = np.zeros(n + 1)
-        c[-1] = 1.0
-        res = _solve_small_lp(c, a_ub, b_ub, np.array(a_eq), np.array(b_eq))
-        eps = float(res.x[-1])
-        x = res.x[:n]
-
-        excess = {mask: float(rows[mask] @ x - coal_cost[mask]) for mask in free_list}
-        tight = [mask for mask in free_list if excess[mask] >= eps - 1e-7 * scale]
-        duals = dict(zip(free_list, -res.ineqlin.marginals))
-        forced = {mask for mask in tight if duals.get(mask, 0.0) > 1e-7}
-        # remaining tight candidates: forced iff their excess cannot drop
-        # below eps anywhere on the optimal face
-        for mask in tight:
-            if mask in forced:
-                continue
-            a_eq2 = np.vstack([a_eq, np.append(np.zeros(n), 1.0)])
-            b_eq2 = np.append(b_eq, eps)
-            obj = np.append(rows[mask], 0.0)
-            res2 = _solve_small_lp(obj, a_ub, b_ub, a_eq2, b_eq2)
-            if res2.fun >= coal_cost[mask] + eps - 1e-8 * scale:
-                forced.add(mask)
+        out = solve()
+        eps = float(out.x[-1])
+        excess = members[free] @ out.x[:n] - coal_cost[free]
+        tight = free[excess >= eps - 1e-7 * scale]
+        duals = -out.row_marginals
+        session.set_bounds(np.append(lb[:n], eps), np.append(ub[:n], eps))
+        forced = [r for r in tight if duals[r] > 1e-7 or stays_tight(r, eps)]
+        session.set_cost(objective)
+        session.set_bounds(lb, ub)
         if not forced:
             # numerically flat round: pin the strongest dual to keep moving
-            forced = {max(tight, key=lambda mask: duals.get(mask, 0.0))}
-        for mask in forced:
-            fixed[mask] = eps
-            free.discard(mask)
-            system = np.vstack([system, rows[mask]])
-        if np.linalg.matrix_rank(system) >= n:
+            forced = [tight[np.argmax(duals[tight])]]
+        for r in forced:
+            session.set_coefficient(r, n, 0.0)
+            session.set_row_bounds(r, coal_cost[r] + eps, coal_cost[r] + eps)
+        pinned += forced
+        levels += [eps] * len(forced)
+        free = np.setdiff1d(free, forced)
+        if np.linalg.matrix_rank(members[pinned]) >= n:
             break
-        retire_implied()
+        free = retire_implied(free)
 
+    system = members[pinned]
     if np.linalg.matrix_rank(system) < n:
         raise AllocationError("nucleolus oracle failed to pin the allocation")
-    rhs = np.array([coal_cost[full]] + [coal_cost[m] + lv for m, lv in fixed.items()])
-    x, *_ = np.linalg.lstsq(system, rhs, rcond=None)
+    x, *_ = np.linalg.lstsq(system, coal_cost[pinned] + levels, rcond=None)
     phi = {uid: float(x[i]) for i, uid in enumerate(game.ids)}
     return _finalize("nucleolus_lp", game, phi, game.hour)
 

@@ -2,16 +2,18 @@
 
 An :class:`LpSession` holds one HiGHS model in HiGHS' own form: ranged rows
 ``row_lower <= A x <= row_upper`` (an equality row has equal bounds, a ``<=``
-row a lower bound of ``-inf``) and column bounds. Between solves, ``<=`` rows
-can be appended (:meth:`LpSession.add_ub_rows`), column bounds replaced
-(:meth:`LpSession.set_bounds`) and an earlier basis put back
-(:meth:`LpSession.restore`); :func:`solve_lp` then re-runs dual simplex from
-the basis HiGHS holds, which stays dual feasible because neither appended
-rows nor changed bounds alter any reduced cost. Solver options follow
-``scipy.optimize.linprog`` (method ``"highs"``): presolve on, dual simplex,
-both feasibility tolerances set to ``feasibility_tol``. When a solve reports
-infeasibility, :meth:`LpSession.elastic_violations` asks HiGHS for the
-smallest total row violation that makes the LP feasible.
+row a lower bound of ``-inf``, a free row infinite bounds) and column bounds.
+Between solves it is edited in place: rows appended (``add_ub_rows``), column
+bounds or costs replaced (``set_bounds``, ``set_cost``), one row's bounds or
+one matrix entry changed (``set_row_bounds``, ``set_coefficient``) and an
+earlier basis put back (``restore``). :func:`solve_lp` re-runs dual simplex
+from the basis HiGHS holds, which appended rows and changed bounds leave dual
+feasible; after a cost or coefficient change HiGHS may first have to regain
+dual feasibility. Solver options follow ``scipy.optimize.linprog`` (method
+``"highs"``): presolve on, dual simplex, both feasibility tolerances set to
+``feasibility_tol``. When a solve reports infeasibility,
+:meth:`LpSession.elastic_violations` asks HiGHS for the smallest total row
+violation that makes the LP feasible.
 
 Marginal conventions (verified against scipy): every marginal is the
 sensitivity of the optimal objective to the corresponding right-hand side or
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-# scipy's HiGHS binding is private; pyproject pins the scipy release it was tested with
+# scipy's HiGHS binding is private; pyproject requires at least the scipy release it was tested with
 from scipy.optimize._highspy import _core
 
 OPTIMAL = 0
@@ -46,6 +48,11 @@ _STATUS = {
 }
 _AT_LOWER = int(_core.HighsBasisStatus.kLower)
 _AT_UPPER = int(_core.HighsBasisStatus.kUpper)
+
+
+def _check(status: _core.HighsStatus, message: str) -> None:
+    if status == _core.HighsStatus.kError:
+        raise ValueError(message)
 
 
 @dataclass
@@ -100,8 +107,7 @@ class LpSession:
             ("dual_feasibility_tolerance", feasibility_tol),
         ):
             self.highs.setOptionValue(option, value)
-        if self.highs.passModel(model) == _core.HighsStatus.kError:
-            raise ValueError("HiGHS rejected the LP")
+        _check(self.highs.passModel(model), "HiGHS rejected the LP")
 
     def add_ub_rows(self, a: sparse.spmatrix | np.ndarray, b: np.ndarray) -> None:
         """Append rows ``a @ x <= b``; their marginals come last in ``row_marginals``."""
@@ -110,8 +116,7 @@ class LpSession:
             a.shape[0], np.full(a.shape[0], -np.inf), np.asarray(b, dtype=float),
             a.nnz, a.indptr[:-1], a.indices, a.data,
         )
-        if status == _core.HighsStatus.kError:
-            raise ValueError("HiGHS rejected the added rows")
+        _check(status, "HiGHS rejected the added rows")
 
     def set_bounds(self, lb: np.ndarray, ub: np.ndarray) -> None:
         """Replace every column bound; the current basis is kept."""
@@ -119,8 +124,21 @@ class LpSession:
         status = self.highs.changeColsBounds(
             n, np.arange(n, dtype=np.int32), np.asarray(lb, dtype=float), np.asarray(ub, dtype=float)
         )
-        if status == _core.HighsStatus.kError:
-            raise ValueError("HiGHS rejected the column bounds")
+        _check(status, "HiGHS rejected the column bounds")
+
+    def set_cost(self, c: np.ndarray) -> None:
+        """Replace every column cost; the current basis is kept."""
+        n = self.highs.getNumCol()
+        status = self.highs.changeColsCost(n, np.arange(n, dtype=np.int32), np.asarray(c, dtype=float))
+        _check(status, "HiGHS rejected the column costs")
+
+    def set_row_bounds(self, row: int, lower: float, upper: float) -> None:
+        """Replace one row's bounds; equal bounds pin it, infinite ones free it."""
+        _check(self.highs.changeRowBounds(row, lower, upper), "HiGHS rejected the row bounds")
+
+    def set_coefficient(self, row: int, col: int, value: float) -> None:
+        """Replace one matrix entry; a zero removes it."""
+        _check(self.highs.changeCoeff(row, col, value), "HiGHS rejected the coefficient")
 
     def basis(self) -> _core.HighsBasis:
         """A copy of the current basis, for :meth:`restore`."""
@@ -133,15 +151,14 @@ class LpSession:
         n_new = self.highs.getNumRow() - len(rows)
         if n_new:
             basis.row_status = rows + [_core.HighsBasisStatus.kBasic] * n_new
-        if self.highs.setBasis(basis) == _core.HighsStatus.kError:
-            raise ValueError("HiGHS rejected the basis")
+        _check(self.highs.setBasis(basis), "HiGHS rejected the basis")
 
     def elastic_violations(self) -> np.ndarray:
         """Per-row violation at HiGHS' elastic optimum: the rows alone are
         relaxed at unit penalty (column bounds hold) and the total violation
         is minimised. The session's LP is left unchanged."""
-        if self.highs.feasibilityRelaxation(-1, -1, 1) == _core.HighsStatus.kError:
-            raise ValueError("HiGHS could not solve the elastic relaxation")
+        _check(self.highs.feasibilityRelaxation(-1, -1, 1),
+               "HiGHS could not solve the elastic relaxation")
         model = self.highs.getLp()
         value = np.array(self.highs.getSolution().row_value)
         below = np.asarray(model.row_lower_) - value

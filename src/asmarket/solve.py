@@ -82,16 +82,19 @@ class DualRecoveryError(SolverError):
     pass
 
 
+MAX_CUT_ROUNDS = 400       # LPs per OA loop before it gives up
+GRACE_ROUNDS = 50          # OA rounds before a point within feas_tol is accepted
+INTEGRALITY_TOL = 1e-6
+LP_TOL = 1e-9              # HiGHS primal and dual feasibility tolerance
+
+
 @dataclass
 class SolveOptions:
     feas_tol: float = 1e-6           # absolute, on scaled rows
     duality_tol: float = 1e-6        # relative duality gap / CS residual
     cone_rel_tol: float = 1e-9       # cone residual relative to point scale
-    max_cut_rounds: int = 400
-    integrality_tol: float = 1e-6
     max_nodes: int = 100_000
     time_limit_s: float | None = None
-    lp_tol: float = 1e-9
 
 
 @dataclass
@@ -265,12 +268,12 @@ def _cone_violations(model: UCModel, x: np.ndarray, rel_tol: float):
     return out
 
 
-def _session(model: UCModel, asm: _Assembled, cuts: list[NadirCut], opts: SolveOptions) -> lp.LpSession:
+def _session(model: UCModel, asm: _Assembled, cuts: list[NadirCut]) -> lp.LpSession:
     """One HiGHS model holding the base rows and ``cuts``; later cuts are appended."""
     a = sparse.vstack([asm.a, _cut_matrix(model, cuts)], format="csr")
     row_lower = np.concatenate([asm.row_lower, np.full(len(cuts), -np.inf)])
     row_upper = np.concatenate([asm.b, np.zeros(len(cuts))])
-    return lp.LpSession(asm.c, a, row_lower, row_upper, asm.lb, asm.ub, opts.lp_tol)
+    return lp.LpSession(asm.c, a, row_lower, row_upper, asm.lb, asm.ub, LP_TOL)
 
 
 def _oa_solve(
@@ -294,7 +297,7 @@ def _oa_solve(
     ``stats.stop_reason`` becomes ``"graced"``.
     """
     session.set_bounds(*_patched_bounds(asm, patch))
-    for round_no in range(opts.max_cut_rounds):
+    for round_no in range(MAX_CUT_ROUNDS):
         out = lp.solve_lp(session)
         stats.lp_iterations += out.iterations
         stats.oa_rounds += 1
@@ -303,7 +306,7 @@ def _oa_solve(
         viols = _cone_violations(model, out.x, opts.cone_rel_tol)
         if not viols:
             return out
-        if round_no >= 50 and max(v[3] for v in viols) <= opts.feas_tol:
+        if round_no >= GRACE_ROUNDS and max(v[3] for v in viols) <= opts.feas_tol:
             stats.stop_reason = "graced"
             return out
         new_cuts = [separating_cut(t, u1, u2) for t, u1, u2, _ in viols]
@@ -506,7 +509,7 @@ def _duals_from(
         psi_end=psi_end,
         initial_rhs_term=initial_rhs_term,
         as_payment_rhs=as_payment_rhs,
-        dual_objective=_dual_objective(asm, out, cuts),
+        dual_objective=_dual_objective(asm, out),
     )
     stats.max_cs_residual = _max_cs_residual(asm, out, cuts, model)
     scale = max(1.0, abs(out.objective))
@@ -517,7 +520,7 @@ def _duals_from(
     return duals
 
 
-def _dual_objective(asm: _Assembled, out: lp.LpOutcome, cuts) -> float:
+def _dual_objective(asm: _Assembled, out: lp.LpOutcome) -> float:
     # cut rows are homogeneous; bounds contribute their finite terms
     total = float(asm.b @ out.row_marginals[: len(asm.b)])
     lb, ub = asm.lb, asm.ub
@@ -569,7 +572,7 @@ def solve_relaxed(
     t0 = time.perf_counter()
     asm = _assemble(model)
     cuts = _initial_cuts(model)
-    session = _session(model, asm, cuts, opts)
+    session = _session(model, asm, cuts)
     out = _oa_solve(model, asm, cuts, None, opts, stats, session)
     if out.status == lp.INFEASIBLE:
         raise _diagnose_infeasible(asm, session)
@@ -602,12 +605,12 @@ def _dangling_yst(model: UCModel) -> set[int]:
     return out
 
 
-def _fractional(model, x, skip, tol) -> list[int]:
+def _fractional(model, x, skip) -> list[int]:
     bad = []
     for idx in model.binary_indices:
         if idx in skip:
             continue
-        if min(x[idx], 1.0 - x[idx]) > tol:
+        if min(x[idx], 1.0 - x[idx]) > INTEGRALITY_TOL:
             bad.append(idx)
     return bad
 
@@ -623,14 +626,14 @@ def _pick_branch_var(model: UCModel, x: np.ndarray, fractional: list[int]) -> in
     return min(pool, key=key)
 
 
-def _heuristic_fix(model: UCModel, x: np.ndarray, tol: float) -> dict[int, tuple[float, float]] | None:
+def _heuristic_fix(model: UCModel, x: np.ndarray) -> dict[int, tuple[float, float]] | None:
     """Round the relaxation up to a commitment pattern and fix all binaries."""
     sc = model.scenario
     T = sc.horizon
     patch: dict[int, tuple[float, float]] = {}
     for g in sc.generators:
         y_prev = model.initial_state.y0(g.id)
-        y = [1 if x[model.vid(V_Y, g.id, t)] > tol else 0 for t in range(T)]
+        y = [1 if x[model.vid(V_Y, g.id, t)] > INTEGRALITY_TOL else 0 for t in range(T)]
         for t in range(T):
             ysg = max(0, y[t] - (y[t - 1] if t else y_prev))
             ysd = max(0, (y[t - 1] if t else y_prev) - y[t])
@@ -652,8 +655,8 @@ def _heuristic_fix(model: UCModel, x: np.ndarray, tol: float) -> dict[int, tuple
         for t in range(T):
             cha = x[model.vid(V_YCHA, s.id, t)]
             dis = x[model.vid(V_YDIS, s.id, t)]
-            c = 1 if cha > tol and cha >= dis else 0
-            d = 1 if dis > tol and dis > cha else 0
+            c = 1 if cha > INTEGRALITY_TOL and cha >= dis else 0
+            d = 1 if dis > INTEGRALITY_TOL and dis > cha else 0
             patch[model.vid(V_YCHA, s.id, t)] = (c, c)
             patch[model.vid(V_YDIS, s.id, t)] = (d, d)
     return patch
@@ -680,7 +683,7 @@ def solve_mip(
     asm = _assemble(model)
     cuts = _initial_cuts(model)
     dangling = _dangling_yst(model)
-    session = _session(model, asm, cuts, opts)
+    session = _session(model, asm, cuts)
 
     root = _oa_solve(model, asm, cuts, None, opts, stats, session)
     if root.status == lp.INFEASIBLE:
@@ -693,7 +696,7 @@ def solve_mip(
     root_basis = session.basis()
     incumbent: np.ndarray | None = None
     inc_obj = math.inf
-    patch0 = _heuristic_fix(model, root.x, opts.integrality_tol)
+    patch0 = _heuristic_fix(model, root.x)
     if patch0 is not None:
         try:
             h_out = _oa_solve(model, asm, cuts, patch0, opts, stats, session)
@@ -728,7 +731,7 @@ def solve_mip(
             continue
         if incumbent is not None and out.objective >= threshold():
             continue
-        frac = _fractional(model, out.x, dangling, opts.integrality_tol)
+        frac = _fractional(model, out.x, dangling)
         if not frac:
             if out.objective < inc_obj:
                 incumbent, inc_obj = out.x.copy(), out.objective
@@ -804,7 +807,7 @@ def solve_fixed_binaries(
     asm = _assemble(model)
     cuts = _initial_cuts(model)
     patch = {idx: (float(v), float(v)) for idx, v in values.items()}
-    out = _oa_solve(model, asm, cuts, patch, opts, stats, _session(model, asm, cuts, opts))
+    out = _oa_solve(model, asm, cuts, patch, opts, stats, _session(model, asm, cuts))
     if out.status == lp.INFEASIBLE:
         return None
     if out.status != lp.OPTIMAL:

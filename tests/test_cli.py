@@ -179,6 +179,15 @@ class TestGame:
         dev = float(out.splitlines()[-1].split(":")[1])
         assert dev <= 1e-12
 
+    def test_nucleolus_with_oracle_on_ties(self, tmp_path, capsys):
+        # three tied players at 3 split the first 2.25; the largest pays the rest
+        path = self.write_costs(tmp_path, [("a", 3.0), ("b", 3.0), ("c", 3.0), ("d", 6.0)])
+        assert main(["game", str(path), "--rule", "nucleolus", "--oracle"]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert "a,0.75" in out and "b,0.75" in out and "c,0.75" in out and "d,3.75" in out
+        dev = float(out.splitlines()[-1].split(":")[1])
+        assert dev <= 1e-12
+
     def test_nucleolus_values(self, tmp_path, capsys):
         path = self.write_costs(tmp_path, [("a", 1.0), ("b", 2.0), ("c", 3.0)], header=False)
         assert main(["game", str(path), "--rule", "nucleolus"]) == EXIT_OK

@@ -1,5 +1,7 @@
 """The HiGHS session against scipy.optimize.linprog, the reference oracle for
 objective, primal point and the sign of every marginal family."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy import sparse
@@ -25,8 +27,8 @@ ROW_LOWER = np.array([2.0, -np.inf])
 ROW_UPPER = np.array([2.0, 1.5])
 
 
-def reference(a_ub, b_ub, ub=UB):
-    return linprog(C, A_ub=a_ub, b_ub=b_ub, A_eq=A_EQ, b_eq=B_EQ,
+def reference(a_ub, b_ub, ub=UB, c=C, b_eq=B_EQ):
+    return linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=A_EQ, b_eq=b_eq,
                    bounds=np.column_stack([LB, ub]), method="highs")
 
 
@@ -71,6 +73,43 @@ def test_bounds_changed_in_place():
     out = solve_lp(session)
     assert not np.allclose(out.x, first.x)
     assert_matches(out, reference(A_UB, B_UB, tighter))
+
+
+def test_cost_changed_in_place():
+    session = LpSession(C, A, ROW_LOWER, ROW_UPPER, LB, UB)
+    first = solve_lp(session)
+    costly = C.copy()
+    costly[2] = 3.0  # x2 now costs, so it leaves its upper bound
+    session.set_cost(costly)
+    out = solve_lp(session)
+    assert not np.allclose(out.x, first.x)
+    assert_matches(out, reference(A_UB, B_UB, c=costly))
+
+
+def test_row_bounds_changed_in_place():
+    session = LpSession(C, A, ROW_LOWER, ROW_UPPER, LB, UB)
+    first = solve_lp(session)
+    session.set_row_bounds(0, 1.0, 1.0)  # x0 + x1 = 1: the objective presses on the lower side
+    pinned = solve_lp(session)
+    assert not np.allclose(pinned.x, first.x)
+    assert_matches(pinned, reference(A_UB, B_UB, b_eq=np.array([1.0])))
+    session.set_row_bounds(1, -np.inf, np.inf)  # a free row constrains nothing
+    out = solve_lp(session)
+    assert not np.allclose(out.x, pinned.x)
+    assert out.row_marginals[1] == 0.0
+    ref = reference(None, None, b_eq=np.array([1.0]))
+    assert_matches(replace(out, row_marginals=out.row_marginals[:1]), ref)
+
+
+def test_coefficient_changed_in_place():
+    session = LpSession(C, A, ROW_LOWER, ROW_UPPER, LB, UB)
+    first = solve_lp(session)
+    session.set_coefficient(1, 2, 0.0)  # x2 leaves the <= row: x0 <= 1.5
+    out = solve_lp(session)
+    assert not np.allclose(out.x, first.x)
+    a_ub = A_UB.copy()
+    a_ub[0, 2] = 0.0
+    assert_matches(out, reference(a_ub, B_UB))
 
 
 def test_restored_basis_after_added_rows():

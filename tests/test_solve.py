@@ -156,7 +156,7 @@ class TestVerifyFeasibility:
     def solved(self):
         model = build_uc(toy10_scenario(6), FixedProfile.constant(300.0, 6), relaxed=True)
         asm = solve._assemble(model)
-        out = lp.solve_lp(solve._session(model, asm, [], SolveOptions()))
+        out = lp.solve_lp(solve._session(model, asm, []))
         assert out.status == lp.OPTIMAL
         return model, asm, out.x
 
