@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import math
 import os
 import sys
 import time
@@ -78,6 +79,8 @@ def _loss_rule(spec: str, scenario: Scenario):
         value = float(spec)
     except ValueError:
         raise ScenarioError(f"--loss-rule must be 'endogenous', 'profile' or a MW value (got {spec!r})")
+    if not math.isfinite(value) or value < 0:
+        raise ScenarioError(f"--loss-rule must be a finite, non-negative MW value (got {spec!r})")
     return FixedProfile.constant(value, scenario.horizon)
 
 
@@ -150,6 +153,9 @@ def cmd_run(args) -> int:
         feas_tol=args.feas_tol, duality_tol=args.duality_tol, cone_rel_tol=args.cone_tol
     )
     try:
+        if not math.isfinite(args.gap) or args.gap < 0:
+            raise ScenarioError(f"--gap must be finite and non-negative (got {args.gap})")
+
         def load():
             sc = load_scenario(args.scenario)
             if args.hours is None:

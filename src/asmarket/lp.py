@@ -11,7 +11,7 @@ from the basis HiGHS holds, which appended rows and changed bounds leave dual
 feasible; after a cost or coefficient change HiGHS may first have to regain
 dual feasibility. Solver options follow ``scipy.optimize.linprog`` (method
 ``"highs"``): presolve on, dual simplex, both feasibility tolerances set to
-``feasibility_tol``. When a solve reports infeasibility,
+``FEASIBILITY_TOL``. When a solve reports infeasibility,
 :meth:`LpSession.elastic_violations` asks HiGHS for the smallest total row
 violation that makes the LP feasible.
 
@@ -30,6 +30,8 @@ from scipy import sparse
 
 # scipy's HiGHS binding is private; pyproject requires at least the scipy release it was tested with
 from scipy.optimize._highspy import _core
+
+FEASIBILITY_TOL = 1e-9  # HiGHS primal and dual feasibility tolerance
 
 OPTIMAL = 0
 ITERATION_LIMIT = 1
@@ -78,7 +80,6 @@ class LpSession:
         row_upper: np.ndarray,
         lb: np.ndarray,
         ub: np.ndarray,
-        feasibility_tol: float = 1e-9,
     ):
         a = sparse.csr_matrix(a)
         model = _core.HighsLp()
@@ -103,8 +104,8 @@ class LpSession:
             ("output_flag", False),
             ("presolve", "on"),
             ("simplex_strategy", 1),  # dual simplex
-            ("primal_feasibility_tolerance", feasibility_tol),
-            ("dual_feasibility_tolerance", feasibility_tol),
+            ("primal_feasibility_tolerance", FEASIBILITY_TOL),
+            ("dual_feasibility_tolerance", FEASIBILITY_TOL),
         ):
             self.highs.setOptionValue(option, value)
         _check(self.highs.passModel(model), "HiGHS rejected the LP")

@@ -1,16 +1,17 @@
 """Solvers for the frequency-secured UC: convex relaxation with full dual
 recovery, and best-first branch-and-bound for the mixed-integer form.
 
-The model's rows are assembled once in HiGHS' row-bound form (equality rows
+``build_uc`` already holds the LP in HiGHS' row-bound form (equality rows
 first, then every inequality as ``<=``), so one marginal vector covers every
-row. The nadir cone is handled by outer-approximation cutting planes over the
-LP core. Each public solve keeps one HiGHS session: cuts are appended as rows
-and stay, bounds are changed in place, and branch-and-bound nodes restart
-dual simplex from their parent's optimal basis. Cone multipliers are
-reconstructed by aggregating the active-cut multipliers through the cut
-gradients, so the pricing layer sees exactly the (mu_1, mu_2, mu_3) triple of
-the conic formulation. An infeasible LP is diagnosed by HiGHS' elastic
-relaxation of its rows, with the violations summed per constraint class.
+row, and per-unit series are read through the model's ``cols``. The nadir
+cone is handled by outer-approximation cutting planes over the LP core. Each
+public solve keeps one HiGHS session: cuts are appended as rows and stay,
+bounds are changed in place, and branch-and-bound nodes restart dual simplex
+from their parent's optimal basis. Cone multipliers are reconstructed by
+aggregating the active-cut multipliers through the cut gradients, so the
+pricing layer sees exactly the (mu_1, mu_2, mu_3) triple of the conic
+formulation. An infeasible LP is diagnosed by HiGHS' elastic relaxation of
+its rows, with the violations summed per constraint class.
 """
 from __future__ import annotations
 
@@ -85,7 +86,6 @@ class DualRecoveryError(SolverError):
 MAX_CUT_ROUNDS = 400       # LPs per OA loop before it gives up
 GRACE_ROUNDS = 50          # OA rounds before a point within feas_tol is accepted
 INTEGRALITY_TOL = 1e-6
-LP_TOL = 1e-9              # HiGHS primal and dual feasibility tolerance
 
 
 @dataclass
@@ -187,43 +187,7 @@ class SolveStats:
 
 
 # ---------------------------------------------------------------------------
-# Assembly
-
-
-@dataclass
-class _Assembled:
-    """The base rows as HiGHS holds them: ``row_lower <= a @ x <= b``, with the
-    equality rows first, then every inequality as ``<=`` (``>=`` rows negated),
-    each block in model order; ``rows[i]`` is the model row behind row ``i``."""
-
-    c: np.ndarray
-    lb: np.ndarray
-    ub: np.ndarray
-    a: sparse.csr_matrix
-    b: np.ndarray
-    row_lower: np.ndarray
-    rows: list
-
-
-def _assemble(model: UCModel) -> _Assembled:
-    c = np.array([v.cost for v in model.vardefs])
-    lb = np.array([v.lb for v in model.vardefs])
-    ub = np.array([v.ub for v in model.vardefs])
-
-    rows = [row for row in model.rows if row.sense == "="]
-    rows += [row for row in model.rows if row.sense != "="]
-    r_idx, c_idx, data, b = [], [], [], []
-    for r, row in enumerate(rows):
-        flip = -1.0 if row.sense == ">=" else 1.0
-        for idx, coef in row.coeffs:
-            r_idx.append(r)
-            c_idx.append(idx)
-            data.append(flip * coef)
-        b.append(flip * row.rhs)
-    a = sparse.csr_matrix((data, (r_idx, c_idx)), shape=(len(rows), model.n_vars))
-    b = np.array(b)
-    row_lower = np.where([row.sense == "=" for row in rows], b, -np.inf)
-    return _Assembled(c, lb, ub, a, b, row_lower, rows)
+# LP and OA loop
 
 
 def _cut_matrix(model: UCModel, cuts: list[NadirCut]) -> sparse.csr_matrix:
@@ -244,10 +208,10 @@ def _cut_matrix(model: UCModel, cuts: list[NadirCut]) -> sparse.csr_matrix:
     return sparse.csr_matrix((data, (rows, cols)), shape=(len(cuts), model.n_vars))
 
 
-def _patched_bounds(asm: _Assembled, patch: dict[int, tuple[float, float]] | None):
+def _patched_bounds(model: UCModel, patch: dict[int, tuple[float, float]] | None):
     if not patch:
-        return asm.lb, asm.ub
-    lb, ub = asm.lb.copy(), asm.ub.copy()
+        return model.lb, model.ub
+    lb, ub = model.lb.copy(), model.ub.copy()
     for idx, (lo, hi) in patch.items():
         lb[idx] = lo
         ub[idx] = hi
@@ -268,17 +232,16 @@ def _cone_violations(model: UCModel, x: np.ndarray, rel_tol: float):
     return out
 
 
-def _session(model: UCModel, asm: _Assembled, cuts: list[NadirCut]) -> lp.LpSession:
+def _session(model: UCModel, cuts: list[NadirCut]) -> lp.LpSession:
     """One HiGHS model holding the base rows and ``cuts``; later cuts are appended."""
-    a = sparse.vstack([asm.a, _cut_matrix(model, cuts)], format="csr")
-    row_lower = np.concatenate([asm.row_lower, np.full(len(cuts), -np.inf)])
-    row_upper = np.concatenate([asm.b, np.zeros(len(cuts))])
-    return lp.LpSession(asm.c, a, row_lower, row_upper, asm.lb, asm.ub, LP_TOL)
+    a = sparse.vstack([model.a, _cut_matrix(model, cuts)], format="csr")
+    row_lower = np.concatenate([model.row_lower, np.full(len(cuts), -np.inf)])
+    row_upper = np.concatenate([model.b, np.zeros(len(cuts))])
+    return lp.LpSession(model.c, a, row_lower, row_upper, model.lb, model.ub)
 
 
 def _oa_solve(
     model: UCModel,
-    asm: _Assembled,
     cuts: list[NadirCut],
     patch: dict[int, tuple[float, float]] | None,
     opts: SolveOptions,
@@ -296,7 +259,7 @@ def _oa_solve(
     rounds any point inside the scaled feasibility tolerance is accepted and
     ``stats.stop_reason`` becomes ``"graced"``.
     """
-    session.set_bounds(*_patched_bounds(asm, patch))
+    session.set_bounds(*_patched_bounds(model, patch))
     for round_no in range(MAX_CUT_ROUNDS):
         out = lp.solve_lp(session)
         stats.lp_iterations += out.iterations
@@ -321,13 +284,13 @@ def _initial_cuts(model: UCModel) -> list[NadirCut]:
     return [NadirCut(t=cone.t, a1=0.0, a2=0.0) for cone in model.cones]
 
 
-def _diagnose_infeasible(asm: _Assembled, session: lp.LpSession) -> InfeasibleError:
+def _diagnose_infeasible(model: UCModel, session: lp.LpSession) -> InfeasibleError:
     """HiGHS' elastic row violations, summed by constraint class; the rows past
     the base rows are nadir cuts."""
     by_class: dict[str, float] = {}
     for i, amount in enumerate(session.elastic_violations()):
         if amount > 1e-6:
-            kind = asm.rows[i].kind if i < len(asm.rows) else K_NADIR_CUT
+            kind = model.rows[i].kind if i < len(model.rows) else K_NADIR_CUT
             label = INFEASIBILITY_LABELS.get(kind, kind)
             by_class[label] = by_class.get(label, 0.0) + amount
     if not by_class:
@@ -339,26 +302,17 @@ def _diagnose_infeasible(asm: _Assembled, session: lp.LpSession) -> InfeasibleEr
 # Extraction
 
 
-def _per_hour(model: UCModel, x: np.ndarray, kind: str, unit: str) -> np.ndarray:
-    T = model.scenario.horizon
-    return np.array([x[model.vid(kind, unit, t)] for t in range(T)])
-
-
 def _dispatch_from_x(model: UCModel, x: np.ndarray, objective: float) -> DispatchSolution:
     sc = model.scenario
     T = sc.horizon
-    gen_p = {g.id: _per_hour(model, x, V_P, g.id) for g in sc.generators}
-    gen_pfr = {g.id: _per_hour(model, x, V_PFRG, g.id) for g in sc.generators}
-    gen_commit = {g.id: _per_hour(model, x, V_Y, g.id) for g in sc.generators}
-    res_p = {r.id: _per_hour(model, x, V_PRES, r.id) for r in sc.res_units}
-    sto_charge = {s.id: _per_hour(model, x, V_PCHA, s.id) for s in sc.storage_units}
-    sto_discharge = {s.id: _per_hour(model, x, V_PDIS, s.id) for s in sc.storage_units}
-    sto_cha_mode = {s.id: _per_hour(model, x, V_YCHA, s.id) for s in sc.storage_units}
-    sto_dis_mode = {s.id: _per_hour(model, x, V_YDIS, s.id) for s in sc.storage_units}
-    sto_soc = {s.id: _per_hour(model, x, V_E, s.id) for s in sc.storage_units}
-    sto_pfr = {s.id: _per_hour(model, x, V_PFRS, s.id) for s in sc.storage_units}
-    sto_efr = {s.id: _per_hour(model, x, V_EFRS, s.id) for s in sc.storage_units}
-    sto_e0 = {s.id: float(x[model.vid(V_E0, s.id, -1)]) for s in sc.storage_units}
+    series = lambda kind, units: {u.id: x[model.cols[(kind, u.id)]] for u in units}
+    gen_p = series(V_P, sc.generators)
+    gen_pfr = series(V_PFRG, sc.generators)
+    gen_commit = series(V_Y, sc.generators)
+    sto_cha_mode = series(V_YCHA, sc.storage_units)
+    sto_dis_mode = series(V_YDIS, sc.storage_units)
+    sto_pfr = series(V_PFRS, sc.storage_units)
+    sto_efr = series(V_EFRS, sc.storage_units)
 
     # Aggregates are reported as their defining sums so they match exactly.
     inertia = np.zeros(T)
@@ -370,7 +324,6 @@ def _dispatch_from_x(model: UCModel, x: np.ndarray, objective: float) -> Dispatc
     pfr = sum((gen_pfr[g.id] for g in sc.generators), np.zeros(T))
     pfr = pfr + sum((sto_pfr[s.id] for s in sc.storage_units), np.zeros(T))
     efr = sum((sto_efr[s.id] for s in sc.storage_units), np.zeros(T))
-    p_loss = np.array([x[model.vid(V_PLOSS, None, t)] for t in range(T)])
 
     return DispatchSolution(
         objective=objective,
@@ -378,42 +331,40 @@ def _dispatch_from_x(model: UCModel, x: np.ndarray, objective: float) -> Dispatc
         gen_p=gen_p,
         gen_pfr=gen_pfr,
         gen_commit=gen_commit,
-        res_p=res_p,
-        sto_charge=sto_charge,
-        sto_discharge=sto_discharge,
+        res_p=series(V_PRES, sc.res_units),
+        sto_charge=series(V_PCHA, sc.storage_units),
+        sto_discharge=series(V_PDIS, sc.storage_units),
         sto_cha_mode=sto_cha_mode,
         sto_dis_mode=sto_dis_mode,
-        sto_soc=sto_soc,
+        sto_soc=series(V_E, sc.storage_units),
         sto_pfr=sto_pfr,
         sto_efr=sto_efr,
-        sto_e0=sto_e0,
+        sto_e0={s.id: float(x[model.vid(V_E0, s.id, 0)]) for s in sc.storage_units},
         inertia_mws=inertia,
         pfr_mw=pfr,
         efr_mw=efr,
-        p_loss_mw=p_loss,
+        p_loss_mw=x[model.cols[(V_PLOSS, None)]],
     )
 
 
 def _commitment_from_x(model: UCModel, x: np.ndarray) -> CommitmentSchedule:
     sc = model.scenario
 
-    def rounded(kind, unit):
-        vals = _per_hour(model, x, kind, unit)
-        return np.rint(vals).astype(int)
+    def rounded(kind, units):
+        return {u.id: np.rint(x[model.cols[(kind, u.id)]]).astype(int) for u in units}
 
     return CommitmentSchedule(
-        gen_on={g.id: rounded(V_Y, g.id) for g in sc.generators},
-        gen_start_up={g.id: rounded(V_YST, g.id) for g in sc.generators},
-        gen_start_gen={g.id: rounded(V_YSG, g.id) for g in sc.generators},
-        gen_shut_down={g.id: rounded(V_YSD, g.id) for g in sc.generators},
-        sto_charging={s.id: rounded(V_YCHA, s.id) for s in sc.storage_units},
-        sto_discharging={s.id: rounded(V_YDIS, s.id) for s in sc.storage_units},
+        gen_on=rounded(V_Y, sc.generators),
+        gen_start_up=rounded(V_YST, sc.generators),
+        gen_start_gen=rounded(V_YSG, sc.generators),
+        gen_shut_down=rounded(V_YSD, sc.generators),
+        sto_charging=rounded(V_YCHA, sc.storage_units),
+        sto_discharging=rounded(V_YDIS, sc.storage_units),
     )
 
 
 def _duals_from(
     model: UCModel,
-    asm: _Assembled,
     out: lp.LpOutcome,
     cuts: list[NadirCut],
     opts: SolveOptions,
@@ -421,7 +372,7 @@ def _duals_from(
 ) -> DualSolution:
     sc = model.scenario
     T = sc.horizon
-    n_base = len(asm.rows)
+    n_base = len(model.rows)
     z = lambda: np.zeros(T)
     lambda_e, lambda_h, lambda_pfr, lambda_efr = z(), z(), z(), z()
     mu_rocof, mu_qss, omega = z(), z(), z()
@@ -435,7 +386,7 @@ def _duals_from(
 
     # equality rows report price_sign * m; inequality rows hold their <=
     # form, so their multiplier is mu = -m >= 0
-    for row, m in zip(asm.rows, out.row_marginals[:n_base]):
+    for row, m in zip(model.rows, out.row_marginals[:n_base]):
         mu = -m
         if row.kind == K_BALANCE:
             lambda_e[row.t] = row.price_sign * m
@@ -469,19 +420,12 @@ def _duals_from(
         mu2[cut.t] += nu * cut.a2
         mu3[cut.t] += nu
 
-    psi_ub = {}
-    psi_lb = {}
-    for v in model.vardefs:
-        if math.isfinite(v.ub):
-            psi_ub[v.idx] = -out.upper_marginals[v.idx]
-        if math.isfinite(v.lb):
-            psi_lb[v.idx] = out.lower_marginals[v.idx]
+    # bound multipliers, zero on the infinite bounds
+    psi_ub = np.where(np.isfinite(model.ub), -out.upper_marginals, 0.0)
+    psi_lb = np.where(np.isfinite(model.lb), out.lower_marginals, 0.0)
 
-    def ub_series(kind, unit):
-        return np.array([psi_ub.get(model.vid(kind, unit, t), 0.0) for t in range(T)])
-
-    def lb_series(kind, unit):
-        return np.array([psi_lb.get(model.vid(kind, unit, t), 0.0) for t in range(T)])
+    def ub_series(kind, units):
+        return {u.id: psi_ub[model.cols[(kind, u.id)]] for u in units}
 
     duals = DualSolution(
         lambda_e=lambda_e,
@@ -494,24 +438,24 @@ def _duals_from(
         mu_nadir_3=mu3,
         mu_qss=mu_qss,
         omega_loss=omega,
-        psi_max_y={g.id: ub_series(V_Y, g.id) for g in sc.generators},
-        psi_max_yst={g.id: ub_series(V_YST, g.id) for g in sc.generators},
-        psi_max_ysg={g.id: ub_series(V_YSG, g.id) for g in sc.generators},
-        psi_max_ysd={g.id: ub_series(V_YSD, g.id) for g in sc.generators},
+        psi_max_y=ub_series(V_Y, sc.generators),
+        psi_max_yst=ub_series(V_YST, sc.generators),
+        psi_max_ysg=ub_series(V_YSG, sc.generators),
+        psi_max_ysd=ub_series(V_YSD, sc.generators),
         psi_mdt=psi_mdt,
-        psi_cf={r.id: ub_series(V_PRES, r.id) for r in sc.res_units},
-        psi_e_min={s.id: lb_series(V_E, s.id) for s in sc.storage_units},
-        psi_e_max={s.id: ub_series(V_E, s.id) for s in sc.storage_units},
-        psi_max_ycha={s.id: ub_series(V_YCHA, s.id) for s in sc.storage_units},
-        psi_max_ydis={s.id: ub_series(V_YDIS, s.id) for s in sc.storage_units},
+        psi_cf=ub_series(V_PRES, sc.res_units),
+        psi_e_min={s.id: psi_lb[model.cols[(V_E, s.id)]] for s in sc.storage_units},
+        psi_e_max=ub_series(V_E, sc.storage_units),
+        psi_max_ycha=ub_series(V_YCHA, sc.storage_units),
+        psi_max_ydis=ub_series(V_YDIS, sc.storage_units),
         psi_mutex=psi_mutex,
         psi_ini=psi_ini,
         psi_end=psi_end,
         initial_rhs_term=initial_rhs_term,
         as_payment_rhs=as_payment_rhs,
-        dual_objective=_dual_objective(asm, out),
+        dual_objective=_dual_objective(model, out),
     )
-    stats.max_cs_residual = _max_cs_residual(asm, out, cuts, model)
+    stats.max_cs_residual = _max_cs_residual(model, out, cuts)
     scale = max(1.0, abs(out.objective))
     if stats.max_cs_residual > opts.duality_tol * scale:
         raise DualRecoveryError(
@@ -520,10 +464,10 @@ def _duals_from(
     return duals
 
 
-def _dual_objective(asm: _Assembled, out: lp.LpOutcome) -> float:
+def _dual_objective(model: UCModel, out: lp.LpOutcome) -> float:
     # cut rows are homogeneous; bounds contribute their finite terms
-    total = float(asm.b @ out.row_marginals[: len(asm.b)])
-    lb, ub = asm.lb, asm.ub
+    total = float(model.b @ out.row_marginals[: len(model.b)])
+    lb, ub = model.lb, model.ub
     fin = np.isfinite(lb)
     total += float(lb[fin] @ out.lower_marginals[fin])
     fin = np.isfinite(ub)
@@ -531,26 +475,26 @@ def _dual_objective(asm: _Assembled, out: lp.LpOutcome) -> float:
     return total
 
 
-def _max_cs_residual(asm: _Assembled, out: lp.LpOutcome, cuts, model) -> float:
+def _max_cs_residual(model: UCModel, out: lp.LpOutcome, cuts) -> float:
     x = out.x
-    n_base = len(asm.b)
-    worst = float(np.max(np.abs((asm.a @ x - asm.b) * out.row_marginals[:n_base]), initial=0.0))
+    n_base = len(model.b)
+    worst = float(np.max(np.abs((model.a @ x - model.b) * out.row_marginals[:n_base]), initial=0.0))
     if len(cuts):
         slack = -(_cut_matrix(model, cuts) @ x)
         worst = max(worst, float(np.max(np.abs(slack * out.row_marginals[n_base:]))))
-    fin = np.isfinite(asm.lb)
-    worst = max(worst, float(np.max(np.abs((x - asm.lb)[fin] * out.lower_marginals[fin]), initial=0.0)))
-    fin = np.isfinite(asm.ub)
-    worst = max(worst, float(np.max(np.abs((asm.ub - x)[fin] * out.upper_marginals[fin]), initial=0.0)))
+    fin = np.isfinite(model.lb)
+    worst = max(worst, float(np.max(np.abs((x - model.lb)[fin] * out.lower_marginals[fin]), initial=0.0)))
+    fin = np.isfinite(model.ub)
+    worst = max(worst, float(np.max(np.abs((model.ub - x)[fin] * out.upper_marginals[fin]), initial=0.0)))
     return worst
 
 
-def _verify_feasibility(asm: _Assembled, x: np.ndarray, tol: float) -> None:
-    ax = asm.a @ x
-    viol = np.maximum(asm.row_lower - ax, ax - asm.b) / np.maximum(1.0, np.abs(asm.b))
+def _verify_feasibility(model: UCModel, x: np.ndarray, tol: float) -> None:
+    ax = model.a @ x
+    viol = np.maximum(model.row_lower - ax, ax - model.b) / np.maximum(1.0, np.abs(model.b))
     if viol.max() > tol:
         i = int(np.argmax(viol))
-        raise SolverError(f"row {asm.rows[i].name} violated by {viol[i]:.3e} (scaled), above tolerance")
+        raise SolverError(f"row {model.rows[i].name} violated by {viol[i]:.3e} (scaled), above tolerance")
 
 
 # ---------------------------------------------------------------------------
@@ -570,19 +514,18 @@ def solve_relaxed(
     opts = options or SolveOptions()
     stats = SolveStats()
     t0 = time.perf_counter()
-    asm = _assemble(model)
     cuts = _initial_cuts(model)
-    session = _session(model, asm, cuts)
-    out = _oa_solve(model, asm, cuts, None, opts, stats, session)
+    session = _session(model, cuts)
+    out = _oa_solve(model, cuts, None, opts, stats, session)
     if out.status == lp.INFEASIBLE:
-        raise _diagnose_infeasible(asm, session)
+        raise _diagnose_infeasible(model, session)
     if out.status == lp.UNBOUNDED:
         raise UnboundedError("relaxed model is unbounded")
     if out.status != lp.OPTIMAL:
         raise SolverError(f"LP backend failure: {out.message}")
-    _verify_feasibility(asm, out.x, opts.feas_tol)
+    _verify_feasibility(model, out.x, opts.feas_tol)
     dispatch = _dispatch_from_x(model, out.x, out.objective)
-    duals = _duals_from(model, asm, out, cuts, opts, stats)
+    duals = _duals_from(model, out, cuts, opts, stats)
     gap = abs(out.objective - duals.dual_objective) / max(1.0, abs(out.objective))
     stats.rel_duality_gap = gap
     stats.cuts = len(cuts)
@@ -592,73 +535,56 @@ def solve_relaxed(
     return dispatch, duals, stats
 
 
-def _dangling_yst(model: UCModel) -> set[int]:
+def _dangling_yst(model: UCModel) -> np.ndarray:
     # start-up indicators whose start-generating hour lies past the horizon;
     # they are unconstrained upward only and carry no cost, so they are
-    # zeroed during extraction.
+    # zeroed during extraction. None without a lead time.
     T = model.scenario.horizon
-    out = set()
-    for g in model.scenario.generators:
-        if g.start_up_h > 0:
-            for t in range(max(0, T - g.start_up_h), T):
-                out.add(model.vid(V_YST, g.id, t))
-    return out
+    return np.array([
+        idx
+        for g in model.scenario.generators
+        for idx in model.cols[(V_YST, g.id)][max(0, T - g.start_up_h):]
+    ], dtype=int)
 
 
-def _fractional(model, x, skip) -> list[int]:
-    bad = []
-    for idx in model.binary_indices:
-        if idx in skip:
-            continue
-        if min(x[idx], 1.0 - x[idx]) > INTEGRALITY_TOL:
-            bad.append(idx)
-    return bad
+def _fractional(model: UCModel, x: np.ndarray, skip: np.ndarray) -> list[int]:
+    bad = model.binary & (np.minimum(x, 1.0 - x) > INTEGRALITY_TOL)
+    bad[skip] = False
+    return np.flatnonzero(bad).tolist()
 
 
 def _pick_branch_var(model: UCModel, x: np.ndarray, fractional: list[int]) -> int:
-    branch_set = set(model.branch_indices)
-    pool = [i for i in fractional if i in branch_set] or fractional
+    pool = [i for i in fractional if model.branch[i]] or fractional
     # most fractional; ties by unit size descending, then index
-    def key(idx):
-        v = model.vardefs[idx]
-        return (abs(x[idx] - 0.5), -v.branch_weight, idx)
-
-    return min(pool, key=key)
+    return min(pool, key=lambda i: (abs(x[i] - 0.5), -model.branch_weight[i], i))
 
 
 def _heuristic_fix(model: UCModel, x: np.ndarray) -> dict[int, tuple[float, float]] | None:
     """Round the relaxation up to a commitment pattern and fix all binaries."""
-    sc = model.scenario
-    T = sc.horizon
     patch: dict[int, tuple[float, float]] = {}
-    for g in sc.generators:
-        y_prev = model.initial_state.y0(g.id)
-        y = [1 if x[model.vid(V_Y, g.id, t)] > INTEGRALITY_TOL else 0 for t in range(T)]
-        for t in range(T):
-            ysg = max(0, y[t] - (y[t - 1] if t else y_prev))
-            ysd = max(0, (y[t - 1] if t else y_prev) - y[t])
-            patch[model.vid(V_Y, g.id, t)] = (y[t], y[t])
-            patch[model.vid(V_YSG, g.id, t)] = (ysg, ysg)
-            patch[model.vid(V_YSD, g.id, t)] = (ysd, ysd)
+
+    def fix(kind, unit, values):
+        patch.update((int(i), (float(v), float(v))) for i, v in zip(model.cols[(kind, unit)], values))
+
+    for g in model.scenario.generators:
+        y = (x[model.cols[(V_Y, g.id)]] > INTEGRALITY_TOL).astype(int)
+        prev = np.concatenate([[model.initial_state.y0(g.id)], y[:-1]])
+        ysg = np.maximum(0, y - prev)
         # start-up indicators consistent with the lead time
-        yst = [0] * T
-        for t in range(T):
-            ysg_t = patch[model.vid(V_YSG, g.id, t)][0]
-            if ysg_t:
-                j = t - g.start_up_h
-                if j < 0:
-                    return None  # cannot start that early from a cold start
-                yst[j] = 1
-        for t in range(T):
-            patch[model.vid(V_YST, g.id, t)] = (yst[t], yst[t])
-    for s in sc.storage_units:
-        for t in range(T):
-            cha = x[model.vid(V_YCHA, s.id, t)]
-            dis = x[model.vid(V_YDIS, s.id, t)]
-            c = 1 if cha > INTEGRALITY_TOL and cha >= dis else 0
-            d = 1 if dis > INTEGRALITY_TOL and dis > cha else 0
-            patch[model.vid(V_YCHA, s.id, t)] = (c, c)
-            patch[model.vid(V_YDIS, s.id, t)] = (d, d)
+        starts = np.flatnonzero(ysg) - g.start_up_h
+        if np.any(starts < 0):
+            return None  # cannot start that early from a cold start
+        yst = np.zeros_like(y)
+        yst[starts] = 1
+        fix(V_Y, g.id, y)
+        fix(V_YSG, g.id, ysg)
+        fix(V_YSD, g.id, np.maximum(0, prev - y))
+        fix(V_YST, g.id, yst)
+    for s in model.scenario.storage_units:
+        cha = x[model.cols[(V_YCHA, s.id)]]
+        dis = x[model.cols[(V_YDIS, s.id)]]
+        fix(V_YCHA, s.id, (cha > INTEGRALITY_TOL) & (cha >= dis))
+        fix(V_YDIS, s.id, (dis > INTEGRALITY_TOL) & (dis > cha))
     return patch
 
 
@@ -680,14 +606,13 @@ def solve_mip(
     opts = options or SolveOptions()
     stats = SolveStats()
     t0 = time.perf_counter()
-    asm = _assemble(model)
     cuts = _initial_cuts(model)
     dangling = _dangling_yst(model)
-    session = _session(model, asm, cuts)
+    session = _session(model, cuts)
 
-    root = _oa_solve(model, asm, cuts, None, opts, stats, session)
+    root = _oa_solve(model, cuts, None, opts, stats, session)
     if root.status == lp.INFEASIBLE:
-        raise _diagnose_infeasible(asm, session)
+        raise _diagnose_infeasible(model, session)
     if root.status == lp.UNBOUNDED:
         raise UnboundedError("model is unbounded")
     if root.status != lp.OPTIMAL:
@@ -699,7 +624,7 @@ def solve_mip(
     patch0 = _heuristic_fix(model, root.x)
     if patch0 is not None:
         try:
-            h_out = _oa_solve(model, asm, cuts, patch0, opts, stats, session)
+            h_out = _oa_solve(model, cuts, patch0, opts, stats, session)
         except SolverError:
             h_out = None
         if h_out is not None and h_out.status == lp.OPTIMAL:
@@ -726,7 +651,7 @@ def solve_mip(
             break
         stats.nodes += 1
         session.restore(basis)
-        out = _oa_solve(model, asm, cuts, patch, opts, stats, session)
+        out = _oa_solve(model, cuts, patch, opts, stats, session)
         if out.status != lp.OPTIMAL:
             continue
         if incumbent is not None and out.objective >= threshold():
@@ -756,10 +681,9 @@ def solve_mip(
     # polish: re-optimise the continuous dispatch with the binaries pinned to
     # their rounded values, so the returned point is cleanly feasible
     x = incumbent.copy()
-    for idx in dangling:
-        x[idx] = 0.0
+    x[dangling] = 0.0
     fixed = {idx: (round(x[idx]), round(x[idx])) for idx in model.binary_indices}
-    polished = _oa_solve(model, asm, cuts, fixed, opts, stats, session)
+    polished = _oa_solve(model, cuts, fixed, opts, stats, session)
     if polished.status != lp.OPTIMAL:
         raise SolverError(
             f"fixed-binary polish of the incumbent failed (LP status {polished.status}: "
@@ -799,15 +723,15 @@ def solve_fixed_binaries(
 ) -> tuple[float, DispatchSolution] | None:
     """Optimise the continuous dispatch for a fully fixed binary pattern.
 
-    Returns None when the pattern is infeasible. Used by the exhaustive
-    enumeration oracle and the heuristics; the nadir cone is enforced.
+    Returns None when the pattern is infeasible. Solves on a fresh session,
+    cold, independent of the branch and bound's warm one; the tests' exhaustive
+    enumeration oracle uses it. The nadir cone is enforced.
     """
     opts = options or SolveOptions()
     stats = SolveStats()
-    asm = _assemble(model)
     cuts = _initial_cuts(model)
     patch = {idx: (float(v), float(v)) for idx, v in values.items()}
-    out = _oa_solve(model, asm, cuts, patch, opts, stats, _session(model, asm, cuts))
+    out = _oa_solve(model, cuts, patch, opts, stats, _session(model, cuts))
     if out.status == lp.INFEASIBLE:
         return None
     if out.status != lp.OPTIMAL:

@@ -1,16 +1,19 @@
 """Frequency-secured unit-commitment model builder.
 
-Variables, rows and the per-hour nadir cones are registered with named kinds
-so the solvers can assemble matrices, recover duals under the conventions the
-pricing layer expects, and tag infeasibility certificates by constraint class.
-
-Rows are stored in their natural orientation (sense '=', '<=' or '>=',
-right-hand side as written); the solver normalises to <= internally and maps
-marginals back so that every inequality multiplier is >= 0.
+``build_uc`` returns the LP in the form HiGHS receives: column arrays, one
+CSR matrix whose rows hold ``row_lower <= a @ x <= b`` (equality rows first,
+then every inequality as ``<=`` with ``>=`` rows negated, each block in build
+order) and the per-hour nadir cones. Columns and rows carry named kinds, so
+the solvers can read per-unit series, recover duals under the conventions the
+pricing layer expects and tag infeasibility certificates by constraint class.
+Each ``RowDef`` keeps its natural sense and right-hand side as written.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+
+import numpy as np
+from scipy import sparse
 
 from .scenario import Scenario
 
@@ -112,25 +115,11 @@ class InitialState:
 
 
 @dataclass
-class VarDef:
-    idx: int
-    kind: str
-    unit: str | None
-    t: int
-    lb: float
-    ub: float
-    cost: float = 0.0
-    binary: bool = False
-    branch_weight: float = 0.0  # unit p_max; tie-break for branching
-
-
-@dataclass
 class RowDef:
     name: str
     kind: str
     sense: str  # '=', '<=', '>='
     rhs: float
-    coeffs: list[tuple[int, float]]
     unit: str | None = None
     t: int = -1
     price_sign: int = 1  # equality rows: reported dual = price_sign * (d obj / d rhs)
@@ -151,32 +140,43 @@ class ModelError(Exception):
 
 @dataclass
 class UCModel:
+    """min c@x s.t. row_lower <= a@x <= b, lb <= x <= ub, x[binary] integral."""
+
     scenario: Scenario
     loss_rule: LossRule
     relaxed: bool
     initial_state: InitialState
-    vardefs: list[VarDef]
-    rows: list[RowDef]
+    c: np.ndarray
+    lb: np.ndarray
+    ub: np.ndarray
+    binary: np.ndarray            # mask; all False in the relaxed build
+    branch: np.ndarray            # mask of the binary y, y_cha and y_dis columns
+    branch_weight: np.ndarray     # unit p_max; tie-break for branching
+    cols: dict[tuple[str, str | None], np.ndarray]  # (kind, unit) -> columns in hour order
+    a: sparse.csr_matrix
+    b: np.ndarray
+    row_lower: np.ndarray         # b on the leading equality rows, -inf after
+    rows: list[RowDef]            # rows[i] is the model row behind row i of a
     cones: list[ConeDef]
-    var_index: dict[tuple[str, str | None, int], int]
 
     @property
     def n_vars(self) -> int:
-        return len(self.vardefs)
+        return len(self.c)
 
     def vid(self, kind: str, unit: str | None, t: int) -> int:
-        return self.var_index[(kind, unit, t)]
+        """Column of ``kind`` for ``unit`` at hour ``t`` (``e0`` has only t = 0)."""
+        return int(self.cols[(kind, unit)][t])
 
     def rows_of_kind(self, kind: str) -> list[RowDef]:
         return [r for r in self.rows if r.kind == kind]
 
     @property
     def branch_indices(self) -> list[int]:
-        return [v.idx for v in self.vardefs if v.binary and v.kind in (V_Y, V_YCHA, V_YDIS)]
+        return np.flatnonzero(self.branch).tolist()
 
     @property
     def binary_indices(self) -> list[int]:
-        return [v.idx for v in self.vardefs if v.binary]
+        return np.flatnonzero(self.binary).tolist()
 
 
 def build_uc(
@@ -205,57 +205,58 @@ def build_uc(
         raise ModelError("EndogenousMax requires at least one loss-eligible unit")
     init = initial_state or InitialState()
 
-    vardefs: list[VarDef] = []
-    index: dict[tuple[str, str | None, int], int] = {}
+    c, lb, ub, binary, branch, weight = [], [], [], [], [], []
+    cols: dict[tuple[str, str | None], list[int]] = {}
 
-    def add_var(kind, unit, t, lb, ub, cost=0.0, binary=False, weight=0.0) -> int:
-        idx = len(vardefs)
-        vardefs.append(
-            VarDef(idx, kind, unit, t, lb, ub, cost, binary and not relaxed, weight)
-        )
-        index[(kind, unit, t)] = idx
-        return idx
+    def add_var(kind, unit, lo, hi, cost=0.0, is_binary=False, branch_weight=0.0) -> None:
+        cols.setdefault((kind, unit), []).append(len(c))
+        c.append(cost)
+        lb.append(lo)
+        ub.append(hi)
+        binary.append(is_binary and not relaxed)
+        branch.append(binary[-1] and kind in (V_Y, V_YCHA, V_YDIS))
+        weight.append(branch_weight)
 
+    inf = float("inf")
     for g in scenario.generators:
         lam_y = g.inertia_offer_gbp_per_mws * g.p_max_mw * g.inertia_s
         for t in range(T):
-            add_var(V_P, g.id, t, 0.0, float("inf"), g.energy_offer_gbp_per_mwh)
-            add_var(V_Y, g.id, t, 0.0, 1.0, lam_y, binary=True, weight=g.p_max_mw)
-            add_var(V_YST, g.id, t, 0.0, 1.0, 0.0, binary=True, weight=g.p_max_mw)
-            add_var(V_YSG, g.id, t, 0.0, 1.0, 0.0, binary=True, weight=g.p_max_mw)
-            add_var(V_YSD, g.id, t, 0.0, 1.0, 0.0, binary=True, weight=g.p_max_mw)
-            pfr_ub = float("inf") if g.pfr_max_mw > 0 else 0.0
-            add_var(V_PFRG, g.id, t, 0.0, pfr_ub, g.pfr_offer_gbp_per_mw)
+            add_var(V_P, g.id, 0.0, inf, g.energy_offer_gbp_per_mwh)
+            add_var(V_Y, g.id, 0.0, 1.0, lam_y, True, g.p_max_mw)
+            add_var(V_YST, g.id, 0.0, 1.0, 0.0, True, g.p_max_mw)
+            add_var(V_YSG, g.id, 0.0, 1.0, 0.0, True, g.p_max_mw)
+            add_var(V_YSD, g.id, 0.0, 1.0, 0.0, True, g.p_max_mw)
+            add_var(V_PFRG, g.id, 0.0, inf if g.pfr_max_mw > 0 else 0.0, g.pfr_offer_gbp_per_mw)
     for r in scenario.res_units:
         for t in range(T):
-            add_var(V_PRES, r.id, t, 0.0, r.cf[t] * r.p_max_mw, r.energy_offer_gbp_per_mwh)
+            add_var(V_PRES, r.id, 0.0, r.cf[t] * r.p_max_mw, r.energy_offer_gbp_per_mwh)
     for s in scenario.storage_units:
         lam_ys = s.inertia_offer_gbp_per_mws * s.p_max_mw * s.inertia_s
         for t in range(T):
-            add_var(V_PCHA, s.id, t, 0.0, float("inf"))
-            add_var(V_PDIS, s.id, t, 0.0, float("inf"), s.energy_offer_gbp_per_mwh)
-            add_var(V_YCHA, s.id, t, 0.0, 1.0, lam_ys, binary=True, weight=s.p_max_mw)
-            add_var(V_YDIS, s.id, t, 0.0, 1.0, lam_ys, binary=True, weight=s.p_max_mw)
-            add_var(V_E, s.id, t, s.e_min_mwh, s.e_max_mwh)
-            pfr_ub = float("inf") if s.pfr_max_mw > 0 else 0.0
-            efr_ub = float("inf") if s.efr_max_mw > 0 else 0.0
-            add_var(V_PFRS, s.id, t, 0.0, pfr_ub, s.pfr_offer_gbp_per_mw)
-            add_var(V_EFRS, s.id, t, 0.0, efr_ub, s.efr_offer_gbp_per_mw)
-        add_var(V_E0, s.id, -1, 0.0, float("inf"))
-    ploss_lb = float("-inf")
+            add_var(V_PCHA, s.id, 0.0, inf)
+            add_var(V_PDIS, s.id, 0.0, inf, s.energy_offer_gbp_per_mwh)
+            add_var(V_YCHA, s.id, 0.0, 1.0, lam_ys, True, s.p_max_mw)
+            add_var(V_YDIS, s.id, 0.0, 1.0, lam_ys, True, s.p_max_mw)
+            add_var(V_E, s.id, s.e_min_mwh, s.e_max_mwh)
+            add_var(V_PFRS, s.id, 0.0, inf if s.pfr_max_mw > 0 else 0.0, s.pfr_offer_gbp_per_mw)
+            add_var(V_EFRS, s.id, 0.0, inf if s.efr_max_mw > 0 else 0.0, s.efr_offer_gbp_per_mw)
+        add_var(V_E0, s.id, 0.0, inf)
     for t in range(T):
-        add_var(V_H, None, t, float("-inf"), float("inf"))
-        add_var(V_PFRT, None, t, float("-inf"), float("inf"))
-        add_var(V_EFRT, None, t, float("-inf"), float("inf"))
-        add_var(V_PLOSS, None, t, ploss_lb, float("inf"))
+        for kind in (V_H, V_PFRT, V_EFRT, V_PLOSS):
+            add_var(kind, None, -inf, inf)
 
     rows: list[RowDef] = []
     cones: list[ConeDef] = []
+    r_idx, c_idx, data = [], [], []
 
     def add_row(name, kind, sense, rhs, coeffs, unit=None, t=-1, price_sign=1):
-        rows.append(RowDef(name, kind, sense, float(rhs), coeffs, unit, t, price_sign))
+        for idx, coef in coeffs:
+            r_idx.append(len(rows))
+            c_idx.append(idx)
+            data.append(coef)
+        rows.append(RowDef(name, kind, sense, float(rhs), unit, t, price_sign))
 
-    vid = lambda k, u, t: index[(k, u, t)]
+    vid = lambda k, u, t: cols[(k, u)][t]
 
     # --- thermal private constraints
     for g in scenario.generators:
@@ -322,7 +323,7 @@ def build_uc(
 
     # --- storage private constraints
     for s in scenario.storage_units:
-        e0 = vid(V_E0, s.id, -1)
+        e0 = vid(V_E0, s.id, 0)
         for t in range(T):
             pcha = vid(V_PCHA, s.id, t)
             pdis = vid(V_PDIS, s.id, t)
@@ -439,23 +440,32 @@ def build_uc(
         )
         cones.append(ConeDef(t=t, idx_h=h, idx_efr=efrt, idx_pfr=pfrt, idx_ploss=ploss))
 
-    model = UCModel(
+    # HiGHS' row-bound form: equality rows first, then every inequality as
+    # <= with the >= rows negated, each block in build order
+    eq = np.array([row.sense == "=" for row in rows])
+    order = np.argsort(~eq, kind="stable")
+    position = np.argsort(order)
+    flip = np.where([row.sense == ">=" for row in rows], -1.0, 1.0)
+    r_idx = np.array(r_idx, dtype=int)
+    a = sparse.csr_matrix(
+        (flip[r_idx] * np.array(data), (position[r_idx], c_idx)), shape=(len(rows), len(c))
+    )
+    b = (flip * [row.rhs for row in rows])[order]
+    return UCModel(
         scenario=scenario,
         loss_rule=loss_rule,
         relaxed=relaxed,
         initial_state=init,
-        vardefs=vardefs,
-        rows=rows,
+        c=np.array(c),
+        lb=np.array(lb),
+        ub=np.array(ub),
+        binary=np.array(binary, dtype=bool),
+        branch=np.array(branch, dtype=bool),
+        branch_weight=np.array(weight),
+        cols={key: np.array(idx) for key, idx in cols.items()},
+        a=a,
+        b=b,
+        row_lower=np.where(eq[order], b, -np.inf),
+        rows=[rows[i] for i in order],
         cones=cones,
-        var_index=index,
     )
-    _check_references(model)
-    return model
-
-
-def _check_references(model: UCModel) -> None:
-    n = model.n_vars
-    for row in model.rows:
-        for idx, _ in row.coeffs:
-            if not (0 <= idx < n):
-                raise ModelError(f"row {row.name} references unregistered variable {idx}")

@@ -158,6 +158,16 @@ class TestRun:
         out = tmp_path / "out"
         assert self.run(scenario_file, out, ["--hours", "99"]) == EXIT_VALIDATION
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-100"])
+    def test_loss_rule_out_of_range(self, scenario_file, tmp_path, capsys, value):
+        assert self.run(scenario_file, tmp_path / "out", ["--loss-rule", value]) == EXIT_VALIDATION
+        assert "--loss-rule" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+    def test_gap_out_of_range(self, scenario_file, tmp_path, capsys, value):
+        assert self.run(scenario_file, tmp_path / "out", ["--gap", value]) == EXIT_VALIDATION
+        assert "--gap" in capsys.readouterr().err
+
     def test_out_dir_from_env(self, scenario_file, tmp_path, monkeypatch):
         monkeypatch.setenv("ASMARKET_OUT_DIR", str(tmp_path / "envout"))
         assert main(["run", str(scenario_file), "--rule", "shapley"]) == EXIT_OK

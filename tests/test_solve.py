@@ -155,30 +155,29 @@ class TestVerifyFeasibility:
     @pytest.fixture(scope="class")
     def solved(self):
         model = build_uc(toy10_scenario(6), FixedProfile.constant(300.0, 6), relaxed=True)
-        asm = solve._assemble(model)
-        out = lp.solve_lp(solve._session(model, asm, []))
+        out = lp.solve_lp(solve._session(model, []))
         assert out.status == lp.OPTIMAL
-        return model, asm, out.x
+        return model, out.x
 
     def test_accepts_solved_point(self, solved):
-        _, asm, x = solved
-        solve._verify_feasibility(asm, x, 1e-6)
+        model, x = solved
+        solve._verify_feasibility(model, x, 1e-6)
 
     def test_rejects_point_off_equality_row(self, solved):
-        model, asm, x = solved
+        model, x = solved
         x = x.copy()
         x[model.vid(V_PRES, "wind1", 0)] -= 1.0  # wind enters no row but balance[0]
         with pytest.raises(SolverError, match=r"balance\[0\]"):
-            solve._verify_feasibility(asm, x, 1e-6)
+            solve._verify_feasibility(model, x, 1e-6)
 
     def test_rejects_point_below_ge_row(self, solved):
         # max_loss[0] is p_loss >= 300, held negated as -p_loss <= -300; a
         # smaller p_loss only loosens the RoCoF and QSS rows
-        model, asm, x = solved
+        model, x = solved
         x = x.copy()
         x[model.vid(V_PLOSS, None, 0)] -= 1.0
         with pytest.raises(SolverError, match=r"max_loss\[0\]"):
-            solve._verify_feasibility(asm, x, 1e-6)
+            solve._verify_feasibility(model, x, 1e-6)
 
 
 class TestWarmStart:
@@ -198,22 +197,22 @@ class TestWarmStart:
         real = solve._oa_solve
         seen = []
 
-        def spy(model, asm, cuts, *rest):
-            seen.append((asm, cuts))
-            return real(model, asm, cuts, *rest)
+        def spy(model, cuts, *rest):
+            seen.append(cuts)
+            return real(model, cuts, *rest)
 
         monkeypatch.setattr(solve, "_oa_solve", spy)
         dispatch, _, stats = solve_relaxed(model)
-        asm, cuts = seen[-1]
+        cuts = seen[-1]
         assert stats.cuts == len(cuts) > len(model.cones)
-        eq = np.isfinite(asm.row_lower)
+        eq = np.isfinite(model.row_lower)
         cold = linprog(
-            asm.c,
-            A_ub=sparse.vstack([asm.a[~eq], solve._cut_matrix(model, cuts)]),
-            b_ub=np.concatenate([asm.b[~eq], np.zeros(len(cuts))]),
-            A_eq=asm.a[eq],
-            b_eq=asm.b[eq],
-            bounds=np.column_stack([asm.lb, asm.ub]),
+            model.c,
+            A_ub=sparse.vstack([model.a[~eq], solve._cut_matrix(model, cuts)]),
+            b_ub=np.concatenate([model.b[~eq], np.zeros(len(cuts))]),
+            A_eq=model.a[eq],
+            b_eq=model.b[eq],
+            bounds=np.column_stack([model.lb, model.ub]),
             method="highs",
             options={"primal_feasibility_tolerance": 1e-9, "dual_feasibility_tolerance": 1e-9},
         )
@@ -321,7 +320,7 @@ class TestMip:
         calls = []
 
         def counting(*args):
-            calls.append(args[3])
+            calls.append(args[2])
             return real(*args)
 
         monkeypatch.setattr(solve, "_oa_solve", counting)
@@ -330,7 +329,7 @@ class TestMip:
         assert set(calls[-1]) == set(m.binary_indices)
 
         def failing_polish(*args):
-            calls.append(args[3])
+            calls.append(args[2])
             out = real(*args)
             if len(calls) == polish_call:
                 out.status, out.message = lp.ITERATION_LIMIT, "iteration limit reached"

@@ -10,10 +10,17 @@ from asmarket.ucmodel import (
     K_MAXLOSS,
     K_QSS,
     K_ROCOF,
+    V_E0,
+    V_Y,
+    V_YCHA,
+    V_YDIS,
+    V_YSD,
+    V_YSG,
+    V_YST,
     ModelError,
     build_uc,
 )
-from conftest import binding_scenario, endog_scenario, gen, single_gen_scenario
+from conftest import binding_scenario, endog_scenario, gen, single_gen_scenario, toy10_scenario
 
 
 def test_row_census_single_gen_single_hour():
@@ -75,3 +82,41 @@ def test_relaxed_flag_controls_binaries():
     assert mip.binary_indices
     # identical row structure either way
     assert [r.name for r in relaxed.rows] == [r.name for r in mip.rows]
+
+
+@pytest.fixture(scope="module")
+def toy10_builds():
+    sc = toy10_scenario(6)
+    return build_uc(sc, EndogenousMax(), relaxed=True), build_uc(sc, EndogenousMax(), relaxed=False)
+
+
+def test_cols_partition_the_columns(toy10_builds):
+    for m in toy10_builds:
+        assert sorted(np.concatenate(list(m.cols.values()))) == list(range(m.n_vars))
+        for (kind, _), idx in m.cols.items():
+            assert len(idx) == (1 if kind == V_E0 else m.scenario.horizon)
+
+
+def test_binary_and_branch_columns(toy10_builds):
+    relaxed, mip = toy10_builds
+
+    def cols_of(kinds):
+        return sorted(int(i) for (kind, _), idx in mip.cols.items() if kind in kinds for i in idx)
+
+    assert mip.binary_indices == cols_of({V_Y, V_YST, V_YSG, V_YSD, V_YCHA, V_YDIS})
+    assert mip.branch_indices == cols_of({V_Y, V_YCHA, V_YDIS})
+    assert not relaxed.binary_indices and not relaxed.branch_indices
+
+
+def test_rows_in_row_bound_form(toy10_builds):
+    for m in toy10_builds:
+        sense = np.array([r.sense for r in m.rows])
+        rhs = np.array([r.rhs for r in m.rows])
+        eq = sense == "="
+        n_eq = int(eq.sum())
+        assert 0 < n_eq < len(eq) and (sense == ">=").any()
+        assert eq[:n_eq].all()
+        assert np.array_equal(np.isfinite(m.row_lower), eq)
+        assert np.array_equal(m.row_lower[eq], m.b[eq])
+        assert np.array_equal(m.b, np.where(sense == ">=", -rhs, rhs))
+        assert m.a.shape == (len(m.rows), m.n_vars)
