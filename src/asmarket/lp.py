@@ -11,9 +11,17 @@ from the basis HiGHS holds, which appended rows and changed bounds leave dual
 feasible; after a cost or coefficient change HiGHS may first have to regain
 dual feasibility. Solver options follow ``scipy.optimize.linprog`` (method
 ``"highs"``): presolve on, dual simplex, both feasibility tolerances set to
-``FEASIBILITY_TOL``. When a solve reports infeasibility,
+``FEASIBILITY_TOL``. They depart from it in one place: dual simplex prices
+with devex weights, not dual steepest edge, because steepest-edge weights are
+recomputed after every ``addRows`` and cost a warm re-solve more than its few
+pivots. When a solve reports infeasibility,
 :meth:`LpSession.elastic_violations` asks HiGHS for the smallest total row
 violation that makes the LP feasible.
+
+An :class:`LpOutcome` keeps copies of HiGHS' solution and basis and builds
+its marginal arrays when they are first read, so a solve whose duals nobody
+reads pays nothing for them, and an outcome keeps its duals after its session
+is edited and solved again.
 
 Marginal conventions (verified against scipy): every marginal is the
 sensitivity of the optimal objective to the corresponding right-hand side or
@@ -23,7 +31,8 @@ marginals <= 0.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy import sparse
@@ -59,14 +68,41 @@ def _check(status: _core.HighsStatus, message: str) -> None:
 
 @dataclass
 class LpOutcome:
+    """One solve's result. ``solution`` and ``basis`` are HiGHS' copies of its
+    solution and basis right after the solve (``basis`` can be handed to
+    :meth:`LpSession.restore`); the marginals are built from them on first
+    read, and are ``None`` unless the LP was solved to optimality."""
+
     status: int
     message: str
     objective: float
     x: np.ndarray | None
-    row_marginals: np.ndarray | None
-    lower_marginals: np.ndarray | None
-    upper_marginals: np.ndarray | None
     iterations: int
+    solution: _core.HighsSolution | None = field(default=None, repr=False)
+    basis: _core.HighsBasis | None = field(default=None, repr=False)
+
+    @cached_property
+    def row_marginals(self) -> np.ndarray | None:
+        return None if self.solution is None else np.array(self.solution.row_dual)
+
+    @cached_property
+    def _bound_marginals(self) -> tuple[np.ndarray | None, np.ndarray | None]:
+        if self.solution is None:
+            return None, None
+        col_dual = np.array(self.solution.col_dual)
+        col_status = np.array(self.basis.col_status, dtype=np.int8)
+        return (
+            np.where(col_status == _AT_LOWER, col_dual, 0.0),
+            np.where(col_status == _AT_UPPER, col_dual, 0.0),
+        )
+
+    @property
+    def lower_marginals(self) -> np.ndarray | None:
+        return self._bound_marginals[0]
+
+    @property
+    def upper_marginals(self) -> np.ndarray | None:
+        return self._bound_marginals[1]
 
 
 class LpSession:
@@ -104,6 +140,7 @@ class LpSession:
             ("output_flag", False),
             ("presolve", "on"),
             ("simplex_strategy", 1),  # dual simplex
+            ("simplex_dual_edge_weight_strategy", 1),  # devex
             ("primal_feasibility_tolerance", FEASIBILITY_TOL),
             ("dual_feasibility_tolerance", FEASIBILITY_TOL),
         ):
@@ -141,13 +178,10 @@ class LpSession:
         """Replace one matrix entry; a zero removes it."""
         _check(self.highs.changeCoeff(row, col, value), "HiGHS rejected the coefficient")
 
-    def basis(self) -> _core.HighsBasis:
-        """A copy of the current basis, for :meth:`restore`."""
-        return self.highs.getBasis()
-
     def restore(self, basis: _core.HighsBasis) -> None:
-        """Start the next solve from ``basis``; rows added since it was taken
-        enter basic (``basis.row_status`` is padded in place)."""
+        """Start the next solve from ``basis``, an earlier outcome's; rows
+        added since it was taken enter basic (``basis.row_status`` is padded
+        in place)."""
         rows = basis.row_status
         n_new = self.highs.getNumRow() - len(rows)
         if n_new:
@@ -176,17 +210,14 @@ def solve_lp(session: LpSession) -> LpOutcome:
     info = highs.getInfo()
     nit = max(int(info.simplex_iteration_count), 0)
     if status != OPTIMAL:
-        return LpOutcome(status, message, float("nan"), None, None, None, None, nit)
-    solution = highs.getSolution()
-    col_dual = np.array(solution.col_dual)
-    col_status = np.array(highs.getBasis().col_status, dtype=np.int8)
+        return LpOutcome(status, message, float("nan"), None, nit)
+    solution = highs.getSolution()  # getSolution and getBasis return copies
     return LpOutcome(
         status=OPTIMAL,
         message=message,
         objective=float(info.objective_function_value),
         x=np.array(solution.col_value),
-        row_marginals=np.array(solution.row_dual),
-        lower_marginals=np.where(col_status == _AT_LOWER, col_dual, 0.0),
-        upper_marginals=np.where(col_status == _AT_UPPER, col_dual, 0.0),
         iterations=nit,
+        solution=solution,
+        basis=highs.getBasis(),
     )

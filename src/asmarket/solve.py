@@ -45,11 +45,14 @@ from .ucmodel import (
     V_E,
     V_E0,
     V_EFRS,
+    V_EFRT,
+    V_H,
     V_P,
     V_PCHA,
     V_PDIS,
     V_PFRG,
     V_PFRS,
+    V_PFRT,
     V_PLOSS,
     V_PRES,
     V_Y,
@@ -184,26 +187,29 @@ class SolveStats:
     # after its grace rounds; takes precedence) or "budget" (solve_mip ran
     # out of nodes or time; see also budget_exhausted)
     stop_reason: str = "converged"
+    final_cone_residual: float = 0.0  # largest scaled cone residual at the returned point
 
 
 # ---------------------------------------------------------------------------
 # LP and OA loop
 
 
+def _cone_cols(model: UCModel) -> list[tuple[str, np.ndarray]]:
+    """The nadir cone's aggregate columns in hour order, keyed as in
+    ``NadirCut.coefficients``."""
+    return [(key, model.cols[(kind, None)])
+            for key, kind in (("h", V_H), ("efr", V_EFRT), ("pfr", V_PFRT), ("p_loss", V_PLOSS))]
+
+
 def _cut_matrix(model: UCModel, cuts: list[NadirCut]) -> sparse.csr_matrix:
     params = model.scenario.params
+    cone_cols = _cone_cols(model)
     rows, cols, data = [], [], []
     for r, cut in enumerate(cuts):
-        cone = model.cones[cut.t]
         coefs = cut.coefficients(params)
-        for idx, key in (
-            (cone.idx_h, "h"),
-            (cone.idx_efr, "efr"),
-            (cone.idx_pfr, "pfr"),
-            (cone.idx_ploss, "p_loss"),
-        ):
+        for key, idx in cone_cols:
             rows.append(r)
-            cols.append(idx)
+            cols.append(idx[cut.t])
             data.append(coefs[key])
     return sparse.csr_matrix((data, (rows, cols)), shape=(len(cuts), model.n_vars))
 
@@ -221,15 +227,19 @@ def _patched_bounds(model: UCModel, patch: dict[int, tuple[float, float]] | None
 def _cone_violations(model: UCModel, x: np.ndarray, rel_tol: float):
     params = model.scenario.params
     out = []
-    for cone in model.cones:
-        u1, u2, v = nadir_terms(
-            x[cone.idx_h], x[cone.idx_efr], x[cone.idx_pfr], x[cone.idx_ploss], params
-        )
+    h, efr, pfr, p_loss = (x[idx] for _, idx in _cone_cols(model))
+    for t in range(model.scenario.horizon):
+        u1, u2, v = nadir_terms(h[t], efr[t], pfr[t], p_loss[t], params)
         nrm = math.hypot(u1, u2)
         scaled = (nrm - v) / max(1.0, abs(v), nrm)
         if scaled > rel_tol:
-            out.append((cone.t, u1, u2, scaled))
+            out.append((t, u1, u2, scaled))
     return out
+
+
+def _final_cone_residual(model: UCModel, x: np.ndarray) -> float:
+    """Largest scaled cone residual at ``x``, zero when every cone holds."""
+    return max((v[3] for v in _cone_violations(model, x, 0.0)), default=0.0)
 
 
 def _session(model: UCModel, cuts: list[NadirCut]) -> lp.LpSession:
@@ -281,7 +291,7 @@ def _oa_solve(
 
 def _initial_cuts(model: UCModel) -> list[NadirCut]:
     # v >= 0 facets; every cone point satisfies them and they anchor the OA.
-    return [NadirCut(t=cone.t, a1=0.0, a2=0.0) for cone in model.cones]
+    return [NadirCut(t=t, a1=0.0, a2=0.0) for t in range(model.scenario.horizon)]
 
 
 def _diagnose_infeasible(model: UCModel, session: lp.LpSession) -> InfeasibleError:
@@ -529,6 +539,7 @@ def solve_relaxed(
     gap = abs(out.objective - duals.dual_objective) / max(1.0, abs(out.objective))
     stats.rel_duality_gap = gap
     stats.cuts = len(cuts)
+    stats.final_cone_residual = _final_cone_residual(model, out.x)
     stats.wall_s = time.perf_counter() - t0
     if gap > opts.duality_tol:
         raise DualRecoveryError(f"relative duality gap {gap:.3e} exceeds tolerance")
@@ -618,7 +629,6 @@ def solve_mip(
     if root.status != lp.OPTIMAL:
         raise SolverError(f"LP backend failure: {root.message}")
 
-    root_basis = session.basis()
     incumbent: np.ndarray | None = None
     inc_obj = math.inf
     patch0 = _heuristic_fix(model, root.x)
@@ -632,7 +642,7 @@ def solve_mip(
 
     seq = 0
     # (bound, tie-break, bound patch, parent's optimal basis)
-    heap: list[tuple[float, int, dict, object]] = [(root.objective, seq, {}, root_basis)]
+    heap: list[tuple[float, int, dict, object]] = [(root.objective, seq, {}, root.basis)]
     best_bound = root.objective
     budget_exhausted = False
 
@@ -662,12 +672,11 @@ def solve_mip(
                 incumbent, inc_obj = out.x.copy(), out.objective
             continue
         var = _pick_branch_var(model, out.x, frac)
-        basis = session.basis()
         for val in (0.0, 1.0):
             seq += 1
             child = dict(patch)
             child[var] = (val, val)
-            heapq.heappush(heap, (out.objective, seq, child, basis))
+            heapq.heappush(heap, (out.objective, seq, child, out.basis))
     else:
         best_bound = inc_obj  # search space exhausted: proven optimal
 
@@ -696,6 +705,7 @@ def solve_mip(
     if budget_exhausted and stats.stop_reason == "converged":
         stats.stop_reason = "budget"
     stats.cuts = len(cuts)
+    stats.final_cone_residual = _final_cone_residual(model, x)
     stats.wall_s = time.perf_counter() - t0
     schedule = _commitment_from_x(model, x)
     dispatch = _dispatch_from_x(model, x, inc_obj)

@@ -3,9 +3,12 @@
 ``build_uc`` returns the LP in the form HiGHS receives: column arrays, one
 CSR matrix whose rows hold ``row_lower <= a @ x <= b`` (equality rows first,
 then every inequality as ``<=`` with ``>=`` rows negated, each block in build
-order) and the per-hour nadir cones. Columns and rows carry named kinds, so
-the solvers can read per-unit series, recover duals under the conventions the
-pricing layer expects and tag infeasibility certificates by constraint class.
+order). The nadir cone of hour t is not a row: it constrains the aggregate
+columns ``h_sys``, ``efr_sys``, ``pfr_sys`` and ``p_loss`` at index t of
+``cols``, and the solvers approximate it by cuts. Columns and rows carry named
+kinds, so the solvers can read per-unit series, recover duals under the
+conventions the pricing layer expects and tag infeasibility certificates by
+constraint class.
 Each ``RowDef`` keeps its natural sense and right-hand side as written.
 """
 from __future__ import annotations
@@ -125,15 +128,6 @@ class RowDef:
     price_sign: int = 1  # equality rows: reported dual = price_sign * (d obj / d rhs)
 
 
-@dataclass
-class ConeDef:
-    t: int
-    idx_h: int
-    idx_efr: int
-    idx_pfr: int
-    idx_ploss: int
-
-
 class ModelError(Exception):
     pass
 
@@ -157,7 +151,6 @@ class UCModel:
     b: np.ndarray
     row_lower: np.ndarray         # b on the leading equality rows, -inf after
     rows: list[RowDef]            # rows[i] is the model row behind row i of a
-    cones: list[ConeDef]
 
     @property
     def n_vars(self) -> int:
@@ -246,7 +239,6 @@ def build_uc(
             add_var(kind, None, -inf, inf)
 
     rows: list[RowDef] = []
-    cones: list[ConeDef] = []
     r_idx, c_idx, data = [], [], []
 
     def add_row(name, kind, sense, rhs, coeffs, unit=None, t=-1, price_sign=1):
@@ -438,7 +430,6 @@ def build_uc(
             f"qss[{t}]", K_QSS, ">=", 0.0,
             [(efrt, 1.0), (pfrt, 1.0), (ploss, -1.0)], None, t,
         )
-        cones.append(ConeDef(t=t, idx_h=h, idx_efr=efrt, idx_pfr=pfrt, idx_ploss=ploss))
 
     # HiGHS' row-bound form: equality rows first, then every inequality as
     # <= with the >= rows negated, each block in build order
@@ -467,5 +458,4 @@ def build_uc(
         b=b,
         row_lower=np.where(eq[order], b, -np.inf),
         rows=[rows[i] for i in order],
-        cones=cones,
     )

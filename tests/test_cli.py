@@ -2,6 +2,7 @@ import pytest
 
 from asmarket.cli import EXIT_INFEASIBLE, EXIT_INTERNAL, EXIT_OK, EXIT_VALIDATION, main
 from asmarket.scenario import write_scenario
+from asmarket.solve import SolveOptions
 from asmarket.tables import load_manifest, verify_manifest
 from conftest import binding_scenario, endog_scenario
 
@@ -111,8 +112,9 @@ class TestRun:
             solver = stages[name]["solver"]
             assert set(solver) == {
                 "nodes", "lp_iterations", "oa_rounds", "cuts", "rel_mip_gap", "stop_reason",
-                "budget_exhausted",
+                "budget_exhausted", "final_cone_residual",
             }
+            assert 0.0 <= solver["final_cone_residual"] <= SolveOptions().cone_rel_tol
             assert solver["lp_iterations"] >= 0
             assert solver["oa_rounds"] >= 1
             assert solver["cuts"] >= 2  # at least the v >= 0 facet of each hour

@@ -118,26 +118,30 @@ class TestRelaxed:
 
     def test_converged_stop_is_reported(self):
         m = build_uc(binding_scenario(), FixedProfile.constant(100.0, 3), relaxed=True)
-        _, _, stats = solve_relaxed(m)
+        opts = SolveOptions()
+        _, _, stats = solve_relaxed(m, opts)
         assert stats.stop_reason == "converged"
         assert stats.oa_rounds >= 1
+        assert 0.0 <= stats.final_cone_residual <= opts.cone_rel_tol
 
     def test_grace_acceptance_is_reported(self, monkeypatch):
         # a violation inside feas_tol on every round: only the grace rule stops the loop
         opts = SolveOptions()
 
         def within_feas_tol(model, x, rel_tol):
-            return [(model.cones[0].t, 0.0, 0.0, opts.feas_tol / 2)]
+            return [(0, 0.0, 0.0, opts.feas_tol / 2)]
 
         monkeypatch.setattr(solve, "_cone_violations", within_feas_tol)
         m = build_uc(binding_scenario(), FixedProfile.constant(100.0, 3), relaxed=True)
         _, _, stats = solve_relaxed(m, opts)
         assert stats.stop_reason == "graced"
         assert stats.oa_rounds == 51
+        assert opts.cone_rel_tol < stats.final_cone_residual <= opts.feas_tol
 
         m = build_uc(binding_scenario(), FixedProfile.constant(100.0, 3), relaxed=False)
         _, _, stats = solve_mip(m, options=opts)
         assert stats.stop_reason == "graced"
+        assert opts.cone_rel_tol < stats.final_cone_residual <= opts.feas_tol
 
 
 class TestInfeasibility:
@@ -204,7 +208,7 @@ class TestWarmStart:
         monkeypatch.setattr(solve, "_oa_solve", spy)
         dispatch, _, stats = solve_relaxed(model)
         cuts = seen[-1]
-        assert stats.cuts == len(cuts) > len(model.cones)
+        assert stats.cuts == len(cuts) > model.scenario.horizon  # more than the v >= 0 cuts
         eq = np.isfinite(model.row_lower)
         cold = linprog(
             model.c,

@@ -11,6 +11,10 @@ from asmarket.ucmodel import (
     K_QSS,
     K_ROCOF,
     V_E0,
+    V_EFRT,
+    V_H,
+    V_PFRT,
+    V_PLOSS,
     V_Y,
     V_YCHA,
     V_YDIS,
@@ -29,7 +33,8 @@ def test_row_census_single_gen_single_hour():
     assert len(m.rows_of_kind(K_BALANCE)) == 1
     assert len(m.rows_of_kind(K_ROCOF)) == 1
     assert len(m.rows_of_kind(K_QSS)) == 1
-    assert len(m.cones) == 1  # the only conic rows
+    # one nadir cone: one column each of the aggregates it constrains
+    assert all(len(m.cols[(kind, None)]) == 1 for kind in (V_H, V_EFRT, V_PFRT, V_PLOSS))
 
 
 def test_fixed_profile_rhs_on_gb_template():
