@@ -200,6 +200,7 @@ def cmd_run(args) -> int:
         standalone = run_stage(
             "standalone",
             lambda: standalone_markets(scenario, (schedule, dispatch), options=opts, jobs=args.jobs),
+            lambda r: r.stats,
         )
 
         rules = list(RULES) if args.rule == "all" else [args.rule]

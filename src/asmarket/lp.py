@@ -122,8 +122,10 @@ class LpSession:
         model.num_col_ = len(c)
         model.num_row_ = a.shape[0]
         model.col_cost_ = np.asarray(c, dtype=float)
-        model.col_lower_ = np.asarray(lb, dtype=float)
-        model.col_upper_ = np.asarray(ub, dtype=float)
+        self._lb = np.array(lb, dtype=float)  # the column bounds HiGHS holds
+        self._ub = np.array(ub, dtype=float)
+        model.col_lower_ = self._lb
+        model.col_upper_ = self._ub
         model.row_lower_ = np.asarray(row_lower, dtype=float)
         model.row_upper_ = np.asarray(row_upper, dtype=float)
         matrix = model.a_matrix_
@@ -157,12 +159,16 @@ class LpSession:
         _check(status, "HiGHS rejected the added rows")
 
     def set_bounds(self, lb: np.ndarray, ub: np.ndarray) -> None:
-        """Replace every column bound; the current basis is kept."""
-        n = self.highs.getNumCol()
-        status = self.highs.changeColsBounds(
-            n, np.arange(n, dtype=np.int32), np.asarray(lb, dtype=float), np.asarray(ub, dtype=float)
-        )
+        """Replace every column bound; the current basis is kept. Only the
+        columns whose bounds differ from the session's are sent to HiGHS."""
+        lb, ub = np.asarray(lb, dtype=float), np.asarray(ub, dtype=float)
+        changed = np.flatnonzero((lb != self._lb) | (ub != self._ub)).astype(np.int32)
+        if not len(changed):
+            return
+        status = self.highs.changeColsBounds(len(changed), changed, lb[changed], ub[changed])
         _check(status, "HiGHS rejected the column bounds")
+        self._lb[changed] = lb[changed]
+        self._ub[changed] = ub[changed]
 
     def set_cost(self, c: np.ndarray) -> None:
         """Replace every column cost; the current basis is kept."""

@@ -17,7 +17,7 @@ from __future__ import annotations
 import logging
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -28,6 +28,7 @@ from .solve import (
     DualSolution,
     InfeasibleError,
     SolveOptions,
+    SolveStats,
     solve_relaxed,
 )
 from .ucmodel import FixedProfile, InitialState, build_uc
@@ -282,13 +283,17 @@ class StandAloneCosts:
     """Per-unit, per-hour stand-alone AS market sizes.
 
     Entries exist only at hours where the unit is dispatched (discharging,
-    for storage); exact zeros mark non-players for the game logic.
+    for storage); exact zeros mark non-players for the game logic. ``stats``
+    aggregates the distinct-profile solves: LP iterations, OA rounds and cuts
+    summed, the largest final cone residual, and ``"graced"`` if any solve
+    was graced.
     """
 
     horizon: int
     omegas: dict[str, np.ndarray]
     dispatched: dict[str, np.ndarray]
     technology: dict[str, str]
+    stats: SolveStats = field(default_factory=SolveStats)
 
     def per_hour(self, t: int) -> list[tuple[str, float]]:
         return [
@@ -304,6 +309,16 @@ class StandAloneCosts:
 DISPATCH_TOL = 1e-6
 
 
+def _aggregate(solved: list[SolveStats]) -> SolveStats:
+    return SolveStats(
+        lp_iterations=sum(s.lp_iterations for s in solved),
+        cuts=sum(s.cuts for s in solved),
+        oa_rounds=sum(s.oa_rounds for s in solved),
+        stop_reason="graced" if any(s.stop_reason == "graced" for s in solved) else "converged",
+        final_cone_residual=max((s.final_cone_residual for s in solved), default=0.0),
+    )
+
+
 def standalone_markets(
     scenario: Scenario,
     block_i: tuple[CommitmentSchedule, DispatchSolution],
@@ -315,11 +330,14 @@ def standalone_markets(
     parameter fixed to that profile; Omega_{i,t} = p_i_t * omega_t.
 
     The stand-alone model depends on a unit only through its hourly loss
-    profile, so units with bit-equal profiles share one solve. Pure function
-    of its inputs; the solves are independent, so they may fan out over
-    ``jobs`` worker threads (one task per distinct profile) without changing
-    the result. Entries at or below ``zero_clamp`` times the largest
-    magnitude are zeroed and logged at DEBUG.
+    profile, so units with bit-equal profiles share one solve. The relaxed
+    model is built once per call; each profile re-targets its max-loss rows
+    (``UCModel.with_loss_profile``) and is solved cold on a fresh session, so
+    HiGHS sees exactly what a fresh build would hand it. Pure function of its
+    inputs; the solves are independent and only read the shared model, so
+    they may fan out over ``jobs`` worker threads (one task per distinct
+    profile) without changing the result. Entries at or below ``zero_clamp``
+    times the largest magnitude are zeroed and logged at DEBUG.
     """
     _, dispatch = block_i
     T = scenario.horizon
@@ -338,22 +356,23 @@ def standalone_markets(
     for uid, prof in profiles.items():
         if prof.any():
             representative.setdefault(prof.tobytes(), uid)
+    reps = list(representative.values())
+    base = build_uc(scenario, FixedProfile.constant(0.0, T), relaxed=True) if reps else None
 
-    def solve_profile(uid: str) -> np.ndarray:
-        model = build_uc(scenario, FixedProfile(tuple(profiles[uid])), relaxed=True)
+    def solve_profile(uid: str) -> tuple[np.ndarray, SolveStats]:
+        model = base.with_loss_profile(FixedProfile(tuple(profiles[uid])))
         try:
-            _, duals, _ = solve_relaxed(model, options)
+            _, duals, stats = solve_relaxed(model, options)
         except InfeasibleError as exc:
             raise StandaloneError(uid, exc) from exc
-        return duals.omega_loss
+        return duals.omega_loss, stats
 
-    reps = list(representative.values())
     if jobs > 1 and len(reps) > 1:
         with ThreadPoolExecutor(max_workers=min(jobs, len(reps))) as pool:
             results = list(pool.map(solve_profile, reps))
     else:
         results = [solve_profile(uid) for uid in reps]
-    omega_of = dict(zip(representative, results))
+    omega_of = {key: omega for key, (omega, _) in zip(representative, results)}
 
     omegas = {
         uid: prof * omega_of[prof.tobytes()] if prof.any() else np.zeros(T)
@@ -371,4 +390,5 @@ def standalone_markets(
         omegas=omegas,
         dispatched=dispatched,
         technology={uid: tech[uid] for uid in profiles},
+        stats=_aggregate([stats for _, stats in results]),
     )

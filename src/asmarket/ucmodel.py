@@ -10,10 +10,13 @@ kinds, so the solvers can read per-unit series, recover duals under the
 conventions the pricing layer expects and tag infeasibility certificates by
 constraint class.
 Each ``RowDef`` keeps its natural sense and right-hand side as written.
+Under a fixed loss profile the model differs from profile to profile only in
+the T max-loss right-hand sides, so ``UCModel.with_loss_profile`` re-targets
+a built model instead of building another.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy import sparse
@@ -170,6 +173,23 @@ class UCModel:
     @property
     def binary_indices(self) -> list[int]:
         return np.flatnonzero(self.binary).tolist()
+
+    def with_loss_profile(self, rule: FixedProfile) -> "UCModel":
+        """This model with its T max-loss rows re-targeted to ``rule``: equal,
+        array for array, to ``build_uc`` under ``rule``. Only ``b`` and
+        ``rows`` are new; every other array is shared with this model."""
+        T = self.scenario.horizon
+        if not isinstance(self.loss_rule, FixedProfile):
+            raise ModelError("only a model built with a FixedProfile can be re-targeted")
+        if not isinstance(rule, FixedProfile) or len(rule.p_mw) != T:
+            raise ModelError(f"re-targeting needs a FixedProfile of horizon {T}")
+        b = self.b.copy()
+        rows = list(self.rows)
+        for i, row in enumerate(rows):
+            if row.kind == K_MAXLOSS:
+                rows[i] = replace(row, rhs=float(rule.p_mw[row.t]))
+                b[i] = -1.0 * rows[i].rhs  # a >= row, negated as in build_uc
+        return replace(self, loss_rule=rule, b=b, rows=rows)
 
 
 def build_uc(

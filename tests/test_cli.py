@@ -122,7 +122,10 @@ class TestRun:
             assert solver["budget_exhausted"] is False
         assert 0.0 <= stages["uc_mip"]["solver"]["rel_mip_gap"] <= 1e-6
         assert stages["prices"]["solver"]["nodes"] == 0
-        assert "solver" not in stages["standalone"]
+        standalone = stages["standalone"]["solver"]
+        assert standalone["stop_reason"] == "converged"
+        assert standalone["oa_rounds"] >= 1
+        assert 0.0 <= standalone["final_cone_residual"] <= SolveOptions().cone_rel_tol
 
     def test_infeasible_exit_code(self, tmp_path):
         path = tmp_path / "hard.json"

@@ -89,6 +89,32 @@ def test_bounds_changed_in_place():
     assert_matches(out, reference(A_UB, B_UB, tighter))
 
 
+def test_bounds_send_only_changed_columns():
+    session = LpSession(C, A, ROW_LOWER, ROW_UPPER, LB, UB)
+    highs, sent = session.highs, []
+
+    class Recorder:
+        def __getattr__(self, name):
+            return getattr(highs, name)
+
+        def changeColsBounds(self, n, cols, lower, upper):
+            sent.append(cols.tolist())
+            return highs.changeColsBounds(n, cols, lower, upper)
+
+    session.highs = Recorder()
+    tighter = UB.copy()
+    tighter[2] = 0.4
+    session.set_bounds(LB, UB)  # what HiGHS already holds: no call
+    session.set_bounds(LB, tighter)
+    session.set_bounds(LB, tighter)
+    assert sent == [[2]]
+    assert_matches(solve_lp(session), reference(A_UB, B_UB, tighter))
+    session.set_bounds(LB, UB)
+    assert sent == [[2], [2]]
+    np.testing.assert_array_equal(highs.getLp().col_upper_, UB)
+    assert_matches(solve_lp(session), reference(A_UB, B_UB))
+
+
 def test_cost_changed_in_place():
     session = LpSession(C, A, ROW_LOWER, ROW_UPPER, LB, UB)
     first = solve_lp(session)

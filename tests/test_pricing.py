@@ -1,5 +1,6 @@
 import dataclasses
 import logging
+import sys
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from asmarket.pricing import (
     standalone_markets,
     system_costs,
 )
-from asmarket.scenario import Scenario, SystemParams
+from asmarket.scenario import Scenario, SystemParams, gb_template
 from asmarket.solve import DualSolution, solve_mip, solve_relaxed
 from asmarket.ucmodel import EndogenousMax, FixedProfile, build_uc
 from conftest import binding_scenario, endog_scenario, free_pfr_scenario, gen
@@ -229,6 +230,17 @@ class TestStandalone:
         for uid in a.omegas:
             assert a.omegas[uid] == pytest.approx(b.omegas[uid], abs=0.0)
 
+    @staticmethod
+    def loss_profiles(sc, dispatch):
+        """The loss profiles standalone_markets solves for, by unit."""
+        profiles = {}
+        for unit in sc.all_units:
+            if unit.loss_eligible:
+                prof = np.maximum(dispatch.dispatch_of(unit.id), 0.0)
+                prof[prof <= DISPATCH_TOL] = 0.0
+                profiles[unit.id] = prof
+        return profiles
+
     def test_equal_profiles_share_one_solve(self, monkeypatch):
         sc = endog_scenario()
         block = self.block_i(sc)
@@ -241,12 +253,7 @@ class TestStandalone:
 
         monkeypatch.setattr(pricing, "solve_relaxed", counting)
         sa = standalone_markets(sc, block, jobs=4)
-        profiles = {}
-        for unit in sc.all_units:
-            if unit.loss_eligible:
-                prof = np.maximum(dispatch.dispatch_of(unit.id), 0.0)
-                prof[prof <= DISPATCH_TOL] = 0.0
-                profiles[unit.id] = prof
+        profiles = self.loss_profiles(sc, dispatch)
         # g1, g2 and g3 are dispatched identically
         assert profiles["g1"].any()
         assert profiles["g1"].tobytes() == profiles["g2"].tobytes() == profiles["g3"].tobytes()
@@ -265,6 +272,48 @@ class TestStandalone:
         for i, a in enumerate(ids):
             for b in ids[i + 1:]:
                 assert not np.shares_memory(sa.omegas[a], sa.omegas[b])
+
+    def test_one_build_per_call(self, monkeypatch):
+        sc = endog_scenario()
+        block = self.block_i(sc)
+        builds = []
+
+        def counting(*args, **kwargs):
+            builds.append(args)
+            return build_uc(*args, **kwargs)
+
+        monkeypatch.setattr(pricing, "build_uc", counting)
+        sa = standalone_markets(sc, block, jobs=2)
+        distinct = {p.tobytes() for p in self.loss_profiles(sc, block[1]).values() if p.any()}
+        assert len(distinct) > 1
+        assert len(builds) == 1
+        assert sa.stats.oa_rounds >= len(distinct)
+
+    def test_gb_shared_model_matches_fresh_builds(self):
+        # every distinct GB profile re-targets one model, solved on two threads
+        # that switch often, so a write to the shared model would show
+        sc = gb_template(1)
+        schedule, dispatch, _ = solve_mip(build_uc(sc, EndogenousMax(), relaxed=False), rel_gap=1e-2)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            sa = standalone_markets(sc, (schedule, dispatch), jobs=2)
+        finally:
+            sys.setswitchinterval(interval)
+        omega_of, solved = {}, []
+        for uid, prof in self.loss_profiles(sc, dispatch).items():
+            if not prof.any():
+                assert not sa.omegas[uid].any()
+                continue
+            if prof.tobytes() not in omega_of:
+                _, duals, stats = solve_relaxed(build_uc(sc, FixedProfile(tuple(prof)), relaxed=True))
+                omega_of[prof.tobytes()] = duals.omega_loss
+                solved.append(stats)
+            np.testing.assert_array_equal(sa.omegas[uid], prof * omega_of[prof.tobytes()])
+        assert len(omega_of) > 1
+        for counter in ("lp_iterations", "oa_rounds", "cuts"):
+            assert getattr(sa.stats, counter) == sum(getattr(s, counter) for s in solved)
+        assert sa.stats.final_cone_residual == max(s.final_cone_residual for s in solved)
 
     def test_zero_clamp_logged(self, caplog):
         sc = endog_scenario()

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -125,3 +127,38 @@ def test_rows_in_row_bound_form(toy10_builds):
         assert np.array_equal(m.row_lower[eq], m.b[eq])
         assert np.array_equal(m.b, np.where(sense == ">=", -rhs, rhs))
         assert m.a.shape == (len(m.rows), m.n_vars)
+
+
+@pytest.mark.parametrize(
+    "scenario, profiles",
+    [
+        (toy10_scenario(6), [(0.0, 120.5, 0.0, 300.0, 47.25, 0.0), (0.0,) * 6, (660.0,) * 6]),
+        (gb_template(1), [(0.0,), (1000.0,), (1800.0,)]),
+    ],
+    ids=["toy10-6h", "gb-1h"],
+)
+def test_with_loss_profile_matches_fresh_build(scenario, profiles):
+    base = build_uc(scenario, FixedProfile.constant(250.0, scenario.horizon), relaxed=True)
+    base_b, base_rows = base.b.copy(), [dataclasses.replace(r) for r in base.rows]
+    for p in profiles:
+        rule = FixedProfile(p)
+        got, ref = base.with_loss_profile(rule), build_uc(scenario, rule, relaxed=True)
+        for name in ("c", "lb", "ub", "b", "row_lower"):
+            assert getattr(got, name).tobytes() == getattr(ref, name).tobytes(), name
+        for name in ("data", "indices", "indptr"):
+            assert getattr(got.a, name).tobytes() == getattr(ref.a, name).tobytes(), name
+        assert got.rows == ref.rows
+        assert got.loss_rule == rule
+        assert got.a is base.a and got.c is base.c and got.cols is base.cols
+    assert base.b.tobytes() == base_b.tobytes()
+    assert base.rows == base_rows
+
+
+def test_with_loss_profile_rejects_other_rules(toy10_builds):
+    relaxed, _ = toy10_builds  # built under EndogenousMax
+    with pytest.raises(ModelError):
+        relaxed.with_loss_profile(FixedProfile.constant(100.0, 6))
+    base = build_uc(relaxed.scenario, FixedProfile.constant(0.0, 6), relaxed=True)
+    for horizon in (5, 7):
+        with pytest.raises(ModelError):
+            base.with_loss_profile(FixedProfile.constant(100.0, horizon))
