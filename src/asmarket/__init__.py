@@ -34,7 +34,6 @@ from .solve import (  # noqa: F401
     DispatchSolution,
     DualSolution,
     InfeasibleError,
-    SolveOptions,
     SolveStats,
     SolverError,
     solve_fixed_binaries,

@@ -21,6 +21,9 @@ class AllocationError(Exception):
     pass
 
 
+GROUP_TOL = 1e-9  # relative cost band within which nucleolus players form one type
+
+
 @dataclass(frozen=True)
 class AirportGame:
     """Players sorted ascending by stand-alone cost; ties by id."""
@@ -180,14 +183,14 @@ class TypedGroups:
         return [g.count for g in self.groups]
 
 
-def group_by_type(game: AirportGame, tol: float = 1e-9) -> TypedGroups:
-    """Merge players whose costs agree within tol (relative, chained on the
-    sorted sequence); the merged group cost is the band maximum."""
+def group_by_type(game: AirportGame) -> TypedGroups:
+    """Merge players whose costs agree within ``GROUP_TOL`` (relative, chained
+    on the sorted sequence); the merged group cost is the band maximum."""
     groups: list[TypeGroup] = []
     members: list[str] = []
     cost = None
     for uid, w in game.players:
-        if cost is not None and w - cost <= tol * max(1.0, w):
+        if cost is not None and w - cost <= GROUP_TOL * max(1.0, w):
             members.append(uid)
             cost = max(cost, w)
         else:
@@ -255,9 +258,9 @@ def nucleolus_airport(groups: TypedGroups, hour: int | None = None) -> Allocatio
     return _finalize("nucleolus", AirportGame.from_costs(expanded, hour), phi, hour, steps)
 
 
-def nucleolus(game: AirportGame, group_tol: float = 1e-9) -> Allocation:
+def nucleolus(game: AirportGame) -> Allocation:
     """Nucleolus of the airport game (grouping + recursion)."""
-    return nucleolus_airport(group_by_type(game, group_tol), hour=game.hour)
+    return nucleolus_airport(group_by_type(game), hour=game.hour)
 
 
 # ---------------------------------------------------------------------------
@@ -270,13 +273,15 @@ def nucleolus_lp_oracle(game: AirportGame, max_n: int = 8) -> Allocation:
     One HiGHS session per game holds a row ``x(S) - eps <= C(S)`` for every
     proper coalition S and the efficiency row ``x(N) = C(N)``. Each round
     minimises the worst remaining excess eps and fixes, as rows
-    ``x(S) = C(S) + eps_q``, the coalitions tight in EVERY optimal solution
-    (positive duals, plus an auxiliary LP that pins eps and minimises x(S) for
-    the other tight candidates), i.e. the maximal tight set over the optimal
-    face. Coalitions whose indicator rows become linearly dependent on the
-    fixed system carry implied excesses and are retired (their rows freed), so
-    every remaining round pins at least one new dimension. The allocation
-    solves the fixed system by least squares.
+    ``x(S) = C(S) + eps_q``, the tight coalitions with a positive dual, which
+    complementary slackness keeps tight in every optimal solution. A coalition
+    tight over the whole optimal face without a positive dual stays free and
+    is pinned by a later round at the same level; a numerically flat round
+    with no positive dual pins its largest one. Coalitions whose indicator
+    rows become linearly dependent on the fixed system carry implied excesses
+    and are retired (their rows freed), so every remaining round pins at
+    least one new dimension. The allocation solves the fixed system by least
+    squares.
     """
     n = game.n
     if n > max_n:
@@ -298,17 +303,6 @@ def nucleolus_lp_oracle(game: AirportGame, max_n: int = 8) -> Allocation:
     row_lower = np.append(np.full(n_rows - 1, -np.inf), coal_cost[-1])
     session = lp.LpSession(objective, np.column_stack([members, eps_col]), row_lower, coal_cost, lb, ub)
 
-    def solve() -> lp.LpOutcome:
-        out = lp.solve_lp(session)
-        if out.status != lp.OPTIMAL:
-            raise AllocationError(f"nucleolus oracle LP failed: {out.message}")
-        return out
-
-    def stays_tight(r: int, eps: float) -> bool:
-        # can x(S) drop below C(S) + eps anywhere on the optimal face?
-        session.set_cost(np.append(members[r], 0.0))
-        return solve().objective >= coal_cost[r] + eps - 1e-8 * scale
-
     pinned = [n_rows - 1]   # rows of the fixed system, efficiency row first
     levels = [0.0]          # their excess levels
     free = np.arange(n_rows - 1)
@@ -326,15 +320,14 @@ def nucleolus_lp_oracle(game: AirportGame, max_n: int = 8) -> Allocation:
     for _ in range(n + 1):
         if not len(free):
             break
-        out = solve()
+        out = lp.solve_lp(session)
+        if out.status != lp.OPTIMAL:
+            raise AllocationError(f"nucleolus oracle LP failed: {out.message}")
         eps = float(out.x[-1])
         excess = members[free] @ out.x[:n] - coal_cost[free]
         tight = free[excess >= eps - 1e-7 * scale]
         duals = -out.row_marginals
-        session.set_bounds(np.append(lb[:n], eps), np.append(ub[:n], eps))
-        forced = [r for r in tight if duals[r] > 1e-7 or stays_tight(r, eps)]
-        session.set_cost(objective)
-        session.set_bounds(lb, ub)
+        forced = [r for r in tight if duals[r] > 1e-7]
         if not forced:
             # numerically flat round: pin the strongest dual to keep moving
             forced = [tight[np.argmax(duals[tight])]]
@@ -426,7 +419,7 @@ class AllocationSeries:
     by_technology: dict[str, float]
 
 
-def allocate_hourly(standalone, rule: str, group_tol: float = 1e-9) -> AllocationSeries:
+def allocate_hourly(standalone, rule: str) -> AllocationSeries:
     """Apply a rule hour by hour to the stand-alone AS market sizes.
 
     Exact-zero players pay zero and are excluded from the game; dispatched
@@ -434,10 +427,6 @@ def allocate_hourly(standalone, rule: str, group_tol: float = 1e-9) -> Allocatio
     """
     if rule not in RULES:
         raise AllocationError(f"unknown rule {rule!r}; expected one of {sorted(RULES)}")
-    if rule == "nucleolus":
-        fn = lambda g: nucleolus(g, group_tol)
-    else:
-        fn = RULES[rule]
     per_hour: list[Allocation] = []
     by_unit: dict[str, float] = {uid: 0.0 for uid in standalone.units()}
     for t in range(standalone.horizon):
@@ -445,7 +434,7 @@ def allocate_hourly(standalone, rule: str, group_tol: float = 1e-9) -> Allocatio
         nonzero = [(u, w) for u, w in entries if w > 0.0]
         phi = {u: 0.0 for u, _ in entries}
         if nonzero:
-            alloc = fn(AirportGame.from_costs(nonzero, hour=t))
+            alloc = RULES[rule](AirportGame.from_costs(nonzero, hour=t))
             phi.update(alloc.phi)
             steps = alloc.nucleolus_steps
         else:

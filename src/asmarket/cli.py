@@ -26,7 +26,7 @@ from .allocation import (
 )
 from .pricing import StandaloneError, as_prices_from_duals, duality_audit, standalone_markets
 from .scenario import Scenario, ScenarioError, ScenarioValidationError, load_scenario
-from .solve import InfeasibleError, SolveOptions, solve_mip, solve_relaxed
+from .solve import InfeasibleError, solve_mip, solve_relaxed
 from .tables import (
     RunManifest,
     make_run_id,
@@ -111,10 +111,6 @@ def cmd_run(args) -> int:
         "loss_rule": args.loss_rule,
         "gap": args.gap,
         "hours": args.hours,
-        "group_tol": args.group_tol,
-        "feas_tol": args.feas_tol,
-        "duality_tol": args.duality_tol,
-        "cone_tol": args.cone_tol,
     }
     try:
         scenario_sha = sha256_file(args.scenario)
@@ -150,9 +146,6 @@ def cmd_run(args) -> int:
         manifest.add_stage(name, "ok", time.perf_counter() - t0, solver)
         return result
 
-    opts = SolveOptions(
-        feas_tol=args.feas_tol, duality_tol=args.duality_tol, cone_rel_tol=args.cone_tol
-    )
     try:
         if not math.isfinite(args.gap) or args.gap < 0:
             raise ScenarioError(f"--gap must be finite and non-negative (got {args.gap})")
@@ -170,7 +163,7 @@ def cmd_run(args) -> int:
 
         def block_i():
             model = build_uc(scenario, loss_rule, relaxed=False)
-            return solve_mip(model, rel_gap=args.gap, options=opts)
+            return solve_mip(model, rel_gap=args.gap)
 
         schedule, dispatch, mip_stats = run_stage("uc_mip", block_i, lambda r: r[2])
         if mip_stats.budget_exhausted:
@@ -188,7 +181,7 @@ def cmd_run(args) -> int:
             else:
                 profile = _realized_loss_profile(scenario, dispatch)
             model = build_uc(scenario, FixedProfile(profile), relaxed=True)
-            relaxed_dispatch, duals, stats = solve_relaxed(model, opts)
+            relaxed_dispatch, duals, stats = solve_relaxed(model)
             prices = as_prices_from_duals(duals, scenario.params)
             breakdown = duality_audit(relaxed_dispatch, duals, scenario)
             return relaxed_dispatch, duals, prices, breakdown, stats
@@ -199,14 +192,14 @@ def cmd_run(args) -> int:
 
         standalone = run_stage(
             "standalone",
-            lambda: standalone_markets(scenario, (schedule, dispatch), options=opts, jobs=args.jobs),
+            lambda: standalone_markets(scenario, (schedule, dispatch), jobs=args.jobs),
             lambda r: r.stats,
         )
 
         rules = list(RULES) if args.rule == "all" else [args.rule]
         series = run_stage(
             "allocation",
-            lambda: {rule: allocate_hourly(standalone, rule, args.group_tol) for rule in rules},
+            lambda: {rule: allocate_hourly(standalone, rule) for rule in rules},
         )
 
         def write_outputs():
@@ -317,14 +310,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hours", type=int, default=None, help="truncate the horizon")
     p.add_argument("--jobs", type=int, default=4,
                    help="worker threads over the distinct stand-alone loss profiles")
-    p.add_argument("--group-tol", type=float, default=1e-9,
-                   help="relative tolerance for nucleolus type grouping")
-    p.add_argument("--feas-tol", type=float, default=1e-6,
-                   help="feasibility tolerance on scaled rows")
-    p.add_argument("--duality-tol", type=float, default=1e-6,
-                   help="relative duality gap / complementary slackness tolerance")
-    p.add_argument("--cone-tol", type=float, default=1e-9,
-                   help="relative nadir-cone residual target")
     p.set_defaults(fn=cmd_run)
 
     p = sub.add_parser("game", help="allocate a cost vector from a file of id,omega rows")

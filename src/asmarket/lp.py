@@ -4,19 +4,18 @@ An :class:`LpSession` holds one HiGHS model in HiGHS' own form: ranged rows
 ``row_lower <= A x <= row_upper`` (an equality row has equal bounds, a ``<=``
 row a lower bound of ``-inf``, a free row infinite bounds) and column bounds.
 Between solves it is edited in place: rows appended (``add_ub_rows``), column
-bounds or costs replaced (``set_bounds``, ``set_cost``), one row's bounds or
-one matrix entry changed (``set_row_bounds``, ``set_coefficient``) and an
-earlier basis put back (``restore``). :func:`solve_lp` re-runs dual simplex
-from the basis HiGHS holds, which appended rows and changed bounds leave dual
-feasible; after a cost or coefficient change HiGHS may first have to regain
-dual feasibility. Solver options follow ``scipy.optimize.linprog`` (method
-``"highs"``): presolve on, dual simplex, both feasibility tolerances set to
-``FEASIBILITY_TOL``. They depart from it in one place: dual simplex prices
-with devex weights, not dual steepest edge, because steepest-edge weights are
-recomputed after every ``addRows`` and cost a warm re-solve more than its few
-pivots. When a solve reports infeasibility,
-:meth:`LpSession.elastic_violations` asks HiGHS for the smallest total row
-violation that makes the LP feasible.
+bounds replaced (``set_bounds``), one row's bounds or one matrix entry changed
+(``set_row_bounds``, ``set_coefficient``) and an earlier basis put back
+(``restore``). :func:`solve_lp` re-runs dual simplex from the basis HiGHS
+holds, which appended rows and changed bounds leave dual feasible; after a
+coefficient change HiGHS may first have to regain dual feasibility. Solver
+options follow ``scipy.optimize.linprog`` (method ``"highs"``): presolve on,
+dual simplex, both feasibility tolerances set to ``FEASIBILITY_TOL``. They
+depart from it in one place: dual simplex prices with devex weights, not dual
+steepest edge, because steepest-edge weights are recomputed after every
+``addRows`` and cost a warm re-solve more than its few pivots. When a solve
+reports infeasibility, :meth:`LpSession.iis_rows` asks HiGHS for an
+irreducible infeasible subset of the rows.
 
 An :class:`LpOutcome` keeps copies of HiGHS' solution and basis and builds
 its marginal arrays when they are first read, so a solve whose duals nobody
@@ -170,12 +169,6 @@ class LpSession:
         self._lb[changed] = lb[changed]
         self._ub[changed] = ub[changed]
 
-    def set_cost(self, c: np.ndarray) -> None:
-        """Replace every column cost; the current basis is kept."""
-        n = self.highs.getNumCol()
-        status = self.highs.changeColsCost(n, np.arange(n, dtype=np.int32), np.asarray(c, dtype=float))
-        _check(status, "HiGHS rejected the column costs")
-
     def set_row_bounds(self, row: int, lower: float, upper: float) -> None:
         """Replace one row's bounds; equal bounds pin it, infinite ones free it."""
         _check(self.highs.changeRowBounds(row, lower, upper), "HiGHS rejected the row bounds")
@@ -194,16 +187,14 @@ class LpSession:
             basis.row_status = rows + [_core.HighsBasisStatus.kBasic] * n_new
         _check(self.highs.setBasis(basis), "HiGHS rejected the basis")
 
-    def elastic_violations(self) -> np.ndarray:
-        """Per-row violation at HiGHS' elastic optimum: the rows alone are
-        relaxed at unit penalty (column bounds hold) and the total violation
-        is minimised. The session's LP is left unchanged."""
-        _check(self.highs.feasibilityRelaxation(-1, -1, 1),
-               "HiGHS could not solve the elastic relaxation")
-        model = self.highs.getLp()
-        value = np.array(self.highs.getSolution().row_value)
-        below = np.asarray(model.row_lower_) - value
-        return np.maximum(np.maximum(below, value - model.row_upper_), 0.0)
+    def iis_rows(self) -> list[int]:
+        """The rows of an irreducible infeasible subset (IIS) HiGHS finds,
+        preferring rows to column bounds; empty when the LP is feasible. The
+        session's LP is left unchanged."""
+        self.highs.setOptionValue("iis_strategy", 1)  # from the LP, row priority
+        iis = _core.HighsIis()
+        _check(self.highs.getIis(iis), "HiGHS could not compute an IIS")
+        return list(iis.row_index)
 
 
 def solve_lp(session: LpSession) -> LpOutcome:

@@ -27,7 +27,6 @@ from .solve import (
     DispatchSolution,
     DualSolution,
     InfeasibleError,
-    SolveOptions,
     SolveStats,
     solve_relaxed,
 )
@@ -50,6 +49,10 @@ class StandaloneError(Exception):
         super().__init__(f"stand-alone solve for unit {unit_id!r} failed: {cause}")
 
 
+STATIONARITY_TOL = 1e-6  # relative, price formula against row multiplier
+AUDIT_TOL = 1e-5         # relative residual of the payment identity
+
+
 @dataclass
 class AsPrices:
     lambda_e: np.ndarray
@@ -59,14 +62,12 @@ class AsPrices:
     omega_loss: np.ndarray
 
 
-def _close(a: np.ndarray, b: np.ndarray, rel_tol: float) -> bool:
+def _close(a: np.ndarray, b: np.ndarray) -> bool:
     scale = np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
-    return bool(np.all(np.abs(a - b) <= rel_tol * scale))
+    return bool(np.all(np.abs(a - b) <= STATIONARITY_TOL * scale))
 
 
-def as_prices_from_duals(
-    duals: DualSolution, params: SystemParams, rel_tol: float = 1e-6
-) -> AsPrices:
+def as_prices_from_duals(duals: DualSolution, params: SystemParams) -> AsPrices:
     """Compute AS prices by the stationarity formulas and cross-check them
     against the aggregation-row multipliers."""
     df = params.delta_f_max_hz
@@ -89,7 +90,7 @@ def as_prices_from_duals(
         ("lambda_efr", lam_efr, duals.lambda_efr),
         ("omega_loss", omega, duals.omega_loss),
     ):
-        if not _close(formula, row, rel_tol):
+        if not _close(formula, row):
             worst = float(np.max(np.abs(formula - row)))
             raise StationarityError(
                 f"{name}: stationarity formula disagrees with the row multiplier "
@@ -158,7 +159,6 @@ def duality_audit(
     primal: DispatchSolution,
     duals: DualSolution,
     scenario: Scenario,
-    rel_tol: float = 1e-5,
     initial_state: InitialState | None = None,
 ) -> MarketBreakdown:
     """Itemise the strong-duality payment decomposition and verify it.
@@ -216,9 +216,9 @@ def duality_audit(
     lhs = energy_payments + as_payments
     rhs = costs + thermal + renewable + storage + omitted
     resid = abs(lhs - rhs) / max(1.0, abs(lhs))
-    if resid > rel_tol:
+    if resid > AUDIT_TOL:
         raise AuditError(
-            f"strong-duality identity residual {resid:.3e} exceeds {rel_tol:.1e} "
+            f"strong-duality identity residual {resid:.3e} exceeds {AUDIT_TOL:.1e} "
             f"(payments {lhs:.6f} vs decomposition {rhs:.6f})"
         )
 
@@ -322,7 +322,6 @@ def _aggregate(solved: list[SolveStats]) -> SolveStats:
 def standalone_markets(
     scenario: Scenario,
     block_i: tuple[CommitmentSchedule, DispatchSolution],
-    options: SolveOptions | None = None,
     jobs: int = 1,
     zero_clamp: float = 1e-8,
 ) -> StandAloneCosts:
@@ -362,7 +361,7 @@ def standalone_markets(
     def solve_profile(uid: str) -> tuple[np.ndarray, SolveStats]:
         model = base.with_loss_profile(FixedProfile(tuple(profiles[uid])))
         try:
-            _, duals, stats = solve_relaxed(model, options)
+            _, duals, stats = solve_relaxed(model)
         except InfeasibleError as exc:
             raise StandaloneError(uid, exc) from exc
         return duals.omega_loss, stats

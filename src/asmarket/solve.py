@@ -10,8 +10,13 @@ bounds are changed in place, and branch-and-bound nodes restart dual simplex
 from their parent's optimal basis. Cone multipliers are reconstructed by
 aggregating the active-cut multipliers through the cut gradients, so the
 pricing layer sees exactly the (mu_1, mu_2, mu_3) triple of the conic
-formulation. An infeasible LP is diagnosed by HiGHS' elastic relaxation of
-its rows, with the violations summed per constraint class.
+formulation. An infeasible LP is diagnosed by an irreducible infeasible
+subset (IIS) of its rows from HiGHS, counted per constraint class.
+
+Every accuracy target is a module constant: ``FEAS_TOL`` (scaled row
+feasibility, and the OA grace acceptance), ``DUALITY_TOL`` (relative duality
+gap and complementary-slackness residual), ``CONE_REL_TOL`` (the nadir cone
+residual the OA loop targets) and ``INTEGRALITY_TOL``.
 """
 from __future__ import annotations
 
@@ -71,10 +76,10 @@ class SolverError(Exception):
 class InfeasibleError(SolverError):
     """Carries the constraint classes that cannot be satisfied."""
 
-    def __init__(self, certificate: str, by_class: dict[str, float] | None = None):
+    def __init__(self, certificate: str, by_class: dict[str, int] | None = None):
         self.certificate = certificate
         self.by_class = by_class or {}
-        detail = ", ".join(f"{k}: {v:.3f}" for k, v in sorted(self.by_class.items()))
+        detail = ", ".join(f"{k}: {v}" for k, v in sorted(self.by_class.items()))
         super().__init__(f"infeasible: {certificate}" + (f" ({detail})" if detail else ""))
 
 
@@ -87,17 +92,11 @@ class DualRecoveryError(SolverError):
 
 
 MAX_CUT_ROUNDS = 400       # LPs per OA loop before it gives up
-GRACE_ROUNDS = 50          # OA rounds before a point within feas_tol is accepted
+GRACE_ROUNDS = 50          # OA rounds before a point within FEAS_TOL is accepted
 INTEGRALITY_TOL = 1e-6
-
-
-@dataclass
-class SolveOptions:
-    feas_tol: float = 1e-6           # absolute, on scaled rows
-    duality_tol: float = 1e-6        # relative duality gap / CS residual
-    cone_rel_tol: float = 1e-9       # cone residual relative to point scale
-    max_nodes: int = 100_000
-    time_limit_s: float | None = None
+FEAS_TOL = 1e-6            # absolute, on scaled rows
+DUALITY_TOL = 1e-6         # relative duality gap / CS residual
+CONE_REL_TOL = 1e-9        # cone residual relative to point scale
 
 
 @dataclass
@@ -183,7 +182,7 @@ class SolveStats:
     wall_s: float = 0.0
     budget_exhausted: bool = False
     oa_rounds: int = 0               # LPs solved inside OA loops
-    # "converged", "graced" (some OA loop accepted a point within feas_tol
+    # "converged", "graced" (some OA loop accepted a point within FEAS_TOL
     # after its grace rounds; takes precedence) or "budget" (solve_mip ran
     # out of nodes or time; see also budget_exhausted)
     stop_reason: str = "converged"
@@ -254,7 +253,6 @@ def _oa_solve(
     model: UCModel,
     cuts: list[NadirCut],
     patch: dict[int, tuple[float, float]] | None,
-    opts: SolveOptions,
     stats: SolveStats,
     session: lp.LpSession,
 ) -> lp.LpOutcome:
@@ -276,10 +274,10 @@ def _oa_solve(
         stats.oa_rounds += 1
         if out.status != lp.OPTIMAL:
             return out
-        viols = _cone_violations(model, out.x, opts.cone_rel_tol)
+        viols = _cone_violations(model, out.x, CONE_REL_TOL)
         if not viols:
             return out
-        if round_no >= GRACE_ROUNDS and max(v[3] for v in viols) <= opts.feas_tol:
+        if round_no >= GRACE_ROUNDS and max(v[3] for v in viols) <= FEAS_TOL:
             stats.stop_reason = "graced"
             return out
         new_cuts = [separating_cut(t, u1, u2) for t, u1, u2, _ in viols]
@@ -295,17 +293,18 @@ def _initial_cuts(model: UCModel) -> list[NadirCut]:
 
 
 def _diagnose_infeasible(model: UCModel, session: lp.LpSession) -> InfeasibleError:
-    """HiGHS' elastic row violations, summed by constraint class; the rows past
-    the base rows are nadir cuts."""
-    by_class: dict[str, float] = {}
-    for i, amount in enumerate(session.elastic_violations()):
-        if amount > 1e-6:
-            kind = model.rows[i].kind if i < len(model.rows) else K_NADIR_CUT
-            label = INFEASIBILITY_LABELS.get(kind, kind)
-            by_class[label] = by_class.get(label, 0.0) + amount
+    """HiGHS' IIS rows, counted by constraint class; the rows past the base
+    rows are nadir cuts. The certificate is the first class of
+    ``INFEASIBILITY_LABELS`` in the IIS, else its most frequent class."""
+    by_class: dict[str, int] = {}
+    for i in session.iis_rows():
+        kind = model.rows[i].kind if i < len(model.rows) else K_NADIR_CUT
+        label = INFEASIBILITY_LABELS.get(kind, kind)
+        by_class[label] = by_class.get(label, 0) + 1
     if not by_class:
-        return InfeasibleError("unknown (elastic diagnosis inconclusive)")
-    return InfeasibleError(max(by_class, key=by_class.get), by_class)
+        return InfeasibleError("unknown (no IIS found)")
+    headline = next((label for label in INFEASIBILITY_LABELS.values() if label in by_class), None)
+    return InfeasibleError(headline or max(by_class, key=by_class.get), by_class)
 
 
 # ---------------------------------------------------------------------------
@@ -377,7 +376,6 @@ def _duals_from(
     model: UCModel,
     out: lp.LpOutcome,
     cuts: list[NadirCut],
-    opts: SolveOptions,
     stats: SolveStats,
 ) -> DualSolution:
     sc = model.scenario
@@ -467,7 +465,7 @@ def _duals_from(
     )
     stats.max_cs_residual = _max_cs_residual(model, out, cuts)
     scale = max(1.0, abs(out.objective))
-    if stats.max_cs_residual > opts.duality_tol * scale:
+    if stats.max_cs_residual > DUALITY_TOL * scale:
         raise DualRecoveryError(
             f"complementary-slackness residual {stats.max_cs_residual:.3e} exceeds tolerance"
         )
@@ -511,37 +509,34 @@ def _verify_feasibility(model: UCModel, x: np.ndarray, tol: float) -> None:
 # Public solves
 
 
-def solve_relaxed(
-    model: UCModel, options: SolveOptions | None = None
-) -> tuple[DispatchSolution, DualSolution, SolveStats]:
+def solve_relaxed(model: UCModel) -> tuple[DispatchSolution, DualSolution, SolveStats]:
     """Solve the convex relaxation and recover the full dual vector.
 
     Guarantees on success: relative duality gap and per-row complementary
-    slackness residual within ``options.duality_tol``.
+    slackness residual within ``DUALITY_TOL``.
     """
     if not model.relaxed:
         raise ValueError("solve_relaxed requires a model built with relaxed=True")
-    opts = options or SolveOptions()
     stats = SolveStats()
     t0 = time.perf_counter()
     cuts = _initial_cuts(model)
     session = _session(model, cuts)
-    out = _oa_solve(model, cuts, None, opts, stats, session)
+    out = _oa_solve(model, cuts, None, stats, session)
     if out.status == lp.INFEASIBLE:
         raise _diagnose_infeasible(model, session)
     if out.status == lp.UNBOUNDED:
         raise UnboundedError("relaxed model is unbounded")
     if out.status != lp.OPTIMAL:
         raise SolverError(f"LP backend failure: {out.message}")
-    _verify_feasibility(model, out.x, opts.feas_tol)
+    _verify_feasibility(model, out.x, FEAS_TOL)
     dispatch = _dispatch_from_x(model, out.x, out.objective)
-    duals = _duals_from(model, out, cuts, opts, stats)
+    duals = _duals_from(model, out, cuts, stats)
     gap = abs(out.objective - duals.dual_objective) / max(1.0, abs(out.objective))
     stats.rel_duality_gap = gap
     stats.cuts = len(cuts)
     stats.final_cone_residual = _final_cone_residual(model, out.x)
     stats.wall_s = time.perf_counter() - t0
-    if gap > opts.duality_tol:
+    if gap > DUALITY_TOL:
         raise DualRecoveryError(f"relative duality gap {gap:.3e} exceeds tolerance")
     return dispatch, duals, stats
 
@@ -600,7 +595,11 @@ def _heuristic_fix(model: UCModel, x: np.ndarray) -> dict[int, tuple[float, floa
 
 
 def solve_mip(
-    model: UCModel, rel_gap: float = 1e-6, options: SolveOptions | None = None
+    model: UCModel,
+    rel_gap: float = 1e-6,
+    *,
+    max_nodes: int = 100_000,
+    time_limit_s: float | None = None,
 ) -> tuple[CommitmentSchedule, DispatchSolution, SolveStats]:
     """Best-first branch-and-bound on the commitment binaries.
 
@@ -609,19 +608,19 @@ def solve_mip(
     fixed-binary polish share one LP session and one cut pool (the cuts are
     globally valid). A node sets its bound patch in place and restarts dual
     simplex from its parent's optimal basis, which bound changes leave dual
-    feasible. Returns the incumbent with stats flagged when the node or time
-    budget runs out before the gap is proven.
+    feasible. Returns the incumbent with stats flagged when the budget
+    (``max_nodes`` nodes, ``time_limit_s`` seconds of wall time) runs out
+    before the gap is proven.
     """
     if model.relaxed:
         raise ValueError("solve_mip requires a model built with relaxed=False")
-    opts = options or SolveOptions()
     stats = SolveStats()
     t0 = time.perf_counter()
     cuts = _initial_cuts(model)
     dangling = _dangling_yst(model)
     session = _session(model, cuts)
 
-    root = _oa_solve(model, cuts, None, opts, stats, session)
+    root = _oa_solve(model, cuts, None, stats, session)
     if root.status == lp.INFEASIBLE:
         raise _diagnose_infeasible(model, session)
     if root.status == lp.UNBOUNDED:
@@ -634,7 +633,7 @@ def solve_mip(
     patch0 = _heuristic_fix(model, root.x)
     if patch0 is not None:
         try:
-            h_out = _oa_solve(model, cuts, patch0, opts, stats, session)
+            h_out = _oa_solve(model, cuts, patch0, stats, session)
         except SolverError:
             h_out = None
         if h_out is not None and h_out.status == lp.OPTIMAL:
@@ -654,14 +653,14 @@ def solve_mip(
         best_bound = bound
         if incumbent is not None and bound >= threshold():
             break
-        if stats.nodes >= opts.max_nodes or (
-            opts.time_limit_s is not None and time.perf_counter() - t0 > opts.time_limit_s
+        if stats.nodes >= max_nodes or (
+            time_limit_s is not None and time.perf_counter() - t0 > time_limit_s
         ):
             budget_exhausted = True
             break
         stats.nodes += 1
         session.restore(basis)
-        out = _oa_solve(model, cuts, patch, opts, stats, session)
+        out = _oa_solve(model, cuts, patch, stats, session)
         if out.status != lp.OPTIMAL:
             continue
         if incumbent is not None and out.objective >= threshold():
@@ -692,7 +691,7 @@ def solve_mip(
     x = incumbent.copy()
     x[dangling] = 0.0
     fixed = {idx: (round(x[idx]), round(x[idx])) for idx in model.binary_indices}
-    polished = _oa_solve(model, cuts, fixed, opts, stats, session)
+    polished = _oa_solve(model, cuts, fixed, stats, session)
     if polished.status != lp.OPTIMAL:
         raise SolverError(
             f"fixed-binary polish of the incumbent failed (LP status {polished.status}: "
@@ -729,7 +728,7 @@ def _check_schedule(model: UCModel, sched: CommitmentSchedule) -> None:
 
 
 def solve_fixed_binaries(
-    model: UCModel, values: dict[int, int], options: SolveOptions | None = None
+    model: UCModel, values: dict[int, int]
 ) -> tuple[float, DispatchSolution] | None:
     """Optimise the continuous dispatch for a fully fixed binary pattern.
 
@@ -737,11 +736,10 @@ def solve_fixed_binaries(
     cold, independent of the branch and bound's warm one; the tests' exhaustive
     enumeration oracle uses it. The nadir cone is enforced.
     """
-    opts = options or SolveOptions()
     stats = SolveStats()
     cuts = _initial_cuts(model)
     patch = {idx: (float(v), float(v)) for idx, v in values.items()}
-    out = _oa_solve(model, cuts, patch, opts, stats, _session(model, cuts))
+    out = _oa_solve(model, cuts, patch, stats, _session(model, cuts))
     if out.status == lp.INFEASIBLE:
         return None
     if out.status != lp.OPTIMAL:

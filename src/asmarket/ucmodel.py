@@ -74,11 +74,13 @@ K_EDYN = "storage_energy_dynamics"
 K_E0CAP = "storage_initial_energy"
 K_EEND = "storage_final_energy"
 
+# in precedence order: an infeasibility certificate names the first of these
+# classes found among the IIS rows
 INFEASIBILITY_LABELS = {
     K_BALANCE: "energy balance",
+    K_MAXLOSS: "max loss",
     K_ROCOF: "RoCoF",
     K_QSS: "quasi-steady-state",
-    K_MAXLOSS: "max loss",
     K_NADIR_CUT: "nadir",
 }
 

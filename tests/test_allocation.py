@@ -82,7 +82,7 @@ class TestGrouping:
         assert groups.m == 4
 
     def test_tolerance_band(self):
-        groups = group_by_type(game(10.0, 10.0 + 1e-12, 20.0), tol=1e-9)
+        groups = group_by_type(game(10.0, 10.0 + 1e-12, 20.0))
         assert groups.counts() == [2, 1]
         assert groups.groups[0].cost == pytest.approx(10.0 + 1e-12)
 

@@ -2,7 +2,7 @@ import pytest
 
 from asmarket.cli import EXIT_INFEASIBLE, EXIT_INTERNAL, EXIT_OK, EXIT_VALIDATION, main
 from asmarket.scenario import write_scenario
-from asmarket.solve import SolveOptions
+from asmarket.solve import CONE_REL_TOL
 from asmarket.tables import load_manifest, verify_manifest
 from conftest import binding_scenario, endog_scenario
 
@@ -114,7 +114,7 @@ class TestRun:
                 "nodes", "lp_iterations", "oa_rounds", "cuts", "rel_mip_gap", "stop_reason",
                 "budget_exhausted", "final_cone_residual",
             }
-            assert 0.0 <= solver["final_cone_residual"] <= SolveOptions().cone_rel_tol
+            assert 0.0 <= solver["final_cone_residual"] <= CONE_REL_TOL
             assert solver["lp_iterations"] >= 0
             assert solver["oa_rounds"] >= 1
             assert solver["cuts"] >= 2  # at least the v >= 0 facet of each hour
@@ -125,7 +125,7 @@ class TestRun:
         standalone = stages["standalone"]["solver"]
         assert standalone["stop_reason"] == "converged"
         assert standalone["oa_rounds"] >= 1
-        assert 0.0 <= standalone["final_cone_residual"] <= SolveOptions().cone_rel_tol
+        assert 0.0 <= standalone["final_cone_residual"] <= CONE_REL_TOL
 
     def test_infeasible_exit_code(self, tmp_path):
         path = tmp_path / "hard.json"

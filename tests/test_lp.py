@@ -2,7 +2,6 @@
 objective, primal point and the sign of every marginal family."""
 import numpy as np
 import pytest
-from scipy import sparse
 from scipy.optimize import linprog
 
 from asmarket import lp
@@ -25,8 +24,8 @@ ROW_LOWER = np.array([2.0, -np.inf])
 ROW_UPPER = np.array([2.0, 1.5])
 
 
-def reference(a_ub, b_ub, ub=UB, c=C, b_eq=B_EQ):
-    return linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=A_EQ, b_eq=b_eq,
+def reference(a_ub, b_ub, ub=UB, b_eq=B_EQ):
+    return linprog(C, A_ub=a_ub, b_ub=b_ub, A_eq=A_EQ, b_eq=b_eq,
                    bounds=np.column_stack([LB, ub]), method="highs")
 
 
@@ -115,17 +114,6 @@ def test_bounds_send_only_changed_columns():
     assert_matches(solve_lp(session), reference(A_UB, B_UB))
 
 
-def test_cost_changed_in_place():
-    session = LpSession(C, A, ROW_LOWER, ROW_UPPER, LB, UB)
-    first = solve_lp(session)
-    costly = C.copy()
-    costly[2] = 3.0  # x2 now costs, so it leaves its upper bound
-    session.set_cost(costly)
-    out = solve_lp(session)
-    assert not np.allclose(out.x, first.x)
-    assert_matches(out, reference(A_UB, B_UB, c=costly))
-
-
 def test_row_bounds_changed_in_place():
     session = LpSession(C, A, ROW_LOWER, ROW_UPPER, LB, UB)
     first = solve_lp(session)
@@ -173,37 +161,20 @@ def test_infeasible_status():
     assert out.x is None
 
 
-def elastic_reference(ub):
-    # slack columns on every row, column bounds kept: the equality row gets a
-    # pair (s+, s-), the <= row one s; minimise the total slack
-    eye = sparse.identity(1)
-    a_eq = sparse.hstack([A_EQ, eye, -eye, sparse.csr_matrix((1, 1))])
-    a_ub = sparse.hstack([A_UB, sparse.csr_matrix((1, 2)), -eye])
-    ref = linprog(np.concatenate([np.zeros(4), np.ones(3)]), A_ub=a_ub, b_ub=B_UB,
-                  A_eq=a_eq, b_eq=B_EQ, method="highs",
-                  bounds=np.column_stack([np.concatenate([LB, np.zeros(3)]),
-                                          np.concatenate([ub, np.full(3, np.inf)])]))
-    assert ref.status == 0
-    slack = ref.x[4:]
-    return np.array([slack[0] + slack[1], slack[2]])
-
-
-def test_elastic_violations_on_infeasible_lp():
-    # x0 + x1 = 2 cannot hold with every column capped at 0.5: the row is
-    # short by 1.0 and the <= row has room
-    ub = np.full(4, 0.5)
-    session = LpSession(C, A, ROW_LOWER, ROW_UPPER, LB, ub)
+def test_iis_rows_on_infeasible_lp():
+    # x0 + x1 = 2 cannot hold with every column capped at 0.5: the equality
+    # row alone is infeasible, and the <= row has room
+    session = LpSession(C, A, ROW_LOWER, ROW_UPPER, LB, np.full(4, 0.5))
     assert solve_lp(session).status == lp.INFEASIBLE
-    violations = session.elastic_violations()
-    np.testing.assert_allclose(violations, [1.0, 0.0], atol=1e-12)
-    np.testing.assert_allclose(violations, elastic_reference(ub), atol=1e-12)
+    assert session.iis_rows() == [0]
     # the session still holds the original LP
     assert solve_lp(session).status == lp.INFEASIBLE
 
 
-def test_elastic_violations_on_feasible_lp():
+def test_iis_rows_on_feasible_lp():
     session = LpSession(C, A, ROW_LOWER, ROW_UPPER, LB, UB)
-    np.testing.assert_allclose(session.elastic_violations(), [0.0, 0.0], atol=1e-12)
+    assert session.iis_rows() == []
+    assert_matches(solve_lp(session), reference(A_UB, B_UB))
 
 
 def test_unbounded_status():

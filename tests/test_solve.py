@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy import sparse
@@ -6,8 +8,9 @@ from scipy.optimize import linprog
 from asmarket import lp, solve
 from asmarket.scenario import Scenario, SystemParams
 from asmarket.solve import (
+    CONE_REL_TOL,
+    FEAS_TOL,
     InfeasibleError,
-    SolveOptions,
     SolverError,
     solve_fixed_binaries,
     solve_mip,
@@ -118,41 +121,51 @@ class TestRelaxed:
 
     def test_converged_stop_is_reported(self):
         m = build_uc(binding_scenario(), FixedProfile.constant(100.0, 3), relaxed=True)
-        opts = SolveOptions()
-        _, _, stats = solve_relaxed(m, opts)
+        _, _, stats = solve_relaxed(m)
         assert stats.stop_reason == "converged"
         assert stats.oa_rounds >= 1
-        assert 0.0 <= stats.final_cone_residual <= opts.cone_rel_tol
+        assert 0.0 <= stats.final_cone_residual <= CONE_REL_TOL
 
     def test_grace_acceptance_is_reported(self, monkeypatch):
-        # a violation inside feas_tol on every round: only the grace rule stops the loop
-        opts = SolveOptions()
-
+        # a violation inside FEAS_TOL on every round: only the grace rule stops the loop
         def within_feas_tol(model, x, rel_tol):
-            return [(0, 0.0, 0.0, opts.feas_tol / 2)]
+            return [(0, 0.0, 0.0, FEAS_TOL / 2)]
 
         monkeypatch.setattr(solve, "_cone_violations", within_feas_tol)
         m = build_uc(binding_scenario(), FixedProfile.constant(100.0, 3), relaxed=True)
-        _, _, stats = solve_relaxed(m, opts)
+        _, _, stats = solve_relaxed(m)
         assert stats.stop_reason == "graced"
         assert stats.oa_rounds == 51
-        assert opts.cone_rel_tol < stats.final_cone_residual <= opts.feas_tol
+        assert CONE_REL_TOL < stats.final_cone_residual <= FEAS_TOL
 
         m = build_uc(binding_scenario(), FixedProfile.constant(100.0, 3), relaxed=False)
-        _, _, stats = solve_mip(m, options=opts)
+        _, _, stats = solve_mip(m)
         assert stats.stop_reason == "graced"
-        assert opts.cone_rel_tol < stats.final_cone_residual <= opts.feas_tol
+        assert CONE_REL_TOL < stats.final_cone_residual <= FEAS_TOL
 
 
 class TestInfeasibility:
     def test_infeasible_loss_names_max_loss(self):
-        # toy10 cannot secure a 5 GW loss in any hour; the elastic relaxation
-        # violates the max-loss rows most, 27,078 in total with the mode rows
+        # toy10 cannot secure a 5 GW loss in any hour: one hour's max-loss row,
+        # its RoCoF row and its inertia aggregation are already infeasible
         m = build_uc(toy10_scenario(6), FixedProfile.constant(5000.0, 6), relaxed=True)
         with pytest.raises(InfeasibleError) as err:
             solve_relaxed(m)
         assert err.value.certificate == "max loss"
-        assert sum(err.value.by_class.values()) == pytest.approx(27078.0, rel=1e-6)
+        assert err.value.by_class == {"max loss": 1, "RoCoF": 1, "inertia_aggregation": 1}
+
+    @pytest.mark.parametrize("relaxed", [True, False], ids=["relaxed", "mip"])
+    def test_doubled_demand_names_energy_balance(self, relaxed):
+        # the IIS joins one balance row to the security rows; a binary mode
+        # row is in it too but does not take the blame
+        sc = toy10_scenario(6)
+        sc = dataclasses.replace(sc, demand_mw=tuple(2.0 * d for d in sc.demand_mw)).check()
+        m = build_uc(sc, FixedProfile.constant(300.0, 6), relaxed=relaxed)
+        with pytest.raises(InfeasibleError) as err:
+            (solve_relaxed if relaxed else solve_mip)(m)
+        assert err.value.certificate == "energy balance"
+        assert err.value.by_class["energy balance"] == 1
+        assert err.value.by_class["storage_mode_exclusion"] == 1
 
 
 class TestVerifyFeasibility:
@@ -277,8 +290,7 @@ class TestMip:
     def test_budget_flagging(self):
         sc = binding_scenario()
         m = build_uc(sc, FixedProfile.constant(100.0, 3), relaxed=False)
-        opts = SolveOptions(max_nodes=1)
-        schedule, dispatch, stats = solve_mip(m, options=opts)
+        schedule, dispatch, stats = solve_mip(m, max_nodes=1)
         assert stats.budget_exhausted
         assert stats.stop_reason == "budget"
         assert dispatch.objective > 0  # heuristic incumbent returned
@@ -286,7 +298,7 @@ class TestMip:
     def test_time_limit_flagging(self):
         sc = binding_scenario()
         m = build_uc(sc, FixedProfile.constant(100.0, 3), relaxed=False)
-        _, dispatch, stats = solve_mip(m, options=SolveOptions(time_limit_s=0.0))
+        _, dispatch, stats = solve_mip(m, time_limit_s=0.0)
         assert stats.budget_exhausted
         assert stats.stop_reason == "budget"
         assert stats.nodes == 0
