@@ -98,7 +98,7 @@ def _realized_loss_profile(scenario: Scenario, dispatch) -> tuple[float, ...]:
 # reruns stay identical apart from the stage timings
 _SOLVER_FIELDS = (
     "nodes", "lp_iterations", "oa_rounds", "cuts", "rel_mip_gap", "stop_reason", "budget_exhausted",
-    "final_cone_residual",
+    "final_cone_residual", "lp_columns",
 )
 
 

@@ -285,8 +285,8 @@ class StandAloneCosts:
     Entries exist only at hours where the unit is dispatched (discharging,
     for storage); exact zeros mark non-players for the game logic. ``stats``
     aggregates the distinct-profile solves: LP iterations, OA rounds and cuts
-    summed, the largest final cone residual, and ``"graced"`` if any solve
-    was graced.
+    summed, the largest final cone residual and LP column count, and
+    ``"graced"`` if any solve was graced.
     """
 
     horizon: int
@@ -316,6 +316,7 @@ def _aggregate(solved: list[SolveStats]) -> SolveStats:
         oa_rounds=sum(s.oa_rounds for s in solved),
         stop_reason="graced" if any(s.stop_reason == "graced" for s in solved) else "converged",
         final_cone_residual=max((s.final_cone_residual for s in solved), default=0.0),
+        lp_columns=max((s.lp_columns for s in solved), default=0),
     )
 
 

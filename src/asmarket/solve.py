@@ -3,7 +3,10 @@ recovery, and best-first branch-and-bound for the mixed-integer form.
 
 ``build_uc`` already holds the LP in HiGHS' row-bound form (equality rows
 first, then every inequality as ``<=``), so one marginal vector covers every
-row, and per-unit series are read through the model's ``cols``. The nadir
+row, and per-unit series are read through the model's ``cols``. A relaxed
+model holds one column block per class of identical units, so reading
+``cols`` copies a class's values to every member, and its per-unit duals
+are shared equally among the members. The nadir
 cone is handled by outer-approximation cutting planes over the LP core. Each
 public solve keeps one HiGHS session: cuts are appended as rows and stay,
 bounds are changed in place, and branch-and-bound nodes restart dual simplex
@@ -187,6 +190,7 @@ class SolveStats:
     # out of nodes or time; see also budget_exhausted)
     stop_reason: str = "converged"
     final_cone_residual: float = 0.0  # largest scaled cone residual at the returned point
+    lp_columns: int = 0               # columns of the LP handed to HiGHS
 
 
 # ---------------------------------------------------------------------------
@@ -432,8 +436,18 @@ def _duals_from(
     psi_ub = np.where(np.isfinite(model.ub), -out.upper_marginals, 0.0)
     psi_lb = np.where(np.isfinite(model.lb), out.lower_marginals, 0.0)
 
-    def ub_series(kind, units):
-        return {u.id: psi_ub[model.cols[(kind, u.id)]] for u in units}
+    def lifted(units, by_rep):
+        # a class's per-unit duals sit with its first member; every member
+        # takes them divided by the class size
+        shares = {}
+        for u in units:
+            members = model.classes[u.id]
+            if members[0] in by_rep:
+                shares[u.id] = by_rep[members[0]] / len(members)
+        return shares
+
+    def bound_series(kind, units, psi=psi_ub):
+        return lifted(units, {u.id: psi[model.cols[(kind, u.id)]] for u in units})
 
     duals = DualSolution(
         lambda_e=lambda_e,
@@ -446,19 +460,19 @@ def _duals_from(
         mu_nadir_3=mu3,
         mu_qss=mu_qss,
         omega_loss=omega,
-        psi_max_y=ub_series(V_Y, sc.generators),
-        psi_max_yst=ub_series(V_YST, sc.generators),
-        psi_max_ysg=ub_series(V_YSG, sc.generators),
-        psi_max_ysd=ub_series(V_YSD, sc.generators),
-        psi_mdt=psi_mdt,
-        psi_cf=ub_series(V_PRES, sc.res_units),
-        psi_e_min={s.id: psi_lb[model.cols[(V_E, s.id)]] for s in sc.storage_units},
-        psi_e_max=ub_series(V_E, sc.storage_units),
-        psi_max_ycha=ub_series(V_YCHA, sc.storage_units),
-        psi_max_ydis=ub_series(V_YDIS, sc.storage_units),
-        psi_mutex=psi_mutex,
-        psi_ini=psi_ini,
-        psi_end=psi_end,
+        psi_max_y=bound_series(V_Y, sc.generators),
+        psi_max_yst=bound_series(V_YST, sc.generators),
+        psi_max_ysg=bound_series(V_YSG, sc.generators),
+        psi_max_ysd=bound_series(V_YSD, sc.generators),
+        psi_mdt=lifted(sc.generators, psi_mdt),
+        psi_cf=bound_series(V_PRES, sc.res_units),
+        psi_e_min=bound_series(V_E, sc.storage_units, psi_lb),
+        psi_e_max=bound_series(V_E, sc.storage_units),
+        psi_max_ycha=bound_series(V_YCHA, sc.storage_units),
+        psi_max_ydis=bound_series(V_YDIS, sc.storage_units),
+        psi_mutex=lifted(sc.storage_units, psi_mutex),
+        psi_ini=lifted(sc.storage_units, psi_ini),
+        psi_end=lifted(sc.storage_units, psi_end),
         initial_rhs_term=initial_rhs_term,
         as_payment_rhs=as_payment_rhs,
         dual_objective=_dual_objective(model, out),
@@ -512,12 +526,21 @@ def _verify_feasibility(model: UCModel, x: np.ndarray, tol: float) -> None:
 def solve_relaxed(model: UCModel) -> tuple[DispatchSolution, DualSolution, SolveStats]:
     """Solve the convex relaxation and recover the full dual vector.
 
+    The model holds one column block per class of identical units. The
+    returned solutions are lifted to every unit: each member reads its
+    class's values, and takes its class's per-unit row and bound duals
+    divided by the class size, which is an optimal dual of the per-unit
+    LP. The system duals, omega and the rhs terms need no lift.
+
     Guarantees on success: relative duality gap and per-row complementary
-    slackness residual within ``DUALITY_TOL``.
+    slackness residual within ``DUALITY_TOL``, both checked on the class
+    model. The gap equals that of the lifted solution, and a per-unit
+    row's residual is n times its lifted residual, so the check is never
+    looser than on the per-unit LP.
     """
     if not model.relaxed:
         raise ValueError("solve_relaxed requires a model built with relaxed=True")
-    stats = SolveStats()
+    stats = SolveStats(lp_columns=model.n_vars)
     t0 = time.perf_counter()
     cuts = _initial_cuts(model)
     session = _session(model, cuts)
@@ -614,7 +637,7 @@ def solve_mip(
     """
     if model.relaxed:
         raise ValueError("solve_mip requires a model built with relaxed=False")
-    stats = SolveStats()
+    stats = SolveStats(lp_columns=model.n_vars)
     t0 = time.perf_counter()
     cuts = _initial_cuts(model)
     dangling = _dangling_yst(model)

@@ -10,6 +10,15 @@ kinds, so the solvers can read per-unit series, recover duals under the
 conventions the pricing layer expects and tag infeasibility certificates by
 constraint class.
 Each ``RowDef`` keeps its natural sense and right-hand side as written.
+
+The relaxation is built on classes of identical units: units equal in every
+field but ``id``, with equal ``InitialState`` entries, share one column block
+and one set of per-unit rows holding one member's values, and the class's
+costs and its coefficients in the balance and aggregation rows are scaled by
+its size. ``cols`` maps every member to its class's columns. The relaxation
+is convex and invariant under permuting a class, so a symmetric optimum
+exists and this is its exact restriction; the mixed-integer build keeps one
+block per unit.
 Under a fixed loss profile the model differs from profile to profile only in
 the T max-loss right-hand sides, so ``UCModel.with_loss_profile`` re-targets
 a built model instead of building another.
@@ -152,6 +161,7 @@ class UCModel:
     branch: np.ndarray            # mask of the binary y, y_cha and y_dis columns
     branch_weight: np.ndarray     # unit p_max; tie-break for branching
     cols: dict[tuple[str, str | None], np.ndarray]  # (kind, unit) -> columns in hour order
+    classes: dict[str, tuple[str, ...]]  # unit -> its class's members, the first holding the columns
     a: sparse.csr_matrix
     b: np.ndarray
     row_lower: np.ndarray         # b on the leading equality rows, -inf after
@@ -203,8 +213,14 @@ def build_uc(
     """Assemble the frequency-secured UC (mixed-integer form or its relaxation).
 
     The relaxed build replaces every binary with a [0, 1] box whose bound
-    multipliers are the psi duals used by the pricing layer; the structure is
-    otherwise identical.
+    multipliers are the psi duals used by the pricing layer, and holds one
+    column block per class of identical units (every field but ``id`` equal,
+    and equal ``InitialState`` entries): the block and its per-unit rows hold
+    one member's values, its costs and its coefficients in the balance and
+    aggregation rows are multiplied by the class size n, and under
+    ``EndogenousMax`` its max-loss row stays ``p <= p_loss``. Every member's
+    ``cols`` entry is its class's columns. Units of classes of one are built
+    exactly as in the mixed-integer form, which keeps one class per unit.
     """
     scenario.check()
     T = scenario.horizon
@@ -220,6 +236,22 @@ def build_uc(
         raise ModelError("EndogenousMax requires at least one loss-eligible unit")
     init = initial_state or InitialState()
 
+    def grouped(units) -> list[tuple]:
+        if not relaxed:
+            return [(u,) for u in units]
+        by_key: dict = {}
+        for u in units:
+            key = (replace(u, id=""), init.gen_on.get(u.id), init.storage_e0_mwh.get(u.id))
+            by_key.setdefault(key, []).append(u)
+        return [tuple(members) for members in by_key.values()]
+
+    gen_classes = grouped(scenario.generators)
+    res_classes = grouped(scenario.res_units)
+    sto_classes = grouped(scenario.storage_units)
+    gens = [(members[0], len(members)) for members in gen_classes]
+    res_units = [(members[0], len(members)) for members in res_classes]
+    stos = [(members[0], len(members)) for members in sto_classes]
+
     c, lb, ub, binary, branch, weight = [], [], [], [], [], []
     cols: dict[tuple[str, str | None], list[int]] = {}
 
@@ -233,28 +265,28 @@ def build_uc(
         weight.append(branch_weight)
 
     inf = float("inf")
-    for g in scenario.generators:
+    for g, n in gens:
         lam_y = g.inertia_offer_gbp_per_mws * g.p_max_mw * g.inertia_s
         for t in range(T):
-            add_var(V_P, g.id, 0.0, inf, g.energy_offer_gbp_per_mwh)
-            add_var(V_Y, g.id, 0.0, 1.0, lam_y, True, g.p_max_mw)
+            add_var(V_P, g.id, 0.0, inf, n * g.energy_offer_gbp_per_mwh)
+            add_var(V_Y, g.id, 0.0, 1.0, n * lam_y, True, g.p_max_mw)
             add_var(V_YST, g.id, 0.0, 1.0, 0.0, True, g.p_max_mw)
             add_var(V_YSG, g.id, 0.0, 1.0, 0.0, True, g.p_max_mw)
             add_var(V_YSD, g.id, 0.0, 1.0, 0.0, True, g.p_max_mw)
-            add_var(V_PFRG, g.id, 0.0, inf if g.pfr_max_mw > 0 else 0.0, g.pfr_offer_gbp_per_mw)
-    for r in scenario.res_units:
+            add_var(V_PFRG, g.id, 0.0, inf if g.pfr_max_mw > 0 else 0.0, n * g.pfr_offer_gbp_per_mw)
+    for r, n in res_units:
         for t in range(T):
-            add_var(V_PRES, r.id, 0.0, r.cf[t] * r.p_max_mw, r.energy_offer_gbp_per_mwh)
-    for s in scenario.storage_units:
+            add_var(V_PRES, r.id, 0.0, r.cf[t] * r.p_max_mw, n * r.energy_offer_gbp_per_mwh)
+    for s, n in stos:
         lam_ys = s.inertia_offer_gbp_per_mws * s.p_max_mw * s.inertia_s
         for t in range(T):
             add_var(V_PCHA, s.id, 0.0, inf)
-            add_var(V_PDIS, s.id, 0.0, inf, s.energy_offer_gbp_per_mwh)
-            add_var(V_YCHA, s.id, 0.0, 1.0, lam_ys, True, s.p_max_mw)
-            add_var(V_YDIS, s.id, 0.0, 1.0, lam_ys, True, s.p_max_mw)
+            add_var(V_PDIS, s.id, 0.0, inf, n * s.energy_offer_gbp_per_mwh)
+            add_var(V_YCHA, s.id, 0.0, 1.0, n * lam_ys, True, s.p_max_mw)
+            add_var(V_YDIS, s.id, 0.0, 1.0, n * lam_ys, True, s.p_max_mw)
             add_var(V_E, s.id, s.e_min_mwh, s.e_max_mwh)
-            add_var(V_PFRS, s.id, 0.0, inf if s.pfr_max_mw > 0 else 0.0, s.pfr_offer_gbp_per_mw)
-            add_var(V_EFRS, s.id, 0.0, inf if s.efr_max_mw > 0 else 0.0, s.efr_offer_gbp_per_mw)
+            add_var(V_PFRS, s.id, 0.0, inf if s.pfr_max_mw > 0 else 0.0, n * s.pfr_offer_gbp_per_mw)
+            add_var(V_EFRS, s.id, 0.0, inf if s.efr_max_mw > 0 else 0.0, n * s.efr_offer_gbp_per_mw)
         add_var(V_E0, s.id, 0.0, inf)
     for t in range(T):
         for kind in (V_H, V_PFRT, V_EFRT, V_PLOSS):
@@ -273,7 +305,7 @@ def build_uc(
     vid = lambda k, u, t: cols[(k, u)][t]
 
     # --- thermal private constraints
-    for g in scenario.generators:
+    for g, _ in gens:
         y0 = init.y0(g.id)
         for t in range(T):
             y = vid(V_Y, g.id, t)
@@ -336,7 +368,7 @@ def build_uc(
                 )
 
     # --- storage private constraints
-    for s in scenario.storage_units:
+    for s, _ in stos:
         e0 = vid(V_E0, s.id, 0)
         for t in range(T):
             pcha = vid(V_PCHA, s.id, t)
@@ -392,33 +424,33 @@ def build_uc(
         efrt = vid(V_EFRT, None, t)
         ploss = vid(V_PLOSS, None, t)
 
-        bal = [(vid(V_P, g.id, t), 1.0) for g in scenario.generators]
-        bal += [(vid(V_PRES, r.id, t), 1.0) for r in scenario.res_units]
-        for s in scenario.storage_units:
-            bal += [(vid(V_PDIS, s.id, t), 1.0), (vid(V_PCHA, s.id, t), -1.0)]
+        bal = [(vid(V_P, g.id, t), n) for g, n in gens]
+        bal += [(vid(V_PRES, r.id, t), n) for r, n in res_units]
+        for s, n in stos:
+            bal += [(vid(V_PDIS, s.id, t), n), (vid(V_PCHA, s.id, t), -n)]
         add_row(f"balance[{t}]", K_BALANCE, "=", scenario.demand_mw[t], bal, None, t, price_sign=1)
 
         hdef = [(h, 1.0)]
         hdef += [
-            (vid(V_Y, g.id, t), -g.inertia_s * g.p_max_mw)
-            for g in scenario.generators
+            (vid(V_Y, g.id, t), -g.inertia_s * g.p_max_mw * n)
+            for g, n in gens
             if g.inertia_s > 0
         ]
-        for s in scenario.storage_units:
+        for s, n in stos:
             if s.inertia_s > 0:
                 hdef += [
-                    (vid(V_YCHA, s.id, t), -s.inertia_s * s.p_max_mw),
-                    (vid(V_YDIS, s.id, t), -s.inertia_s * s.p_max_mw),
+                    (vid(V_YCHA, s.id, t), -s.inertia_s * s.p_max_mw * n),
+                    (vid(V_YDIS, s.id, t), -s.inertia_s * s.p_max_mw * n),
                 ]
         add_row(f"h_def[{t}]", K_HDEF, "=", 0.0, hdef, None, t, price_sign=-1)
 
         pdef = [(pfrt, 1.0)]
-        pdef += [(vid(V_PFRG, g.id, t), -1.0) for g in scenario.generators if g.pfr_max_mw > 0]
-        pdef += [(vid(V_PFRS, s.id, t), -1.0) for s in scenario.storage_units if s.pfr_max_mw > 0]
+        pdef += [(vid(V_PFRG, g.id, t), -n) for g, n in gens if g.pfr_max_mw > 0]
+        pdef += [(vid(V_PFRS, s.id, t), -n) for s, n in stos if s.pfr_max_mw > 0]
         add_row(f"pfr_def[{t}]", K_PFRDEF, "=", 0.0, pdef, None, t, price_sign=-1)
 
         edef = [(efrt, 1.0)]
-        edef += [(vid(V_EFRS, s.id, t), -1.0) for s in scenario.storage_units if s.efr_max_mw > 0]
+        edef += [(vid(V_EFRS, s.id, t), -n) for s, n in stos if s.efr_max_mw > 0]
         add_row(f"efr_def[{t}]", K_EFRDEF, "=", 0.0, edef, None, t, price_sign=-1)
 
         if isinstance(loss_rule, FixedProfile):
@@ -426,19 +458,19 @@ def build_uc(
                 f"max_loss[{t}]", K_MAXLOSS, ">=", loss_rule.p_mw[t], [(ploss, 1.0)], None, t
             )
         else:
-            for u in scenario.generators:
+            for u, _ in gens:
                 if u.loss_eligible:
                     add_row(
                         f"max_loss[{u.id},{t}]", K_MAXLOSS, "<=", 0.0,
                         [(vid(V_P, u.id, t), 1.0), (ploss, -1.0)], u.id, t,
                     )
-            for u in scenario.res_units:
+            for u, _ in res_units:
                 if u.loss_eligible:
                     add_row(
                         f"max_loss[{u.id},{t}]", K_MAXLOSS, "<=", 0.0,
                         [(vid(V_PRES, u.id, t), 1.0), (ploss, -1.0)], u.id, t,
                     )
-            for u in scenario.storage_units:
+            for u, _ in stos:
                 if u.loss_eligible:
                     add_row(
                         f"max_loss[{u.id},{t}]", K_MAXLOSS, "<=", 0.0,
@@ -464,6 +496,17 @@ def build_uc(
         (flip[r_idx] * np.array(data), (position[r_idx], c_idx)), shape=(len(rows), len(c))
     )
     b = (flip * [row.rhs for row in rows])[order]
+    classes = {
+        u.id: tuple(m.id for m in members)
+        for members in gen_classes + res_classes + sto_classes
+        for u in members
+    }
+    cols = {key: np.array(idx) for key, idx in cols.items()}
+    # every member reads its class's columns
+    for (kind, unit), idx in list(cols.items()):
+        if unit is not None:
+            for uid in classes[unit][1:]:
+                cols[(kind, uid)] = idx
     return UCModel(
         scenario=scenario,
         loss_rule=loss_rule,
@@ -475,7 +518,8 @@ def build_uc(
         binary=np.array(binary, dtype=bool),
         branch=np.array(branch, dtype=bool),
         branch_weight=np.array(weight),
-        cols={key: np.array(idx) for key, idx in cols.items()},
+        cols=cols,
+        classes=classes,
         a=a,
         b=b,
         row_lower=np.where(eq[order], b, -np.inf),

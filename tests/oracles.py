@@ -1,11 +1,14 @@
-"""Independent search oracles used by the tests: exhaustive enumeration over
-binary commitment patterns (the LP evaluator is shared with the solver, the
-search is not: each pattern gets its own cold LP session through
-``solve_fixed_binaries``, independent of the branch-and-bound's warm one)."""
+"""Independent oracles used by the tests: exhaustive enumeration over binary
+commitment patterns (the LP evaluator is shared with the solver, the search
+is not: each pattern gets its own cold LP session through
+``solve_fixed_binaries``, independent of the branch-and-bound's warm one), and
+the per-unit relaxation that the class-column relaxation reduces."""
 from __future__ import annotations
 
+from dataclasses import replace
 from itertools import product
 
+from asmarket.scenario import Scenario
 from asmarket.solve import solve_fixed_binaries
 from asmarket.ucmodel import UCModel
 
@@ -29,3 +32,15 @@ def enumerate_commitments(model: UCModel, max_binaries: int = 12):
         if best_obj is None or obj < best_obj:
             best_obj, best_pattern = obj, values
     return best_obj, best_pattern
+
+
+def classes_of_one(scenario: Scenario) -> Scenario:
+    """``scenario`` with a unique technology label on every unit: no two units
+    share a class, so ``build_uc(relaxed=True)`` holds one column block per
+    unit, array for array the per-unit relaxation."""
+    return replace(
+        scenario,
+        generators=tuple(replace(u, technology=u.id) for u in scenario.generators),
+        res_units=tuple(replace(u, technology=u.id) for u in scenario.res_units),
+        storage_units=tuple(replace(u, technology=u.id) for u in scenario.storage_units),
+    )

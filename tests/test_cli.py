@@ -4,6 +4,7 @@ from asmarket.cli import EXIT_INFEASIBLE, EXIT_INTERNAL, EXIT_OK, EXIT_VALIDATIO
 from asmarket.scenario import write_scenario
 from asmarket.solve import CONE_REL_TOL
 from asmarket.tables import load_manifest, verify_manifest
+from asmarket.ucmodel import EndogenousMax, build_uc
 from conftest import binding_scenario, endog_scenario
 
 
@@ -112,7 +113,7 @@ class TestRun:
             solver = stages[name]["solver"]
             assert set(solver) == {
                 "nodes", "lp_iterations", "oa_rounds", "cuts", "rel_mip_gap", "stop_reason",
-                "budget_exhausted", "final_cone_residual",
+                "budget_exhausted", "final_cone_residual", "lp_columns",
             }
             assert 0.0 <= solver["final_cone_residual"] <= CONE_REL_TOL
             assert solver["lp_iterations"] >= 0
@@ -126,6 +127,9 @@ class TestRun:
         assert standalone["stop_reason"] == "converged"
         assert standalone["oa_rounds"] >= 1
         assert 0.0 <= standalone["final_cone_residual"] <= CONE_REL_TOL
+        # no two units of endog_scenario are identical, so every LP has one block per unit
+        per_unit = build_uc(endog_scenario(horizon=2), EndogenousMax(), relaxed=False).n_vars
+        assert [stages[n]["solver"]["lp_columns"] for n in ("uc_mip", "prices", "standalone")] == [per_unit] * 3
 
     def test_infeasible_exit_code(self, tmp_path):
         path = tmp_path / "hard.json"

@@ -8,15 +8,18 @@ hourly AS-market identity.
 """
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from asmarket.pricing import as_prices_from_duals, duality_audit
+from asmarket.allocation import RULES, allocate_hourly
+from asmarket.pricing import AUDIT_TOL, as_prices_from_duals, duality_audit, standalone_markets
 from asmarket.scenario import RESSpec, Scenario, SystemParams
 from asmarket.solve import InfeasibleError, solve_mip, solve_relaxed
-from asmarket.ucmodel import FixedProfile, build_uc
+from asmarket.ucmodel import EndogenousMax, FixedProfile, build_uc
 from conftest import bess, gen, phes
-from oracles import enumerate_commitments
+from oracles import classes_of_one, enumerate_commitments
 
 
 def random_scenario(rng) -> tuple[Scenario, float]:
@@ -169,3 +172,61 @@ def test_mip_matches_enumeration_random_instances():
         assert dispatch.objective == pytest.approx(best, rel=1e-6, abs=1e-6)
         agreements += 1
     assert agreements >= 6
+
+
+def duplicated_fleet(rng) -> Scenario:
+    """2-4 classes of 1-3 identical units over 2-4 hours: thermal classes with
+    inertia and PFR, and a last class of batteries for EFR, sized so the
+    largest unit's loss can usually be secured. Each class has its own
+    technology label, so no two classes merge."""
+    horizon = int(rng.integers(2, 5))
+    n_classes = int(rng.integers(2, 5))
+    gens, storage = [], []
+    for k in range(n_classes):
+        members = int(rng.integers(1, 4))
+        if k == n_classes - 1:
+            p = 20.0 + 60.0 * rng.random()
+            unit = bess(f"b{k}", p, 2 * p, p, 30.0 + 40.0 * rng.random(), 2.0 + 10.0 * rng.random(),
+                        tech=f"class{k}")
+            storage += [replace(unit, id=f"b{k}_{m}") for m in range(members)]
+            continue
+        p_max = 50.0 + 150.0 * rng.random()
+        unit = gen(
+            f"g{k}", p_max, 0.2 * rng.random() * p_max, 4.0 + 3.0 * rng.random(), 0.5 * p_max,
+            lam_e=20.0 + 100.0 * rng.random(), lam_h=0.2 + 2.8 * rng.random(),
+            lam_pfr=0.5 + 5.5 * rng.random(), mut=int(rng.integers(0, 2)), mdt=int(rng.integers(0, 2)),
+            tech=f"class{k}",
+        )
+        gens += [replace(unit, id=f"g{k}_{m}") for m in range(members)]
+    cap = sum(g.p_max_mw for g in gens)
+    demand = tuple(cap * (0.15 + 0.2 * rng.random()) for _ in range(horizon))
+    return Scenario(
+        params=SystemParams(), horizon=horizon, demand_mw=demand,
+        generators=tuple(gens), storage_units=tuple(storage),
+    ).check()
+
+
+def test_pipeline_on_duplicated_fleets():
+    """Class model against the per-unit oracle, then the payment identity and
+    the hourly allocations over the stand-alone markets of its dispatch."""
+    rng = np.random.default_rng(2013)
+    solved = 0
+    for _ in range(25):
+        sc = duplicated_fleet(rng)
+        try:
+            dispatch, duals, _ = solve_relaxed(build_uc(sc, EndogenousMax(), relaxed=True))
+        except InfeasibleError:
+            with pytest.raises(InfeasibleError):
+                solve_relaxed(build_uc(classes_of_one(sc), EndogenousMax(), relaxed=True))
+            continue
+        oracle, _, _ = solve_relaxed(build_uc(classes_of_one(sc), EndogenousMax(), relaxed=True))
+        assert dispatch.objective == pytest.approx(oracle.objective, rel=1e-9)
+        assert duality_audit(dispatch, duals, sc).identity_residual_rel <= AUDIT_TOL
+        # every stand-alone loss is at most the secured loss, so each is securable
+        standalone = standalone_markets(sc, (None, dispatch))
+        for rule in RULES:
+            for t, alloc in enumerate(allocate_hourly(standalone, rule).per_hour):
+                largest = max((w for _, w in standalone.per_hour(t)), default=0.0)
+                assert sum(alloc.phi.values()) == pytest.approx(largest, rel=1e-9, abs=1e-9)
+        solved += 1
+    assert solved >= 15

@@ -1,0 +1,182 @@
+"""The relaxation on class columns against its per-unit oracle.
+
+``build_uc(relaxed=True)`` holds one column block per class of identical
+units. Each fixture is also built with a unique technology label per unit
+(``oracles.classes_of_one``), which gives the per-unit LP. The class solve is
+lifted onto the per-unit arrays, and the lift must be an optimal primal-dual
+pair there, within the solver's own tolerances.
+"""
+from __future__ import annotations
+
+from dataclasses import replace
+from types import SimpleNamespace
+
+import numpy as np
+import pytest
+from scipy import sparse
+
+from asmarket import lp, solve
+from asmarket.pricing import AUDIT_TOL, duality_audit
+from asmarket.scenario import gb_template
+from asmarket.solve import DUALITY_TOL, FEAS_TOL, solve_relaxed
+from asmarket.ucmodel import K_MAXLOSS, EndogenousMax, FixedProfile, InitialState, build_uc
+from conftest import binding_scenario, toy10_scenario
+from oracles import classes_of_one
+
+
+def tripled(sc):
+    """Every unit of ``sc`` three times."""
+    def copies(units):
+        return tuple(replace(u, id=f"{u.id}_{k}") for u in units for k in (1, 2, 3))
+
+    return replace(
+        sc,
+        generators=copies(sc.generators),
+        res_units=copies(sc.res_units),
+        storage_units=copies(sc.storage_units),
+    ).check()
+
+
+def lp_solve(model):
+    """The LP outcome and cuts behind ``solve_relaxed(model)``."""
+    cuts = solve._initial_cuts(model)
+    out = solve._oa_solve(model, cuts, None, solve.SolveStats(), solve._session(model, cuts))
+    assert out.status == lp.OPTIMAL
+    return out, cuts
+
+
+def lift(model, oracle, out):
+    """The class solution ``out`` of ``model`` on the per-unit ``oracle``:
+    every member takes its class's values, and its class's per-unit row and
+    bound duals divided by the class size."""
+    size = lambda unit: 1 if unit is None else len(model.classes[unit])
+    rep = lambda unit: None if unit is None else model.classes[unit][0]
+    x = np.empty(oracle.n_vars)
+    lower, upper = np.empty(oracle.n_vars), np.empty(oracle.n_vars)
+    for (kind, unit), idx in oracle.cols.items():
+        src = model.cols[(kind, unit)]
+        x[idx] = out.x[src]
+        lower[idx] = out.lower_marginals[src] / size(unit)
+        upper[idx] = out.upper_marginals[src] / size(unit)
+    row_of = {(r.kind, r.unit, r.t): i for i, r in enumerate(model.rows)}
+    n_base = len(model.rows)
+    rows = np.array([
+        out.row_marginals[row_of[(r.kind, rep(r.unit), r.t)]] / size(r.unit) for r in oracle.rows
+    ])
+    return SimpleNamespace(
+        x=x,
+        row_marginals=np.concatenate([rows, out.row_marginals[n_base:]]),
+        lower_marginals=lower,
+        upper_marginals=upper,
+    )
+
+
+def shifted_loss(model, t, eps):
+    """``model`` with every max-loss row of hour ``t`` asking ``eps`` MW more."""
+    b = model.b.copy()
+    for i, row in enumerate(model.rows):
+        if row.kind == K_MAXLOSS and row.t == t:
+            b[i] -= eps  # p_loss >= L + eps and p <= p_loss - eps, both held as <=
+    return replace(model, b=b)
+
+
+FIXTURES = {
+    "toy10x3-endogenous": (lambda: tripled(toy10_scenario(6)), EndogenousMax()),
+    "gb6-endogenous": (lambda: gb_template(6), EndogenousMax()),
+    "gb6-1800": (lambda: gb_template(6), FixedProfile.constant(1800.0, 6)),
+    "gb1-1000": (lambda: gb_template(1), FixedProfile.constant(1000.0, 1)),
+}
+
+
+@pytest.fixture(scope="module", params=list(FIXTURES))
+def pair(request):
+    """The class model and the per-unit oracle of one fixture, each solved."""
+    make, rule = FIXTURES[request.param]
+    sc = make()
+    model = build_uc(sc, rule, relaxed=True)
+    oracle = build_uc(classes_of_one(sc), rule, relaxed=True)
+    assert model.n_vars < oracle.n_vars
+    return SimpleNamespace(
+        sc=sc, model=model, oracle=oracle, solved=solve_relaxed(model), oracle_solved=solve_relaxed(oracle)
+    )
+
+
+def test_objective_matches_oracle(pair):
+    assert pair.solved[0].objective == pytest.approx(pair.oracle_solved[0].objective, rel=1e-9)
+
+
+def test_lift_is_optimal_on_oracle_arrays(pair):
+    model, oracle = pair.model, pair.oracle
+    out, cuts = lp_solve(model)
+    lifted = lift(model, oracle, out)
+    solve._verify_feasibility(oracle, lifted.x, FEAS_TOL)
+    objective = float(oracle.c @ lifted.x)
+    scale = max(1.0, abs(objective))
+    assert objective == pytest.approx(out.objective, rel=1e-9)
+    assert abs(solve._dual_objective(oracle, lifted) - objective) <= DUALITY_TOL * scale
+    assert solve._max_cs_residual(oracle, lifted, cuts) <= DUALITY_TOL * scale
+    # dual feasibility: the lifted multipliers price every column at its cost
+    a = sparse.vstack([oracle.a, solve._cut_matrix(oracle, cuts)], format="csr")
+    reduced_cost = oracle.c - a.T @ lifted.row_marginals - lifted.lower_marginals - lifted.upper_marginals
+    assert np.max(np.abs(reduced_cost)) <= DUALITY_TOL * max(1.0, np.max(np.abs(oracle.c)))
+
+
+def test_lifted_duals_pass_the_audit(pair):
+    model = pair.model
+    dispatch, duals, _ = pair.solved
+    assert duality_audit(dispatch, duals, pair.sc).identity_residual_rel <= AUDIT_TOL
+    for members in set(model.classes.values()):
+        for table in (duals.psi_max_y, duals.psi_mdt, duals.psi_cf, duals.psi_max_ydis, duals.psi_ini):
+            if members[0] in table:
+                assert all(np.array_equal(table[uid], table[members[0]]) for uid in members)
+
+
+def test_omega_inside_its_brackets(pair):
+    # V is convex in the loss asked for, so one-sided difference quotients
+    # bound omega from both sides for any step; the class model has the
+    # per-unit model's value function
+    model = pair.model
+    dispatch, duals, _ = pair.solved
+    oracle_dispatch, oracle_duals, _ = pair.oracle_solved
+    total = dispatch.p_loss_mw @ duals.omega_loss
+    assert total == pytest.approx(oracle_dispatch.p_loss_mw @ oracle_duals.omega_loss, rel=1e-7)
+    eps = 1.0
+    noise = 1e-9 * max(1.0, abs(dispatch.objective)) / eps
+    for t in range(pair.sc.horizon):
+        up = solve_relaxed(shifted_loss(model, t, eps))[0].objective
+        down = solve_relaxed(shifted_loss(model, t, -eps))[0].objective
+        left, right = (dispatch.objective - down) / eps, (up - dispatch.objective) / eps
+        assert left - noise <= duals.omega_loss[t] <= right + noise, (t, left, right)
+
+
+def test_initial_state_splits_a_class():
+    sc = tripled(binding_scenario())
+    init = InitialState(gen_on={"g1_1": 1})
+    model = build_uc(sc, FixedProfile.constant(100.0, 3), relaxed=True, initial_state=init)
+    assert model.classes["g1_1"] == ("g1_1",)
+    assert model.classes["g1_3"] == ("g1_2", "g1_3")
+    assert model.classes["b1_2"] == ("b1_1", "b1_2", "b1_3")
+    oracle = build_uc(classes_of_one(sc), FixedProfile.constant(100.0, 3), relaxed=True, initial_state=init)
+    assert solve_relaxed(model)[0].objective == pytest.approx(solve_relaxed(oracle)[0].objective, rel=1e-9)
+
+
+def test_gb6_class_model_size():
+    sc = gb_template(6)
+    model = build_uc(sc, EndogenousMax(), relaxed=True)
+    assert model.n_vars == 344
+    assert len(set(model.classes.values())) == 11
+    # the mixed-integer form keeps one block per unit
+    assert build_uc(sc, EndogenousMax(), relaxed=False).n_vars == 12_272
+
+
+@pytest.mark.parametrize("rule", [EndogenousMax(), FixedProfile.constant(300.0, 6)], ids=["endogenous", "fixed"])
+def test_toy10_relaxation_is_the_per_unit_lp(rule):
+    # toy10 has no two identical units: its arrays are the oracle's, bit for bit
+    sc = toy10_scenario(6)
+    got, want = build_uc(sc, rule, relaxed=True), build_uc(classes_of_one(sc), rule, relaxed=True)
+    for name in ("c", "lb", "ub", "b", "row_lower"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+    for name in ("data", "indices", "indptr"):
+        assert getattr(got.a, name).tobytes() == getattr(want.a, name).tobytes(), name
+    assert got.rows == want.rows
+    assert {k: v.tolist() for k, v in got.cols.items()} == {k: v.tolist() for k, v in want.cols.items()}
