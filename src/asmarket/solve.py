@@ -4,9 +4,10 @@ recovery, and best-first branch-and-bound for the mixed-integer form.
 ``build_uc`` already holds the LP in HiGHS' row-bound form (equality rows
 first, then every inequality as ``<=``), so one marginal vector covers every
 row, and per-unit series are read through the model's ``cols``. A relaxed
-model holds one column block per class of identical units, so reading
-``cols`` copies a class's values to every member, and its per-unit duals
-are shared equally among the members. The nadir
+model holds one column block per class of identical units, so every member
+holds its class's values and an equal share of its class's per-unit duals;
+each is computed once per class and held in one read-only array that the
+members share. The nadir
 cone is handled by outer-approximation cutting planes over the LP core. Each
 public solve keeps one HiGHS session: cuts are appended as rows and stay,
 bounds are changed in place, and branch-and-bound nodes restart dual simplex
@@ -114,6 +115,10 @@ class CommitmentSchedule:
 
 @dataclass
 class DispatchSolution:
+    """Primal point, per unit and per hour. The per-unit arrays are
+    read-only, and the members of a class of identical units may share one
+    array; copy one before editing it."""
+
     objective: float
     horizon: int
     gen_p: dict[str, np.ndarray]
@@ -146,6 +151,10 @@ class DispatchSolution:
 
 @dataclass
 class DualSolution:
+    """Dual point. The per-unit ``psi_*`` arrays are read-only, and the
+    members of a class of identical units may share one array; copy one
+    before editing it."""
+
     lambda_e: np.ndarray
     lambda_h: np.ndarray
     lambda_pfr: np.ndarray
@@ -315,28 +324,73 @@ def _diagnose_infeasible(model: UCModel, session: lp.LpSession) -> InfeasibleErr
 # Extraction
 
 
+@dataclass
+class _Classes:
+    """The classes of one group of units (generators, RES or storage): the
+    units' ``ids`` in scenario order, ``reps`` the first member of each class
+    in the order met, ``index[rep]`` a class's position in ``reps``, the class
+    ``sizes``, and ``pos`` each unit's class position."""
+
+    ids: list[str]
+    reps: list[str]
+    index: dict[str, int]
+    sizes: np.ndarray
+    pos: list[int]
+
+    @classmethod
+    def of(cls, model: UCModel, units) -> "_Classes":
+        ids = [u.id for u in units]
+        first = [model.classes[uid][0] for uid in ids]
+        reps = list(dict.fromkeys(first))
+        index = {rep: k for k, rep in enumerate(reps)}
+        sizes = np.array([len(model.classes[rep]) for rep in reps], dtype=float)
+        return cls(ids, reps, index, sizes, list(map(index.__getitem__, first)))
+
+    def columns(self, model: UCModel, kind: str) -> np.ndarray:
+        """The columns of ``kind``, one row per class."""
+        if not self.reps:
+            return np.zeros((0, 1), dtype=int)
+        return np.array([model.cols[(kind, rep)] for rep in self.reps])
+
+    def spread(self, values) -> dict:
+        """``{unit: values[its class position]}``, keyed in scenario order."""
+        return dict(zip(self.ids, map(values.__getitem__, self.pos)))
+
+
+def _shared_rows(block: np.ndarray) -> list:
+    """The rows of ``block``, one per class, made read-only: every member of a
+    class holds its class's row, so a write through one member would change
+    its classmates."""
+    block.setflags(write=False)
+    return list(block)
+
+
 def _dispatch_from_x(model: UCModel, x: np.ndarray, objective: float) -> DispatchSolution:
     sc = model.scenario
     T = sc.horizon
-    series = lambda kind, units: {u.id: x[model.cols[(kind, u.id)]] for u in units}
-    gen_p = series(V_P, sc.generators)
-    gen_pfr = series(V_PFRG, sc.generators)
-    gen_commit = series(V_Y, sc.generators)
-    sto_cha_mode = series(V_YCHA, sc.storage_units)
-    sto_dis_mode = series(V_YDIS, sc.storage_units)
-    sto_pfr = series(V_PFRS, sc.storage_units)
-    sto_efr = series(V_EFRS, sc.storage_units)
+    gens, res, stos = (_Classes.of(model, units) for units in (sc.generators, sc.res_units, sc.storage_units))
+    series = lambda kind, group: group.spread(_shared_rows(x[group.columns(model, kind)]))
+    gen_p = series(V_P, gens)
+    gen_pfr = series(V_PFRG, gens)
+    gen_commit = series(V_Y, gens)
+    sto_cha_mode = series(V_YCHA, stos)
+    sto_dis_mode = series(V_YDIS, stos)
+    sto_pfr = series(V_PFRS, stos)
+    sto_efr = series(V_EFRS, stos)
 
-    # Aggregates are reported as their defining sums so they match exactly.
-    inertia = np.zeros(T)
-    for g in sc.generators:
-        inertia += g.inertia_s * g.p_max_mw * gen_commit[g.id]
-    for s in sc.storage_units:
-        if s.inertia_s > 0:
-            inertia += s.inertia_s * s.p_max_mw * (sto_cha_mode[s.id] + sto_dis_mode[s.id])
-    pfr = sum((gen_pfr[g.id] for g in sc.generators), np.zeros(T))
-    pfr = pfr + sum((sto_pfr[s.id] for s in sc.storage_units), np.zeros(T))
-    efr = sum((sto_efr[s.id] for s in sc.storage_units), np.zeros(T))
+    # Aggregates are reported as their defining sums, added unit by unit in
+    # scenario order, so they match exactly.
+    def summed(terms):
+        # accumulate adds row after row, bit for bit as a loop of += would
+        return np.add.accumulate(np.array([np.zeros(T), *terms]), axis=0)[-1]
+
+    inertia = summed(
+        [g.inertia_s * g.p_max_mw * gen_commit[g.id] for g in sc.generators]
+        + [s.inertia_s * s.p_max_mw * (sto_cha_mode[s.id] + sto_dis_mode[s.id])
+           for s in sc.storage_units if s.inertia_s > 0]
+    )
+    pfr = summed([gen_pfr[g.id] for g in sc.generators]) + summed([sto_pfr[s.id] for s in sc.storage_units])
+    efr = summed([sto_efr[s.id] for s in sc.storage_units])
 
     return DispatchSolution(
         objective=objective,
@@ -344,15 +398,15 @@ def _dispatch_from_x(model: UCModel, x: np.ndarray, objective: float) -> Dispatc
         gen_p=gen_p,
         gen_pfr=gen_pfr,
         gen_commit=gen_commit,
-        res_p=series(V_PRES, sc.res_units),
-        sto_charge=series(V_PCHA, sc.storage_units),
-        sto_discharge=series(V_PDIS, sc.storage_units),
+        res_p=series(V_PRES, res),
+        sto_charge=series(V_PCHA, stos),
+        sto_discharge=series(V_PDIS, stos),
         sto_cha_mode=sto_cha_mode,
         sto_dis_mode=sto_dis_mode,
-        sto_soc=series(V_E, sc.storage_units),
+        sto_soc=series(V_E, stos),
         sto_pfr=sto_pfr,
         sto_efr=sto_efr,
-        sto_e0={s.id: float(x[model.vid(V_E0, s.id, 0)]) for s in sc.storage_units},
+        sto_e0=stos.spread(x[stos.columns(model, V_E0)][:, 0].tolist()),
         inertia_mws=inertia,
         pfr_mw=pfr,
         efr_mw=efr,
@@ -392,9 +446,11 @@ def _duals_from(
 
     initial_rhs_term = 0.0
     as_payment_rhs = 0.0
-    psi_mdt = {g.id: np.zeros(T) for g in sc.generators}
-    psi_mutex = {s.id: np.zeros(T) for s in sc.storage_units}
-    psi_ini, psi_end = {}, {}
+    gens, res, stos = (_Classes.of(model, units) for units in (sc.generators, sc.res_units, sc.storage_units))
+    # per-unit row duals, one row per class: the model holds the rows of the
+    # class's first member
+    psi_mdt, psi_mutex = np.zeros((len(gens.reps), T)), np.zeros((len(stos.reps), T))
+    psi_ini, psi_end = np.zeros(len(stos.reps)), np.zeros(len(stos.reps))
 
     # equality rows report price_sign * m; inequality rows hold their <=
     # form, so their multiplier is mu = -m >= 0
@@ -419,13 +475,13 @@ def _duals_from(
             omega[row.t] += mu
             as_payment_rhs += row.rhs * mu
         elif row.kind == K_MDT:
-            psi_mdt[row.unit][row.t] = mu
+            psi_mdt[gens.index[row.unit], row.t] = mu
         elif row.kind == K_MUTEX:
-            psi_mutex[row.unit][row.t] = mu
+            psi_mutex[stos.index[row.unit], row.t] = mu
         elif row.kind == K_E0CAP:
-            psi_ini[row.unit] = mu
+            psi_ini[stos.index[row.unit]] = mu
         elif row.kind == K_EEND:
-            psi_end[row.unit] = mu
+            psi_end[stos.index[row.unit]] = mu
     for cut, m in zip(cuts, out.row_marginals[n_base:]):
         nu = -m
         mu1[cut.t] += nu * cut.a1
@@ -436,18 +492,14 @@ def _duals_from(
     psi_ub = np.where(np.isfinite(model.ub), -out.upper_marginals, 0.0)
     psi_lb = np.where(np.isfinite(model.lb), out.lower_marginals, 0.0)
 
-    def lifted(units, by_rep):
-        # a class's per-unit duals sit with its first member; every member
-        # takes them divided by the class size
-        shares = {}
-        for u in units:
-            members = model.classes[u.id]
-            if members[0] in by_rep:
-                shares[u.id] = by_rep[members[0]] / len(members)
-        return shares
+    def lifted(group, at_reps):
+        # row k of at_reps holds class k's per-unit duals, taken at its first
+        # member; every member takes them divided by the class size
+        sizes = group.sizes if at_reps.ndim == 1 else group.sizes[:, None]
+        return group.spread(_shared_rows(at_reps / sizes))
 
-    def bound_series(kind, units, psi=psi_ub):
-        return lifted(units, {u.id: psi[model.cols[(kind, u.id)]] for u in units})
+    def bound_series(kind, group, psi=psi_ub):
+        return lifted(group, psi[group.columns(model, kind)])
 
     duals = DualSolution(
         lambda_e=lambda_e,
@@ -460,19 +512,19 @@ def _duals_from(
         mu_nadir_3=mu3,
         mu_qss=mu_qss,
         omega_loss=omega,
-        psi_max_y=bound_series(V_Y, sc.generators),
-        psi_max_yst=bound_series(V_YST, sc.generators),
-        psi_max_ysg=bound_series(V_YSG, sc.generators),
-        psi_max_ysd=bound_series(V_YSD, sc.generators),
-        psi_mdt=lifted(sc.generators, psi_mdt),
-        psi_cf=bound_series(V_PRES, sc.res_units),
-        psi_e_min=bound_series(V_E, sc.storage_units, psi_lb),
-        psi_e_max=bound_series(V_E, sc.storage_units),
-        psi_max_ycha=bound_series(V_YCHA, sc.storage_units),
-        psi_max_ydis=bound_series(V_YDIS, sc.storage_units),
-        psi_mutex=lifted(sc.storage_units, psi_mutex),
-        psi_ini=lifted(sc.storage_units, psi_ini),
-        psi_end=lifted(sc.storage_units, psi_end),
+        psi_max_y=bound_series(V_Y, gens),
+        psi_max_yst=bound_series(V_YST, gens),
+        psi_max_ysg=bound_series(V_YSG, gens),
+        psi_max_ysd=bound_series(V_YSD, gens),
+        psi_mdt=lifted(gens, psi_mdt),
+        psi_cf=bound_series(V_PRES, res),
+        psi_e_min=bound_series(V_E, stos, psi_lb),
+        psi_e_max=bound_series(V_E, stos),
+        psi_max_ycha=bound_series(V_YCHA, stos),
+        psi_max_ydis=bound_series(V_YDIS, stos),
+        psi_mutex=lifted(stos, psi_mutex),
+        psi_ini=lifted(stos, psi_ini),
+        psi_end=lifted(stos, psi_end),
         initial_rhs_term=initial_rhs_term,
         as_payment_rhs=as_payment_rhs,
         dual_objective=_dual_objective(model, out),
@@ -530,7 +582,9 @@ def solve_relaxed(model: UCModel) -> tuple[DispatchSolution, DualSolution, Solve
     returned solutions are lifted to every unit: each member reads its
     class's values, and takes its class's per-unit row and bound duals
     divided by the class size, which is an optimal dual of the per-unit
-    LP. The system duals, omega and the rhs terms need no lift.
+    LP. The system duals, omega and the rhs terms need no lift. Each
+    class's values and dual shares are computed once; its members share
+    those arrays, which are read-only, so copy one before editing it.
 
     Guarantees on success: relative duality gap and per-row complementary
     slackness residual within ``DUALITY_TOL``, both checked on the class

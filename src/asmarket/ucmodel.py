@@ -25,7 +25,9 @@ a built model instead of building another.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import functools
+import operator
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 from scipy import sparse
@@ -204,6 +206,13 @@ class UCModel:
         return replace(self, loss_rule=rule, b=b, rows=rows)
 
 
+@functools.cache
+def _class_fields(unit_type) -> operator.attrgetter:
+    """Getter of the compared fields of ``unit_type`` but ``id``: units of one
+    type are identical exactly when it returns equal tuples."""
+    return operator.attrgetter(*(f.name for f in fields(unit_type) if f.compare and f.name != "id"))
+
+
 def build_uc(
     scenario: Scenario,
     loss_rule: LossRule,
@@ -219,8 +228,11 @@ def build_uc(
     one member's values, its costs and its coefficients in the balance and
     aggregation rows are multiplied by the class size n, and under
     ``EndogenousMax`` its max-loss row stays ``p <= p_loss``. Every member's
-    ``cols`` entry is its class's columns. Units of classes of one are built
-    exactly as in the mixed-integer form, which keeps one class per unit.
+    ``cols`` entry is its class's columns, and every member's ``classes``
+    entry is one tuple shared by the class. The class key is computed without
+    building a copy of the unit: the unit's type, its compared fields other
+    than ``id``, and its ``InitialState`` entries. Units of classes of one are
+    built exactly as in the mixed-integer form, which keeps one class per unit.
     """
     scenario.check()
     T = scenario.horizon
@@ -241,7 +253,7 @@ def build_uc(
             return [(u,) for u in units]
         by_key: dict = {}
         for u in units:
-            key = (replace(u, id=""), init.gen_on.get(u.id), init.storage_e0_mwh.get(u.id))
+            key = (type(u), _class_fields(type(u))(u), init.gen_on.get(u.id), init.storage_e0_mwh.get(u.id))
             by_key.setdefault(key, []).append(u)
         return [tuple(members) for members in by_key.values()]
 
@@ -496,11 +508,10 @@ def build_uc(
         (flip[r_idx] * np.array(data), (position[r_idx], c_idx)), shape=(len(rows), len(c))
     )
     b = (flip * [row.rhs for row in rows])[order]
-    classes = {
-        u.id: tuple(m.id for m in members)
-        for members in gen_classes + res_classes + sto_classes
-        for u in members
-    }
+    classes = {}
+    for members in gen_classes + res_classes + sto_classes:
+        ids = tuple(m.id for m in members)
+        classes.update(dict.fromkeys(ids, ids))
     cols = {key: np.array(idx) for key, idx in cols.items()}
     # every member reads its class's columns
     for (kind, unit), idx in list(cols.items()):

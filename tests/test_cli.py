@@ -1,7 +1,7 @@
 import pytest
 
 from asmarket.cli import EXIT_INFEASIBLE, EXIT_INTERNAL, EXIT_OK, EXIT_VALIDATION, main
-from asmarket.scenario import write_scenario
+from asmarket.scenario import gb_template, write_scenario
 from asmarket.solve import CONE_REL_TOL
 from asmarket.tables import load_manifest, verify_manifest
 from asmarket.ucmodel import EndogenousMax, build_uc
@@ -104,6 +104,20 @@ class TestRun:
             for s in m["stages"]:
                 s.pop("wall_s")
         assert m1 == m2
+
+    def test_gb_rerun_byte_identical_across_jobs(self, tmp_path):
+        # GB scale: the relaxed solves share one read-only array per class,
+        # and the stand-alone solves fan out over threads
+        path = tmp_path / "gb.json"
+        write_scenario(gb_template(1), path)
+        out1, out2 = tmp_path / "a", tmp_path / "b"
+        assert self.run(path, out1, ["--gap", "1e-2", "--jobs", "1"]) == EXIT_OK
+        assert self.run(path, out2, ["--gap", "1e-2", "--jobs", "2"]) == EXIT_OK
+        csvs = sorted(out1.glob("*.csv"))
+        assert {f.name for f in csvs} == {f.name for f in out2.glob("*.csv")}
+        assert len(csvs) >= 10
+        for f1 in csvs:
+            assert f1.read_bytes() == (out2 / f1.name).read_bytes(), f1.name
 
     def test_solver_stats_in_manifest(self, scenario_file, tmp_path):
         out = tmp_path / "out"

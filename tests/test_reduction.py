@@ -19,7 +19,32 @@ from asmarket import lp, solve
 from asmarket.pricing import AUDIT_TOL, duality_audit
 from asmarket.scenario import gb_template
 from asmarket.solve import DUALITY_TOL, FEAS_TOL, solve_relaxed
-from asmarket.ucmodel import K_MAXLOSS, EndogenousMax, FixedProfile, InitialState, build_uc
+from asmarket.ucmodel import (
+    K_E0CAP,
+    K_EEND,
+    K_MAXLOSS,
+    K_MDT,
+    K_MUTEX,
+    V_E,
+    V_E0,
+    V_EFRS,
+    V_P,
+    V_PCHA,
+    V_PDIS,
+    V_PFRG,
+    V_PFRS,
+    V_PRES,
+    V_Y,
+    V_YCHA,
+    V_YDIS,
+    V_YSD,
+    V_YSG,
+    V_YST,
+    EndogenousMax,
+    FixedProfile,
+    InitialState,
+    build_uc,
+)
 from conftest import binding_scenario, toy10_scenario
 from oracles import classes_of_one
 
@@ -180,3 +205,167 @@ def test_toy10_relaxation_is_the_per_unit_lp(rule):
         assert getattr(got.a, name).tobytes() == getattr(want.a, name).tobytes(), name
     assert got.rows == want.rows
     assert {k: v.tolist() for k, v in got.cols.items()} == {k: v.tolist() for k, v in want.cols.items()}
+
+
+# ---------------------------------------------------------------------------
+# The lift reads each class once: its members share one read-only array per
+# field, equal bit for bit to reading every member's columns on its own.
+
+# field: (units it covers, column kind or row kind, and for bound duals the
+# bound it prices)
+DISPATCH_KINDS = {
+    "gen_p": ("generators", V_P), "gen_pfr": ("generators", V_PFRG),
+    "gen_commit": ("generators", V_Y), "res_p": ("res_units", V_PRES),
+    "sto_charge": ("storage_units", V_PCHA), "sto_discharge": ("storage_units", V_PDIS),
+    "sto_cha_mode": ("storage_units", V_YCHA), "sto_dis_mode": ("storage_units", V_YDIS),
+    "sto_soc": ("storage_units", V_E), "sto_pfr": ("storage_units", V_PFRS),
+    "sto_efr": ("storage_units", V_EFRS), "sto_e0": ("storage_units", V_E0),
+}
+BOUND_DUALS = {
+    "psi_max_y": ("generators", V_Y, "ub"), "psi_max_yst": ("generators", V_YST, "ub"),
+    "psi_max_ysg": ("generators", V_YSG, "ub"), "psi_max_ysd": ("generators", V_YSD, "ub"),
+    "psi_cf": ("res_units", V_PRES, "ub"), "psi_e_min": ("storage_units", V_E, "lb"),
+    "psi_e_max": ("storage_units", V_E, "ub"), "psi_max_ycha": ("storage_units", V_YCHA, "ub"),
+    "psi_max_ydis": ("storage_units", V_YDIS, "ub"),
+}
+ROW_DUALS = {
+    "psi_mdt": ("generators", K_MDT), "psi_mutex": ("storage_units", K_MUTEX),
+    "psi_ini": ("storage_units", K_E0CAP), "psi_end": ("storage_units", K_EEND),
+}
+
+LIFT_FIXTURES = {
+    "gb1-1000": (lambda: gb_template(1), FixedProfile.constant(1000.0, 1)),
+    "gb6-endogenous": (lambda: gb_template(6), EndogenousMax()),
+    "toy10x3-endogenous": (lambda: tripled(toy10_scenario(6)), EndogenousMax()),
+}
+
+
+@pytest.fixture(scope="module", params=list(LIFT_FIXTURES))
+def lifted_solve(request):
+    """A class model, ``solve_relaxed`` on it, and the LP outcome behind that."""
+    make, rule = LIFT_FIXTURES[request.param]
+    sc = make()
+    model = build_uc(sc, rule, relaxed=True)
+    dispatch, duals, _ = solve_relaxed(model)
+    out, _ = lp_solve(model)
+    assert dispatch.objective == out.objective  # the same deterministic solve
+    return SimpleNamespace(sc=sc, model=model, dispatch=dispatch, duals=duals, out=out)
+
+
+def per_unit_tables(s):
+    """Every per-unit field of the returned dispatch and duals, by name."""
+    return {name: getattr(s.dispatch, name) for name in DISPATCH_KINDS} | {
+        name: getattr(s.duals, name) for name in [*BOUND_DUALS, *ROW_DUALS]
+    }
+
+
+def test_lift_reads_every_member_by_the_rule(lifted_solve):
+    # today's rule, unit by unit: x at the class's columns, and each dual of
+    # the class's columns or rows divided by the class size
+    s = lifted_solve
+    model, out, T = s.model, s.out, s.sc.horizon
+    psi = {
+        "ub": np.where(np.isfinite(model.ub), -out.upper_marginals, 0.0),
+        "lb": np.where(np.isfinite(model.lb), out.lower_marginals, 0.0),
+    }
+    row_mu = {}  # (row kind, representative) -> the rows' multipliers by hour
+    for row, m in zip(model.rows, out.row_marginals):
+        if row.unit is not None:
+            row_mu.setdefault((row.kind, row.unit), np.zeros(T))[row.t] = -m
+
+    def rule(name, uid):
+        rep, n = model.classes[uid][0], len(model.classes[uid])
+        if name == "sto_e0":
+            return float(out.x[model.vid(V_E0, rep, 0)])
+        if name in DISPATCH_KINDS:
+            return out.x[model.cols[(DISPATCH_KINDS[name][1], rep)]]
+        if name in BOUND_DUALS:
+            _, kind, bound = BOUND_DUALS[name]
+            return psi[bound][model.cols[(kind, rep)]] / n
+        mu = row_mu[(ROW_DUALS[name][1], rep)] / n
+        if name == "psi_ini":
+            return mu[0]
+        return mu[T - 1] if name == "psi_end" else mu
+
+    groups = DISPATCH_KINDS | BOUND_DUALS | ROW_DUALS
+    for name, got in per_unit_tables(s).items():
+        units = getattr(s.sc, groups[name][0])
+        assert list(got) == [u.id for u in units], name  # every unit, in scenario order
+        for uid, value in got.items():
+            assert np.asarray(value).tobytes() == np.asarray(rule(name, uid)).tobytes(), (name, uid)
+
+
+def test_aggregates_are_unit_by_unit_sums(lifted_solve):
+    sc, d = lifted_solve.sc, lifted_solve.dispatch
+    T = sc.horizon
+    inertia, pfr_g, pfr_s, efr = np.zeros(T), np.zeros(T), np.zeros(T), np.zeros(T)
+    for g in sc.generators:
+        inertia += g.inertia_s * g.p_max_mw * d.gen_commit[g.id]
+        pfr_g += d.gen_pfr[g.id]
+    for s in sc.storage_units:
+        if s.inertia_s > 0:
+            inertia += s.inertia_s * s.p_max_mw * (d.sto_cha_mode[s.id] + d.sto_dis_mode[s.id])
+        pfr_s += d.sto_pfr[s.id]
+        efr += d.sto_efr[s.id]
+    assert d.inertia_mws.tobytes() == inertia.tobytes()
+    assert d.pfr_mw.tobytes() == (pfr_g + pfr_s).tobytes()
+    assert d.efr_mw.tobytes() == efr.tobytes()
+
+
+def test_members_share_one_read_only_array(lifted_solve):
+    model = lifted_solve.model
+    shared = 0
+    for name, table in per_unit_tables(lifted_solve).items():
+        for uid, value in table.items():
+            members = model.classes[uid]
+            assert value is table[members[0]], (name, uid)
+            if isinstance(value, np.ndarray):
+                assert not value.flags.writeable, (name, uid)
+                shared += len(members) > 1
+    assert shared > 0
+    value = lifted_solve.duals.psi_max_y[lifted_solve.sc.generators[0].id]
+    with pytest.raises(ValueError):
+        value[0] = 1.0
+    with pytest.raises(ValueError):
+        lifted_solve.dispatch.sto_soc[lifted_solve.sc.storage_units[-1].id] += 1.0
+
+
+# ---------------------------------------------------------------------------
+# The class map: units equal in every field but ``id``, with equal
+# ``InitialState`` entries, and nothing else
+
+
+def reference_classes(sc, init=InitialState()):
+    """Each unit's class, grouped on a copy of the unit with its id blanked."""
+    classes = {}
+    for units in (sc.generators, sc.res_units, sc.storage_units):
+        by_key = {}
+        for u in units:
+            key = (replace(u, id=""), init.gen_on.get(u.id), init.storage_e0_mwh.get(u.id))
+            by_key.setdefault(key, []).append(u.id)
+        classes.update((uid, tuple(members)) for members in by_key.values() for uid in members)
+    return classes
+
+
+@pytest.mark.parametrize("init", [
+    InitialState(),
+    InitialState(gen_on={"ccgt_3": 1, "ocgt_1": 0}, storage_e0_mwh={"bess_7": 10.0, "phes_2": 1600.0}),
+], ids=["cold", "initial-state"])
+def test_class_map_matches_the_reference_key(init):
+    sc = gb_template(6)
+    model = build_uc(sc, EndogenousMax(), relaxed=True, initial_state=init)
+    assert model.classes == reference_classes(sc, init)
+    for uid, members in model.classes.items():
+        assert members is model.classes[members[0]], uid  # one tuple per class
+
+
+def test_one_changed_field_splits_a_member_off():
+    sc = gb_template(1)
+    storage = list(sc.storage_units)
+    k = next(i for i, u in enumerate(storage) if u.id == "bess_17")
+    storage[k] = replace(storage[k], efr_max_mw=storage[k].efr_max_mw / 2)
+    sc = replace(sc, storage_units=tuple(storage)).check()
+    model = build_uc(sc, FixedProfile.constant(1000.0, 1), relaxed=True)
+    assert model.classes == reference_classes(sc)
+    assert model.classes["bess_17"] == ("bess_17",)
+    assert len(model.classes["bess_1"]) == 199 and "bess_17" not in model.classes["bess_1"]
