@@ -17,11 +17,15 @@ equivalent algebraic form used as the independent check:
     (H/f0 - T_EFR*EFR/(4*df)) * PFR/T_PFR >= (p_loss - EFR)**2 / (4*df)
 
 together with v >= 0.
+
+The outer approximation cuts with rows a1*u1 + a2*u2 - v <= 0, ||(a1, a2)|| <= 1,
+held as arrays: ``separating_cut`` and ``cut_coefficients`` work elementwise.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+
+import numpy as np
 
 from .scenario import SystemParams
 
@@ -36,7 +40,7 @@ def rocof_min_inertia(p_loss_mw: float, params: SystemParams) -> float:
 def nadir_terms(
     h_mws: float, efr_mw: float, pfr_mw: float, p_loss_mw: float, params: SystemParams
 ) -> tuple[float, float, float]:
-    """Cone terms (u1, u2, v) at a point."""
+    """Cone terms (u1, u2, v) at a point, or elementwise over arrays of points."""
     df = params.delta_f_max_hz
     a = h_mws / params.f0_hz - params.t_efr_s * efr_mw / (4.0 * df)
     u1 = a - pfr_mw / params.t_pfr_s
@@ -73,34 +77,33 @@ def nadir_feasible_product(
     return lhs >= rhs and v_nonneg
 
 
-@dataclass(frozen=True)
-class NadirCut:
-    """Supporting hyperplane a1*u1 + a2*u2 - v <= 0 with ||(a1,a2)|| <= 1.
+def cone_norm(u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
+    """||(u1, u2)||, elementwise by ``math.hypot``; ``np.hypot`` can differ
+    from it in the last bit, which would move cut directions."""
+    return np.array(list(map(math.hypot, u1, u2)), dtype=float)
 
-    Cuts are linearisations of the convex map x -> ||u(x)|| - v(x); since
-    u and v are linear the cut is homogeneous in the model variables.
+
+def cut_coefficients(a1: np.ndarray, a2: np.ndarray, params: SystemParams) -> tuple[np.ndarray, ...]:
+    """Coefficients on (H, EFR, PFR, p_loss) of the cut rows
+    a1*u1 + a2*u2 - v <= 0, elementwise.
+
+    A cut with ||(a1, a2)|| <= 1 linearises the convex map x -> ||u(x)|| - v(x);
+    since u and v are linear the cut is homogeneous in the model variables.
     """
-
-    t: int
-    a1: float
-    a2: float
-
-    def coefficients(self, params: SystemParams) -> dict[str, float]:
-        """Coefficients on (H, EFR, PFR, p_loss) of the cut row."""
-        df = params.delta_f_max_hz
-        sq = math.sqrt(df)
-        te = params.t_efr_s / (4.0 * df)
-        c_h = (self.a1 - 1.0) / params.f0_hz
-        c_efr = (1.0 - self.a1) * te - self.a2 / sq
-        c_pfr = -(self.a1 + 1.0) / params.t_pfr_s
-        c_loss = self.a2 / sq
-        return {"h": c_h, "efr": c_efr, "pfr": c_pfr, "p_loss": c_loss}
+    df = params.delta_f_max_hz
+    sq = math.sqrt(df)
+    te = params.t_efr_s / (4.0 * df)
+    c_h = (a1 - 1.0) / params.f0_hz
+    c_efr = (1.0 - a1) * te - a2 / sq
+    c_pfr = -(a1 + 1.0) / params.t_pfr_s
+    c_loss = a2 / sq
+    return c_h, c_efr, c_pfr, c_loss
 
 
-def separating_cut(t: int, u1: float, u2: float) -> NadirCut:
-    """Cut direction at a violating point: the unit subgradient of ||u||,
-    or the v >= 0 facet when u vanishes."""
-    nrm = math.hypot(u1, u2)
-    if nrm == 0.0:
-        return NadirCut(t=t, a1=0.0, a2=0.0)
-    return NadirCut(t=t, a1=u1 / nrm, a2=u2 / nrm)
+def separating_cut(u1: np.ndarray, u2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Cut directions (a1, a2) at violating points, elementwise: the unit
+    subgradient of ||u||, or (0, 0), the v >= 0 facet, where u vanishes."""
+    nrm = cone_norm(u1, u2)
+    live = nrm != 0.0
+    return (np.divide(u1, nrm, out=np.zeros_like(nrm), where=live),
+            np.divide(u2, nrm, out=np.zeros_like(nrm), where=live))

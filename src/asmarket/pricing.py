@@ -30,7 +30,7 @@ from .solve import (
     SolveStats,
     solve_relaxed,
 )
-from .ucmodel import FixedProfile, InitialState, build_uc
+from .ucmodel import FixedProfile, build_uc
 
 log = logging.getLogger(__name__)
 
@@ -51,6 +51,7 @@ class StandaloneError(Exception):
 
 STATIONARITY_TOL = 1e-6  # relative, price formula against row multiplier
 AUDIT_TOL = 1e-5         # relative residual of the payment identity
+ZERO_CLAMP = 1e-8        # stand-alone omegas this small relative to the largest are zeroed
 
 
 @dataclass
@@ -155,20 +156,15 @@ def system_costs(scenario: Scenario, primal: DispatchSolution) -> float:
     return total
 
 
-def duality_audit(
-    primal: DispatchSolution,
-    duals: DualSolution,
-    scenario: Scenario,
-    initial_state: InitialState | None = None,
-) -> MarketBreakdown:
+def duality_audit(primal: DispatchSolution, duals: DualSolution, scenario: Scenario) -> MarketBreakdown:
     """Itemise the strong-duality payment decomposition and verify it.
 
     energy + AS payments = system costs + thermal/renewable/storage profits
     (+ the explicitly reported omitted terms: the min-down-time block and any
-    nonzero initial-state constants). A residual beyond tolerance flags a
-    dual-recovery defect.
+    nonzero initial-state constants, read from the initial state the duals
+    record). A residual beyond tolerance flags a dual-recovery defect.
     """
-    init = initial_state or InitialState()
+    init = duals.initial_state
     prices = as_prices_from_duals(duals, scenario.params)
 
     inertia_rev = prices.lambda_h * primal.inertia_mws
@@ -324,7 +320,6 @@ def standalone_markets(
     scenario: Scenario,
     block_i: tuple[CommitmentSchedule, DispatchSolution],
     jobs: int = 1,
-    zero_clamp: float = 1e-8,
 ) -> StandAloneCosts:
     """One relaxed solve per distinct dispatched loss profile, with the loss
     parameter fixed to that profile; Omega_{i,t} = p_i_t * omega_t.
@@ -336,7 +331,7 @@ def standalone_markets(
     HiGHS sees exactly what a fresh build would hand it. Pure function of its
     inputs; the solves are independent and only read the shared model, so
     they may fan out over ``jobs`` worker threads (one task per distinct
-    profile) without changing the result. Entries at or below ``zero_clamp``
+    profile) without changing the result. Entries at or below ``ZERO_CLAMP``
     times the largest magnitude are zeroed and logged at DEBUG.
     """
     _, dispatch = block_i
@@ -380,7 +375,7 @@ def standalone_markets(
     }
     scale = max(1.0, max((float(np.max(np.abs(v))) for v in omegas.values()), default=1.0))
     for uid, v in omegas.items():
-        clamp = np.abs(v) <= zero_clamp * scale
+        clamp = np.abs(v) <= ZERO_CLAMP * scale
         for t in np.flatnonzero(clamp & (v != 0.0)):
             log.debug("stand-alone zero-clamp: unit %s hour %d value %r", uid, t, float(v[t]))
         v[clamp] = 0.0

@@ -9,7 +9,8 @@ holds its class's values and an equal share of its class's per-unit duals;
 each is computed once per class and held in one read-only array that the
 members share. The nadir
 cone is handled by outer-approximation cutting planes over the LP core. Each
-public solve keeps one HiGHS session: cuts are appended as rows and stay,
+public solve keeps one cut pool, which owns the HiGHS session and holds the
+cuts as three arrays (hour, a1, a2): cuts are appended as rows and stay,
 bounds are changed in place, and branch-and-bound nodes restart dual simplex
 from their parent's optimal basis. Cone multipliers are reconstructed by
 aggregating the active-cut multipliers through the cut gradients, so the
@@ -27,13 +28,13 @@ from __future__ import annotations
 import heapq
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse
 
 from . import lp
-from .frequency import NadirCut, nadir_terms, separating_cut
+from .frequency import cone_norm, cut_coefficients, nadir_terms, separating_cut
 from .ucmodel import (
     INFEASIBILITY_LABELS,
     K_BALANCE,
@@ -70,6 +71,7 @@ from .ucmodel import (
     V_YSD,
     V_YSG,
     V_YST,
+    InitialState,
 )
 
 
@@ -181,6 +183,7 @@ class DualSolution:
     initial_rhs_term: float
     as_payment_rhs: float  # sum of loss-row rhs * omega; zero under EndogenousMax
     dual_objective: float
+    initial_state: InitialState = field(default_factory=InitialState)  # of the model solved
 
 
 @dataclass
@@ -206,24 +209,49 @@ class SolveStats:
 # LP and OA loop
 
 
-def _cone_cols(model: UCModel) -> list[tuple[str, np.ndarray]]:
-    """The nadir cone's aggregate columns in hour order, keyed as in
-    ``NadirCut.coefficients``."""
-    return [(key, model.cols[(kind, None)])
-            for key, kind in (("h", V_H), ("efr", V_EFRT), ("pfr", V_PFRT), ("p_loss", V_PLOSS))]
+class _CutPool:
+    """The nadir OA state of one solve: its HiGHS session and its cuts.
 
+    Cut k is a1[k]*u1 + a2[k]*u2 - v <= 0 at hour t[k] and is session row
+    ``len(model.b) + k``. The pool starts from every hour's v >= 0 facet
+    (a1 = a2 = 0), which every cone point satisfies and which anchors the OA.
+    """
 
-def _cut_matrix(model: UCModel, cuts: list[NadirCut]) -> sparse.csr_matrix:
-    params = model.scenario.params
-    cone_cols = _cone_cols(model)
-    rows, cols, data = [], [], []
-    for r, cut in enumerate(cuts):
-        coefs = cut.coefficients(params)
-        for key, idx in cone_cols:
-            rows.append(r)
-            cols.append(idx[cut.t])
-            data.append(coefs[key])
-    return sparse.csr_matrix((data, (rows, cols)), shape=(len(cuts), model.n_vars))
+    def __init__(self, model: UCModel):
+        self.model = model
+        cone = (V_H, V_PFRT, V_EFRT, V_PLOSS)  # each hour's cone columns, in column order
+        self._cone_cols = np.column_stack([model.cols[(kind, None)] for kind in cone])
+        T = model.scenario.horizon
+        self.t, self.a1, self.a2 = np.arange(T), np.zeros(T), np.zeros(T)
+        self._index, self._data = self._entries(self.t, self.a1, self.a2)
+        a = sparse.vstack([model.a, self.rows], format="csr")
+        row_lower = np.concatenate([model.row_lower, np.full(T, -np.inf)])
+        b = np.concatenate([model.b, np.zeros(T)])
+        self.session = lp.LpSession(model.c, a, row_lower, b, model.lb, model.ub)
+
+    def _entries(self, t: np.ndarray, a1: np.ndarray, a2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Each cut's four entries: its hour's cone columns, and coefficients with zeros kept."""
+        c_h, c_efr, c_pfr, c_loss = cut_coefficients(a1, a2, self.model.scenario.params)
+        return self._cone_cols[t], np.column_stack([c_h, c_pfr, c_efr, c_loss])
+
+    def _csr(self, index: np.ndarray, data: np.ndarray) -> sparse.csr_matrix:
+        indptr = np.arange(0, data.size + 1, 4)
+        return sparse.csr_matrix((data.ravel(), index.ravel(), indptr), shape=(len(data), self.model.n_vars))
+
+    @property
+    def rows(self) -> sparse.csr_matrix:
+        """Every cut row, in cut order."""
+        return self._csr(self._index, self._data)
+
+    def add(self, t: np.ndarray, a1: np.ndarray, a2: np.ndarray) -> None:
+        """Append cuts to the pool and to the session."""
+        index, data = self._entries(t, a1, a2)
+        self.session.add_ub_rows(self._csr(index, data), np.zeros(len(t)))
+        self.t = np.concatenate([self.t, t])
+        self.a1 = np.concatenate([self.a1, a1])
+        self.a2 = np.concatenate([self.a2, a2])
+        self._index = np.concatenate([self._index, index])
+        self._data = np.concatenate([self._data, data])
 
 
 def _patched_bounds(model: UCModel, patch: dict[int, tuple[float, float]] | None):
@@ -236,81 +264,73 @@ def _patched_bounds(model: UCModel, patch: dict[int, tuple[float, float]] | None
     return lb, ub
 
 
-def _cone_violations(model: UCModel, x: np.ndarray, rel_tol: float):
-    params = model.scenario.params
-    out = []
-    h, efr, pfr, p_loss = (x[idx] for _, idx in _cone_cols(model))
-    for t in range(model.scenario.horizon):
-        u1, u2, v = nadir_terms(h[t], efr[t], pfr[t], p_loss[t], params)
-        nrm = math.hypot(u1, u2)
-        scaled = (nrm - v) / max(1.0, abs(v), nrm)
-        if scaled > rel_tol:
-            out.append((t, u1, u2, scaled))
-    return out
+def _cone_violations(model: UCModel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every hour's cone terms u1, u2 at ``x`` and its scaled residual
+    (||u|| - v) / max(1, |v|, ||u||); a residual <= 0 means the cone holds."""
+    h, efr, pfr, p_loss = (x[model.cols[(kind, None)]] for kind in (V_H, V_EFRT, V_PFRT, V_PLOSS))
+    u1, u2, v = nadir_terms(h, efr, pfr, p_loss, model.scenario.params)
+    nrm = cone_norm(u1, u2)
+    return u1, u2, (nrm - v) / np.maximum(np.maximum(1.0, np.abs(v)), nrm)
 
 
 def _final_cone_residual(model: UCModel, x: np.ndarray) -> float:
     """Largest scaled cone residual at ``x``, zero when every cone holds."""
-    return max((v[3] for v in _cone_violations(model, x, 0.0)), default=0.0)
-
-
-def _session(model: UCModel, cuts: list[NadirCut]) -> lp.LpSession:
-    """One HiGHS model holding the base rows and ``cuts``; later cuts are appended."""
-    a = sparse.vstack([model.a, _cut_matrix(model, cuts)], format="csr")
-    row_lower = np.concatenate([model.row_lower, np.full(len(cuts), -np.inf)])
-    row_upper = np.concatenate([model.b, np.zeros(len(cuts))])
-    return lp.LpSession(model.c, a, row_lower, row_upper, model.lb, model.ub)
+    return float(np.max(_cone_violations(model, x)[2], initial=0.0))
 
 
 def _oa_solve(
-    model: UCModel,
-    cuts: list[NadirCut],
-    patch: dict[int, tuple[float, float]] | None,
-    stats: SolveStats,
-    session: lp.LpSession,
+    pool: _CutPool, patch: dict[int, tuple[float, float]] | None, stats: SolveStats
 ) -> lp.LpOutcome:
     """Solve the LP, adding nadir cuts until the cone holds at the optimum.
 
-    ``session`` holds the base rows and every cut in ``cuts``; the patched
-    bounds are set in place and the LP is solved from whatever basis the
-    session holds. Each round's new cuts are appended to both and the LP is
+    The patched bounds are set in place in the pool's session and the LP is
+    solved from whatever basis the session holds. Each round's new cuts, one
+    per violated hour in hour order, are added to the pool and the LP is
     re-solved warm from the previous optimal basis, which cut rows leave dual
     feasible. Targets the tight cone tolerance; on flat optimal faces the
     vertex can wander among near-feasible corners, so after a grace number of
     rounds any point inside the scaled feasibility tolerance is accepted and
     ``stats.stop_reason`` becomes ``"graced"``.
     """
-    session.set_bounds(*_patched_bounds(model, patch))
+    model = pool.model
+    pool.session.set_bounds(*_patched_bounds(model, patch))
     for round_no in range(MAX_CUT_ROUNDS):
-        out = lp.solve_lp(session)
+        out = lp.solve_lp(pool.session)
         stats.lp_iterations += out.iterations
         stats.oa_rounds += 1
         if out.status != lp.OPTIMAL:
             return out
-        viols = _cone_violations(model, out.x, CONE_REL_TOL)
-        if not viols:
+        u1, u2, scaled = _cone_violations(model, out.x)
+        hot = np.flatnonzero(scaled > CONE_REL_TOL)
+        if not len(hot):
             return out
-        if round_no >= GRACE_ROUNDS and max(v[3] for v in viols) <= FEAS_TOL:
+        if round_no >= GRACE_ROUNDS and scaled[hot].max() <= FEAS_TOL:
             stats.stop_reason = "graced"
             return out
-        new_cuts = [separating_cut(t, u1, u2) for t, u1, u2, _ in viols]
-        cuts.extend(new_cuts)
-        session.add_ub_rows(_cut_matrix(model, new_cuts), np.zeros(len(new_cuts)))
-        stats.cuts = len(cuts)
+        pool.add(hot, *separating_cut(u1[hot], u2[hot]))
+        stats.cuts = len(pool.t)
     raise SolverError("nadir outer approximation did not converge")
 
 
-def _initial_cuts(model: UCModel) -> list[NadirCut]:
-    # v >= 0 facets; every cone point satisfies them and they anchor the OA.
-    return [NadirCut(t=t, a1=0.0, a2=0.0) for t in range(model.scenario.horizon)]
+def _solve_root(pool: _CutPool, stats: SolveStats) -> lp.LpOutcome:
+    """The OA solve of the unpatched model; raises why it has no optimum."""
+    out = _oa_solve(pool, None, stats)
+    if out.status == lp.INFEASIBLE:
+        raise _diagnose_infeasible(pool)
+    if out.status == lp.UNBOUNDED:
+        raise UnboundedError("model is unbounded")
+    if out.status != lp.OPTIMAL:
+        raise SolverError(f"LP backend failure: {out.message}")
+    return out
 
 
-def _diagnose_infeasible(model: UCModel, session: lp.LpSession) -> InfeasibleError:
+def _diagnose_infeasible(pool: _CutPool) -> InfeasibleError:
     """HiGHS' IIS rows, counted by constraint class; the rows past the base
     rows are nadir cuts. The certificate is the first class of
     ``INFEASIBILITY_LABELS`` in the IIS, else its most frequent class."""
+    model = pool.model
     by_class: dict[str, int] = {}
-    for i in session.iis_rows():
+    for i in pool.session.iis_rows():
         kind = model.rows[i].kind if i < len(model.rows) else K_NADIR_CUT
         label = INFEASIBILITY_LABELS.get(kind, kind)
         by_class[label] = by_class.get(label, 0) + 1
@@ -430,12 +450,8 @@ def _commitment_from_x(model: UCModel, x: np.ndarray) -> CommitmentSchedule:
     )
 
 
-def _duals_from(
-    model: UCModel,
-    out: lp.LpOutcome,
-    cuts: list[NadirCut],
-    stats: SolveStats,
-) -> DualSolution:
+def _duals_from(pool: _CutPool, out: lp.LpOutcome, stats: SolveStats) -> DualSolution:
+    model = pool.model
     sc = model.scenario
     T = sc.horizon
     n_base = len(model.rows)
@@ -482,11 +498,11 @@ def _duals_from(
             psi_ini[stos.index[row.unit]] = mu
         elif row.kind == K_EEND:
             psi_end[stos.index[row.unit]] = mu
-    for cut, m in zip(cuts, out.row_marginals[n_base:]):
-        nu = -m
-        mu1[cut.t] += nu * cut.a1
-        mu2[cut.t] += nu * cut.a2
-        mu3[cut.t] += nu
+    # cut multipliers through the cut gradients, added in cut order
+    nu = -out.row_marginals[n_base:]
+    np.add.at(mu1, pool.t, nu * pool.a1)
+    np.add.at(mu2, pool.t, nu * pool.a2)
+    np.add.at(mu3, pool.t, nu)
 
     # bound multipliers, zero on the infinite bounds
     psi_ub = np.where(np.isfinite(model.ub), -out.upper_marginals, 0.0)
@@ -528,8 +544,9 @@ def _duals_from(
         initial_rhs_term=initial_rhs_term,
         as_payment_rhs=as_payment_rhs,
         dual_objective=_dual_objective(model, out),
+        initial_state=model.initial_state,
     )
-    stats.max_cs_residual = _max_cs_residual(model, out, cuts)
+    stats.max_cs_residual = _max_cs_residual(pool, out)
     scale = max(1.0, abs(out.objective))
     if stats.max_cs_residual > DUALITY_TOL * scale:
         raise DualRecoveryError(
@@ -549,13 +566,13 @@ def _dual_objective(model: UCModel, out: lp.LpOutcome) -> float:
     return total
 
 
-def _max_cs_residual(model: UCModel, out: lp.LpOutcome, cuts) -> float:
+def _max_cs_residual(pool: _CutPool, out: lp.LpOutcome) -> float:
+    model = pool.model
     x = out.x
     n_base = len(model.b)
     worst = float(np.max(np.abs((model.a @ x - model.b) * out.row_marginals[:n_base]), initial=0.0))
-    if len(cuts):
-        slack = -(_cut_matrix(model, cuts) @ x)
-        worst = max(worst, float(np.max(np.abs(slack * out.row_marginals[n_base:]))))
+    slack = -(pool.rows @ x)
+    worst = max(worst, float(np.max(np.abs(slack * out.row_marginals[n_base:]), initial=0.0)))
     fin = np.isfinite(model.lb)
     worst = max(worst, float(np.max(np.abs((x - model.lb)[fin] * out.lower_marginals[fin]), initial=0.0)))
     fin = np.isfinite(model.ub)
@@ -596,21 +613,14 @@ def solve_relaxed(model: UCModel) -> tuple[DispatchSolution, DualSolution, Solve
         raise ValueError("solve_relaxed requires a model built with relaxed=True")
     stats = SolveStats(lp_columns=model.n_vars)
     t0 = time.perf_counter()
-    cuts = _initial_cuts(model)
-    session = _session(model, cuts)
-    out = _oa_solve(model, cuts, None, stats, session)
-    if out.status == lp.INFEASIBLE:
-        raise _diagnose_infeasible(model, session)
-    if out.status == lp.UNBOUNDED:
-        raise UnboundedError("relaxed model is unbounded")
-    if out.status != lp.OPTIMAL:
-        raise SolverError(f"LP backend failure: {out.message}")
+    pool = _CutPool(model)
+    out = _solve_root(pool, stats)
     _verify_feasibility(model, out.x, FEAS_TOL)
     dispatch = _dispatch_from_x(model, out.x, out.objective)
-    duals = _duals_from(model, out, cuts, stats)
+    duals = _duals_from(pool, out, stats)
     gap = abs(out.objective - duals.dual_objective) / max(1.0, abs(out.objective))
     stats.rel_duality_gap = gap
-    stats.cuts = len(cuts)
+    stats.cuts = len(pool.t)
     stats.final_cone_residual = _final_cone_residual(model, out.x)
     stats.wall_s = time.perf_counter() - t0
     if gap > DUALITY_TOL:
@@ -693,24 +703,16 @@ def solve_mip(
         raise ValueError("solve_mip requires a model built with relaxed=False")
     stats = SolveStats(lp_columns=model.n_vars)
     t0 = time.perf_counter()
-    cuts = _initial_cuts(model)
     dangling = _dangling_yst(model)
-    session = _session(model, cuts)
-
-    root = _oa_solve(model, cuts, None, stats, session)
-    if root.status == lp.INFEASIBLE:
-        raise _diagnose_infeasible(model, session)
-    if root.status == lp.UNBOUNDED:
-        raise UnboundedError("model is unbounded")
-    if root.status != lp.OPTIMAL:
-        raise SolverError(f"LP backend failure: {root.message}")
+    pool = _CutPool(model)
+    root = _solve_root(pool, stats)
 
     incumbent: np.ndarray | None = None
     inc_obj = math.inf
     patch0 = _heuristic_fix(model, root.x)
     if patch0 is not None:
         try:
-            h_out = _oa_solve(model, cuts, patch0, stats, session)
+            h_out = _oa_solve(pool, patch0, stats)
         except SolverError:
             h_out = None
         if h_out is not None and h_out.status == lp.OPTIMAL:
@@ -736,8 +738,8 @@ def solve_mip(
             budget_exhausted = True
             break
         stats.nodes += 1
-        session.restore(basis)
-        out = _oa_solve(model, cuts, patch, stats, session)
+        pool.session.restore(basis)
+        out = _oa_solve(pool, patch, stats)
         if out.status != lp.OPTIMAL:
             continue
         if incumbent is not None and out.objective >= threshold():
@@ -768,7 +770,7 @@ def solve_mip(
     x = incumbent.copy()
     x[dangling] = 0.0
     fixed = {idx: (round(x[idx]), round(x[idx])) for idx in model.binary_indices}
-    polished = _oa_solve(model, cuts, fixed, stats, session)
+    polished = _oa_solve(pool, fixed, stats)
     if polished.status != lp.OPTIMAL:
         raise SolverError(
             f"fixed-binary polish of the incumbent failed (LP status {polished.status}: "
@@ -780,7 +782,7 @@ def solve_mip(
     stats.budget_exhausted = budget_exhausted
     if budget_exhausted and stats.stop_reason == "converged":
         stats.stop_reason = "budget"
-    stats.cuts = len(cuts)
+    stats.cuts = len(pool.t)
     stats.final_cone_residual = _final_cone_residual(model, x)
     stats.wall_s = time.perf_counter() - t0
     schedule = _commitment_from_x(model, x)
@@ -813,10 +815,8 @@ def solve_fixed_binaries(
     cold, independent of the branch and bound's warm one; the tests' exhaustive
     enumeration oracle uses it. The nadir cone is enforced.
     """
-    stats = SolveStats()
-    cuts = _initial_cuts(model)
     patch = {idx: (float(v), float(v)) for idx, v in values.items()}
-    out = _oa_solve(model, cuts, patch, stats, _session(model, cuts))
+    out = _oa_solve(_CutPool(model), patch, SolveStats())
     if out.status == lp.INFEASIBLE:
         return None
     if out.status != lp.OPTIMAL:

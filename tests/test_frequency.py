@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from asmarket.frequency import (
+    cut_coefficients,
     nadir_feasible,
     nadir_feasible_product,
     nadir_residual,
@@ -62,6 +63,18 @@ class TestNadir:
             checked += 1
         assert checked > 19_000
 
+    def test_cut_direction_uses_math_hypot(self):
+        # np.hypot differs from math.hypot in the last bit on some pairs,
+        # which would move every later cut
+        rng = np.random.default_rng(6)
+        u1, u2 = rng.normal(0.0, 1e3, 200_000), rng.normal(0.0, 1e3, 200_000)
+        u1[:10] = u2[:10] = 0.0
+        a1, a2 = separating_cut(u1, u2)
+        nrm = np.array([math.hypot(x, y) for x, y in zip(u1, u2)])
+        assert np.array_equal(a1[:10], np.zeros(10)) and np.array_equal(a2[:10], np.zeros(10))
+        assert a1[10:].tobytes() == (u1[10:] / nrm[10:]).tobytes()
+        assert a2[10:].tobytes() == (u2[10:] / nrm[10:]).tobytes()
+
     def test_cut_is_supporting(self):
         # a cut separates the violating point but keeps every member
         rng = np.random.default_rng(5)
@@ -70,8 +83,8 @@ class TestNadir:
             u1, u2, v = nadir_terms(h, efr, pfr, p, GB)
             if math.hypot(u1, u2) <= v:
                 continue
-            cut = separating_cut(0, u1, u2)
-            c = cut.coefficients(GB)
+            a1, a2 = separating_cut(np.array([u1]), np.array([u2]))
+            c = dict(zip(("h", "efr", "pfr", "p_loss"), (float(k[0]) for k in cut_coefficients(a1, a2, GB))))
             val = c["h"] * h + c["efr"] * efr + c["pfr"] * pfr + c["p_loss"] * p
             assert val > 0  # the violating point is cut off
             for _ in range(20):

@@ -7,6 +7,7 @@ import pytest
 
 from asmarket import pricing
 from asmarket.pricing import (
+    AUDIT_TOL,
     DISPATCH_TOL,
     AuditError,
     StandaloneError,
@@ -18,8 +19,8 @@ from asmarket.pricing import (
 )
 from asmarket.scenario import Scenario, SystemParams, gb_template
 from asmarket.solve import DualSolution, solve_mip, solve_relaxed
-from asmarket.ucmodel import EndogenousMax, FixedProfile, build_uc
-from conftest import binding_scenario, endog_scenario, free_pfr_scenario, gen
+from asmarket.ucmodel import EndogenousMax, FixedProfile, InitialState, build_uc
+from conftest import binding_scenario, endog_scenario, free_pfr_scenario, gen, toy10_scenario
 
 GB = SystemParams()
 
@@ -143,6 +144,33 @@ class TestDualityAudit:
         assert breakdown.as_payments == 0.0
         assert breakdown.as_market.sum() > 0  # the market itself is priced
         assert breakdown.identity_residual_rel <= 1e-5
+
+    @pytest.mark.parametrize("case", ["storage_e0", "gen_on"])
+    def test_initial_state_is_read_from_the_duals(self, case):
+        # the identity's initial-state constants are those of the model the
+        # duals came from
+        if case == "storage_e0":
+            sc, rule = toy10_scenario(6), EndogenousMax()
+            init = InitialState(storage_e0_mwh={s.id: s.e_ini_mwh / 2 for s in sc.storage_units})
+        else:
+            # g1 runs into hour 0 at a no-load cost; running it less at hour 0
+            # and more at hour 1 needs a start-up at hour 0, which its
+            # min-down-time row forbids while it is on
+            sc = Scenario(
+                params=GB, horizon=2, demand_mw=(10.0, 80.0),
+                generators=(
+                    gen("g1", 100.0, 0.0, 5.0, 0.0, 40.0, 1.0, 0.0, 0, 1, 1),
+                    gen("g2", 100.0, 0.0, 0.0, 0.0, 200.0),
+                ),
+            ).check()
+            rule, init = FixedProfile.constant(0.0, 2), InitialState(gen_on={"g1": 1})
+        dispatch, duals, _ = solve_relaxed(build_uc(sc, rule, relaxed=True, initial_state=init))
+        assert duals.initial_state == init
+        if case == "storage_e0":
+            assert any(duals.psi_ini[s.id] > 0 for s in sc.storage_units)
+        else:
+            assert duals.psi_mdt["g1"][0] > 0
+        assert duality_audit(dispatch, duals, sc).identity_residual_rel <= AUDIT_TOL
 
     def test_corrupted_duals_fail_audit(self):
         sc = binding_scenario()
@@ -315,11 +343,12 @@ class TestStandalone:
             assert getattr(sa.stats, counter) == sum(getattr(s, counter) for s in solved)
         assert sa.stats.final_cone_residual == max(s.final_cone_residual for s in solved)
 
-    def test_zero_clamp_logged(self, caplog):
+    def test_zero_clamp_logged(self, caplog, monkeypatch):
         sc = endog_scenario()
         block = self.block_i(sc)
+        monkeypatch.setattr(pricing, "ZERO_CLAMP", 0.5)
         with caplog.at_level(logging.DEBUG, logger="asmarket.pricing"):
-            sa = standalone_markets(sc, block, zero_clamp=0.5)
+            sa = standalone_markets(sc, block)
         assert sa.dispatched["g4"][0]
         assert sa.omegas["g4"][0] == 0.0
         clamped = [r.getMessage() for r in caplog.records if "zero-clamp" in r.getMessage()]

@@ -63,11 +63,11 @@ def tripled(sc):
 
 
 def lp_solve(model):
-    """The LP outcome and cuts behind ``solve_relaxed(model)``."""
-    cuts = solve._initial_cuts(model)
-    out = solve._oa_solve(model, cuts, None, solve.SolveStats(), solve._session(model, cuts))
+    """The LP outcome and cut pool behind ``solve_relaxed(model)``."""
+    pool = solve._CutPool(model)
+    out = solve._oa_solve(pool, None, solve.SolveStats())
     assert out.status == lp.OPTIMAL
-    return out, cuts
+    return out, pool
 
 
 def lift(model, oracle, out):
@@ -132,16 +132,20 @@ def test_objective_matches_oracle(pair):
 
 def test_lift_is_optimal_on_oracle_arrays(pair):
     model, oracle = pair.model, pair.oracle
-    out, cuts = lp_solve(model)
+    out, pool = lp_solve(model)
     lifted = lift(model, oracle, out)
+    # the same cuts on the oracle's columns; both pools start from the v >= 0 facets
+    T = pair.sc.horizon
+    oracle_pool = solve._CutPool(oracle)
+    oracle_pool.add(pool.t[T:], pool.a1[T:], pool.a2[T:])
     solve._verify_feasibility(oracle, lifted.x, FEAS_TOL)
     objective = float(oracle.c @ lifted.x)
     scale = max(1.0, abs(objective))
     assert objective == pytest.approx(out.objective, rel=1e-9)
     assert abs(solve._dual_objective(oracle, lifted) - objective) <= DUALITY_TOL * scale
-    assert solve._max_cs_residual(oracle, lifted, cuts) <= DUALITY_TOL * scale
+    assert solve._max_cs_residual(oracle_pool, lifted) <= DUALITY_TOL * scale
     # dual feasibility: the lifted multipliers price every column at its cost
-    a = sparse.vstack([oracle.a, solve._cut_matrix(oracle, cuts)], format="csr")
+    a = sparse.vstack([oracle.a, oracle_pool.rows], format="csr")
     reduced_cost = oracle.c - a.T @ lifted.row_marginals - lifted.lower_marginals - lifted.upper_marginals
     assert np.max(np.abs(reduced_cost)) <= DUALITY_TOL * max(1.0, np.max(np.abs(oracle.c)))
 

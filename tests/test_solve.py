@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -6,7 +7,8 @@ from scipy import sparse
 from scipy.optimize import linprog
 
 from asmarket import lp, solve
-from asmarket.scenario import Scenario, SystemParams
+from asmarket.frequency import nadir_residual, nadir_terms
+from asmarket.scenario import Scenario, SystemParams, gb_template
 from asmarket.solve import (
     CONE_REL_TOL,
     FEAS_TOL,
@@ -17,6 +19,9 @@ from asmarket.solve import (
     solve_relaxed,
 )
 from asmarket.ucmodel import (
+    V_EFRT,
+    V_H,
+    V_PFRT,
     V_PLOSS,
     V_PRES,
     V_Y,
@@ -128,8 +133,10 @@ class TestRelaxed:
 
     def test_grace_acceptance_is_reported(self, monkeypatch):
         # a violation inside FEAS_TOL on every round: only the grace rule stops the loop
-        def within_feas_tol(model, x, rel_tol):
-            return [(0, 0.0, 0.0, FEAS_TOL / 2)]
+        def within_feas_tol(model, x):
+            scaled = np.zeros(model.scenario.horizon)
+            scaled[0] = FEAS_TOL / 2
+            return np.zeros_like(scaled), np.zeros_like(scaled), scaled
 
         monkeypatch.setattr(solve, "_cone_violations", within_feas_tol)
         m = build_uc(binding_scenario(), FixedProfile.constant(100.0, 3), relaxed=True)
@@ -172,7 +179,7 @@ class TestVerifyFeasibility:
     @pytest.fixture(scope="class")
     def solved(self):
         model = build_uc(toy10_scenario(6), FixedProfile.constant(300.0, 6), relaxed=True)
-        out = lp.solve_lp(solve._session(model, []))
+        out = lp.solve_lp(lp.LpSession(model.c, model.a, model.row_lower, model.b, model.lb, model.ub))
         assert out.status == lp.OPTIMAL
         return model, out.x
 
@@ -197,6 +204,69 @@ class TestVerifyFeasibility:
             solve._verify_feasibility(model, x, 1e-6)
 
 
+class TestCutPool:
+    CONE = (V_H, V_EFRT, V_PFRT, V_PLOSS)  # the order of nadir_terms' arguments
+
+    @pytest.fixture(scope="class")
+    def model(self):
+        return build_uc(toy10_scenario(6), EndogenousMax(), relaxed=True)
+
+    def test_rows_are_the_cut_terms(self, model):
+        # a1*u1 + a2*u2 - v at random points, for the v >= 0 facets and for
+        # random unit directions, against the cone terms of frequency.py
+        rng = np.random.default_rng(11)
+        T = model.scenario.horizon
+        pool = solve._CutPool(model)
+        angle = rng.uniform(0.0, 2.0 * np.pi, 60)
+        pool.add(rng.integers(0, T, 60), np.cos(angle), np.sin(angle))
+        rows = pool.rows
+        assert rows.shape == (T + 60, model.n_vars)
+        assert np.array_equal(pool.t[:T], np.arange(T)) and not pool.a1[:T].any() and not pool.a2[:T].any()
+        assert np.all(np.diff(rows.indptr) == 4)
+        cone_cols = [model.cols[(kind, None)] for kind in self.CONE]
+        for k, t in enumerate(pool.t):
+            assert sorted(rows.indices[4 * k: 4 * k + 4]) == sorted(int(c[t]) for c in cone_cols)
+        for _ in range(20):
+            x = rng.normal(0.0, 1e3, model.n_vars)
+            got = rows @ x
+            scale = abs(rows) @ np.abs(x)
+            for k, t in enumerate(pool.t):
+                u1, u2, v = nadir_terms(*(x[c[t]] for c in cone_cols), model.scenario.params)
+                want = pool.a1[k] * u1 + pool.a2[k] * u2 - v
+                assert abs(got[k] - want) <= 1e-12 * scale[k], (k, got[k], want)
+
+    def test_cone_violations_match_nadir_residual(self, model):
+        # scaled residuals bit for bit against frequency.nadir_residual, hour by hour
+        rng = np.random.default_rng(12)
+        params = model.scenario.params
+        cone_cols = [model.cols[(kind, None)] for kind in self.CONE]
+        for _ in range(2000):
+            x = rng.normal(0.0, 1e3, model.n_vars)
+            u1, u2, scaled = solve._cone_violations(model, x)
+            for t in range(model.scenario.horizon):
+                point = [x[c[t]] for c in cone_cols]
+                w1, w2, v = nadir_terms(*point, params)
+                assert (u1[t], u2[t]) == (w1, w2)
+                assert scaled[t] == nadir_residual(*point, params) / max(1.0, abs(v), math.hypot(w1, w2))
+
+    def test_cut_multipliers_match_a_loop(self):
+        # mu_nadir_1/2/3 bit for bit against adding each cut's multiplier in cut order
+        model = build_uc(gb_template(6), EndogenousMax(), relaxed=True)
+        pool, stats = solve._CutPool(model), solve.SolveStats()
+        out = solve._solve_root(pool, stats)
+        duals = solve._duals_from(pool, out, stats)
+        assert len(pool.t) > model.scenario.horizon
+        mu = np.zeros((3, model.scenario.horizon))
+        for t, a1, a2, m in zip(pool.t, pool.a1, pool.a2, out.row_marginals[len(model.b):]):
+            nu = -m
+            mu[0][t] += nu * a1
+            mu[1][t] += nu * a2
+            mu[2][t] += nu
+        for got, want in zip((duals.mu_nadir_1, duals.mu_nadir_2, duals.mu_nadir_3), mu):
+            assert got.tobytes() == want.tobytes()
+        assert np.any(mu[2] > 0)
+
+
 class TestWarmStart:
     @pytest.mark.parametrize(
         "scenario, loss",
@@ -214,19 +284,19 @@ class TestWarmStart:
         real = solve._oa_solve
         seen = []
 
-        def spy(model, cuts, *rest):
-            seen.append(cuts)
-            return real(model, cuts, *rest)
+        def spy(pool, *rest):
+            seen.append(pool)
+            return real(pool, *rest)
 
         monkeypatch.setattr(solve, "_oa_solve", spy)
         dispatch, _, stats = solve_relaxed(model)
-        cuts = seen[-1]
-        assert stats.cuts == len(cuts) > model.scenario.horizon  # more than the v >= 0 cuts
+        pool = seen[-1]
+        assert stats.cuts == len(pool.t) > model.scenario.horizon  # more than the v >= 0 cuts
         eq = np.isfinite(model.row_lower)
         cold = linprog(
             model.c,
-            A_ub=sparse.vstack([model.a[~eq], solve._cut_matrix(model, cuts)]),
-            b_ub=np.concatenate([model.b[~eq], np.zeros(len(cuts))]),
+            A_ub=sparse.vstack([model.a[~eq], pool.rows]),
+            b_ub=np.concatenate([model.b[~eq], np.zeros(len(pool.t))]),
             A_eq=model.a[eq],
             b_eq=model.b[eq],
             bounds=np.column_stack([model.lb, model.ub]),
@@ -336,7 +406,7 @@ class TestMip:
         calls = []
 
         def counting(*args):
-            calls.append(args[2])
+            calls.append(args[1])
             return real(*args)
 
         monkeypatch.setattr(solve, "_oa_solve", counting)
@@ -345,7 +415,7 @@ class TestMip:
         assert set(calls[-1]) == set(m.binary_indices)
 
         def failing_polish(*args):
-            calls.append(args[2])
+            calls.append(args[1])
             out = real(*args)
             if len(calls) == polish_call:
                 out.status, out.message = lp.ITERATION_LIMIT, "iteration limit reached"
