@@ -35,6 +35,8 @@ class AirportGame:
     def from_costs(cls, costs: dict[str, float] | list[tuple[str, float]], hour: int | None = None):
         items = list(costs.items()) if isinstance(costs, dict) else list(costs)
         for uid, w in items:
+            if not math.isfinite(w):
+                raise AllocationError(f"non-finite stand-alone cost for {uid!r}: {w}")
             if w < 0:
                 raise AllocationError(f"negative stand-alone cost for {uid!r}: {w}")
         items.sort(key=lambda kv: (kv[1], kv[0]))

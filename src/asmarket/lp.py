@@ -148,12 +148,13 @@ class LpSession:
             self.highs.setOptionValue(option, value)
         _check(self.highs.passModel(model), "HiGHS rejected the LP")
 
-    def add_ub_rows(self, a: sparse.spmatrix | np.ndarray, b: np.ndarray) -> None:
-        """Append rows ``a @ x <= b``; their marginals come last in ``row_marginals``."""
-        a = sparse.csr_matrix(a)
+    def add_ub_rows(self, indptr: np.ndarray, indices: np.ndarray, data: np.ndarray, b: np.ndarray) -> None:
+        """Append rows ``a @ x <= b``, ``a`` given by its CSR arrays (row k
+        holds ``data[indptr[k]:indptr[k + 1]]`` at columns ``indices[...]``);
+        their marginals come last in ``row_marginals``."""
         status = self.highs.addRows(
-            a.shape[0], np.full(a.shape[0], -np.inf), np.asarray(b, dtype=float),
-            a.nnz, a.indptr[:-1], a.indices, a.data,
+            len(b), np.full(len(b), -np.inf), np.asarray(b, dtype=float),
+            len(data), indptr[:-1], indices, data,
         )
         _check(status, "HiGHS rejected the added rows")
 

@@ -29,6 +29,15 @@ class ScenarioValidationError(ScenarioError):
         super().__init__("invalid scenario:\n" + "\n".join(self.diagnostics))
 
 
+def _is_number(v) -> bool:
+    """A finite JSON number (an integer or a float; a boolean is not one)."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+
+
+def _is_integer(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 @dataclass(frozen=True)
 class SystemParams:
     """Frequency-security parameters of the grid."""
@@ -43,7 +52,7 @@ class SystemParams:
         out = []
         for name in ("f0_hz", "rocof_max_hz_per_s", "delta_f_max_hz", "t_efr_s", "t_pfr_s"):
             v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0):
+            if not (_is_number(v) and v > 0):
                 out.append(f"{path}.{name}: must be strictly positive (got {v!r})")
         if self.t_efr_s >= self.t_pfr_s:
             out.append(f"{path}.t_efr_s: must be < t_pfr_s (got {self.t_efr_s} >= {self.t_pfr_s})")
@@ -82,7 +91,7 @@ class GeneratorSpec:
             out.append(f"{path}.inertia_s: must be >= 0 (got {self.inertia_s})")
         for name in ("min_up_h", "min_down_h", "start_up_h"):
             v = getattr(self, name)
-            if not (isinstance(v, int) and v >= 0):
+            if not (_is_integer(v) and v >= 0):
                 out.append(f"{path}.{name}: must be a non-negative integer (got {v!r})")
         return out
 
@@ -183,7 +192,7 @@ class Scenario:
         if len(self.demand_mw) != self.horizon:
             out.append(f"demand_mw: length {len(self.demand_mw)} does not match horizon {self.horizon}")
         for t, d in enumerate(self.demand_mw):
-            if not (isinstance(d, (int, float)) and math.isfinite(d) and d > 0):
+            if not (_is_number(d) and d > 0):
                 out.append(f"demand_mw[{t}]: demand must be > 0 (got {d})")
         if self.p_loss_cap_mw is not None:
             if len(self.p_loss_cap_mw) != self.horizon:
@@ -242,19 +251,39 @@ class Scenario:
 # Document I/O
 
 
+def _numbers(v, path: str, diags: list[str]) -> tuple[float, ...] | None:
+    """``v`` as floats if it is a list of finite JSON numbers; else each
+    offending entry is reported and None returned."""
+    if not isinstance(v, list):
+        diags.append(f"{path}: must be a list of numbers (got {v!r})")
+        return None
+    bad = [f"{path}[{t}]: must be a finite number (got {x!r})" for t, x in enumerate(v) if not _is_number(x)]
+    diags.extend(bad)
+    return None if bad else tuple(float(x) for x in v)
+
+
 def _spec_from_dict(cls, raw: dict, path: str, diags: list[str]):
-    """Build a dataclass from a JSON mapping, reporting unknown/missing keys."""
+    """Build a dataclass from a JSON mapping, reporting unknown/missing keys
+    and numeric fields not holding a finite number (an integer if ``int``)."""
     import dataclasses
 
+    if not isinstance(raw, dict):
+        diags.append(f"{path}: must be an object (got {raw!r})")
+        return None
     names = {f.name for f in fields(cls)}
     for k in sorted(set(raw) - names):
         diags.append(f"{path}.{k}: unknown field")
     kwargs = {}
+    n_diags = len(diags)
     for f in fields(cls):
         if f.name in raw:
             v = raw[f.name]
             if f.name == "cf":
-                v = tuple(float(x) for x in v)
+                v = _numbers(v, f"{path}.cf", diags)
+            elif f.type == "float" and not _is_number(v):
+                diags.append(f"{path}.{f.name}: must be a finite number (got {v!r})")
+            elif f.type == "int" and not _is_integer(v):
+                diags.append(f"{path}.{f.name}: must be an integer (got {v!r})")
             kwargs[f.name] = v
     missing = [
         f.name
@@ -265,7 +294,7 @@ def _spec_from_dict(cls, raw: dict, path: str, diags: list[str]):
     ]
     for name in missing:
         diags.append(f"{path}.{name}: missing required field")
-    if missing:
+    if len(diags) > n_diags:
         return None
     try:
         return cls(**kwargs)
@@ -297,21 +326,26 @@ def scenario_from_dict(doc: dict) -> Scenario:
         s = _spec_from_dict(StorageSpec, raw, f"storage_units[{i}]", diags)
         if s is not None:
             stos.append(s)
+    horizon = doc.get("horizon_hours")
     if "horizon_hours" not in doc:
         diags.append("horizon_hours: missing required field")
+    elif not _is_integer(horizon):
+        diags.append(f"horizon_hours: must be an integer (got {horizon!r})")
     if "demand_mw" not in doc:
         diags.append("demand_mw: missing required field")
+    demand = _numbers(doc.get("demand_mw", []), "demand_mw", diags)
+    cap = doc.get("p_loss_cap_mw")
+    cap = None if cap is None else _numbers(cap, "p_loss_cap_mw", diags)
     if diags:
         raise ScenarioValidationError(diags)
-    cap = doc.get("p_loss_cap_mw")
     scenario = Scenario(
         params=params,
-        horizon=int(doc["horizon_hours"]),
-        demand_mw=tuple(float(x) for x in doc["demand_mw"]),
+        horizon=horizon,
+        demand_mw=demand,
         generators=tuple(gens),
         res_units=tuple(res),
         storage_units=tuple(stos),
-        p_loss_cap_mw=None if cap is None else tuple(float(x) for x in cap),
+        p_loss_cap_mw=cap,
     )
     return scenario.check()
 

@@ -3,7 +3,8 @@ recovery, and best-first branch-and-bound for the mixed-integer form.
 
 ``build_uc`` already holds the LP in HiGHS' row-bound form (equality rows
 first, then every inequality as ``<=``), so one marginal vector covers every
-row, and per-unit series are read through the model's ``cols``. A relaxed
+row, and per-unit series and row duals are read through the model's ``cols``
+and ``rows``, one gather each. A relaxed
 model holds one column block per class of identical units, so every member
 holds its class's values and an equal share of its class's per-unit duals;
 each is computed once per class and held in one read-only array that the
@@ -51,6 +52,7 @@ from .ucmodel import (
     K_PFRDEF,
     K_QSS,
     K_ROCOF,
+    FixedProfile,
     UCModel,
     V_E,
     V_E0,
@@ -234,19 +236,18 @@ class _CutPool:
         c_h, c_efr, c_pfr, c_loss = cut_coefficients(a1, a2, self.model.scenario.params)
         return self._cone_cols[t], np.column_stack([c_h, c_pfr, c_efr, c_loss])
 
-    def _csr(self, index: np.ndarray, data: np.ndarray) -> sparse.csr_matrix:
-        indptr = np.arange(0, data.size + 1, 4)
-        return sparse.csr_matrix((data.ravel(), index.ravel(), indptr), shape=(len(data), self.model.n_vars))
-
     @property
     def rows(self) -> sparse.csr_matrix:
         """Every cut row, in cut order."""
-        return self._csr(self._index, self._data)
+        indptr = np.arange(0, self._data.size + 1, 4)
+        return sparse.csr_matrix(
+            (self._data.ravel(), self._index.ravel(), indptr), shape=(len(self._data), self.model.n_vars)
+        )
 
     def add(self, t: np.ndarray, a1: np.ndarray, a2: np.ndarray) -> None:
         """Append cuts to the pool and to the session."""
         index, data = self._entries(t, a1, a2)
-        self.session.add_ub_rows(self._csr(index, data), np.zeros(len(t)))
+        self.session.add_ub_rows(np.arange(0, data.size + 1, 4), index.ravel(), data.ravel(), np.zeros(len(t)))
         self.t = np.concatenate([self.t, t])
         self.a1 = np.concatenate([self.a1, a1])
         self.a2 = np.concatenate([self.a2, a2])
@@ -328,11 +329,12 @@ def _diagnose_infeasible(pool: _CutPool) -> InfeasibleError:
     """HiGHS' IIS rows, counted by constraint class; the rows past the base
     rows are nadir cuts. The certificate is the first class of
     ``INFEASIBILITY_LABELS`` in the IIS, else its most frequent class."""
-    model = pool.model
+    kinds = np.full(len(pool.model.b) + len(pool.t), K_NADIR_CUT, dtype=object)
+    for (kind, _), idx in pool.model.rows.items():
+        kinds[idx] = kind
     by_class: dict[str, int] = {}
     for i in pool.session.iis_rows():
-        kind = model.rows[i].kind if i < len(model.rows) else K_NADIR_CUT
-        label = INFEASIBILITY_LABELS.get(kind, kind)
+        label = INFEASIBILITY_LABELS.get(kinds[i], kinds[i])
         by_class[label] = by_class.get(label, 0) + 1
     if not by_class:
         return InfeasibleError("unknown (no IIS found)")
@@ -348,12 +350,11 @@ def _diagnose_infeasible(pool: _CutPool) -> InfeasibleError:
 class _Classes:
     """The classes of one group of units (generators, RES or storage): the
     units' ``ids`` in scenario order, ``reps`` the first member of each class
-    in the order met, ``index[rep]`` a class's position in ``reps``, the class
-    ``sizes``, and ``pos`` each unit's class position."""
+    in the order met, the class ``sizes``, and ``pos`` each unit's class
+    position in ``reps``."""
 
     ids: list[str]
     reps: list[str]
-    index: dict[str, int]
     sizes: np.ndarray
     pos: list[int]
 
@@ -364,13 +365,14 @@ class _Classes:
         reps = list(dict.fromkeys(first))
         index = {rep: k for k, rep in enumerate(reps)}
         sizes = np.array([len(model.classes[rep]) for rep in reps], dtype=float)
-        return cls(ids, reps, index, sizes, list(map(index.__getitem__, first)))
+        return cls(ids, reps, sizes, list(map(index.__getitem__, first)))
 
-    def columns(self, model: UCModel, kind: str) -> np.ndarray:
-        """The columns of ``kind``, one row per class."""
+    def gather(self, index: dict, kind: str) -> np.ndarray:
+        """The columns or rows of ``kind`` in ``index`` (``model.cols`` or
+        ``model.rows``), one row per class."""
         if not self.reps:
             return np.zeros((0, 1), dtype=int)
-        return np.array([model.cols[(kind, rep)] for rep in self.reps])
+        return np.array([index[(kind, rep)] for rep in self.reps])
 
     def spread(self, values) -> dict:
         """``{unit: values[its class position]}``, keyed in scenario order."""
@@ -389,7 +391,7 @@ def _dispatch_from_x(model: UCModel, x: np.ndarray, objective: float) -> Dispatc
     sc = model.scenario
     T = sc.horizon
     gens, res, stos = (_Classes.of(model, units) for units in (sc.generators, sc.res_units, sc.storage_units))
-    series = lambda kind, group: group.spread(_shared_rows(x[group.columns(model, kind)]))
+    series = lambda kind, group: group.spread(_shared_rows(x[group.gather(model.cols, kind)]))
     gen_p = series(V_P, gens)
     gen_pfr = series(V_PFRG, gens)
     gen_commit = series(V_Y, gens)
@@ -426,7 +428,7 @@ def _dispatch_from_x(model: UCModel, x: np.ndarray, objective: float) -> Dispatc
         sto_soc=series(V_E, stos),
         sto_pfr=sto_pfr,
         sto_efr=sto_efr,
-        sto_e0=stos.spread(x[stos.columns(model, V_E0)][:, 0].tolist()),
+        sto_e0=stos.spread(x[stos.gather(model.cols, V_E0)][:, 0].tolist()),
         inertia_mws=inertia,
         pfr_mw=pfr,
         efr_mw=efr,
@@ -453,52 +455,33 @@ def _commitment_from_x(model: UCModel, x: np.ndarray) -> CommitmentSchedule:
 def _duals_from(pool: _CutPool, out: lp.LpOutcome, stats: SolveStats) -> DualSolution:
     model = pool.model
     sc = model.scenario
+    rows, b = model.rows, model.b
+    n_base = len(b)
     T = sc.horizon
-    n_base = len(model.rows)
-    z = lambda: np.zeros(T)
-    lambda_e, lambda_h, lambda_pfr, lambda_efr = z(), z(), z(), z()
-    mu_rocof, mu_qss, omega = z(), z(), z()
-    mu1, mu2, mu3 = z(), z(), z()
-
-    initial_rhs_term = 0.0
-    as_payment_rhs = 0.0
+    # equality rows report their marginal m (the aggregation rows -m);
+    # inequality rows hold their <= form, so their multiplier is mu = -m >= 0
+    m = out.row_marginals[:n_base]
+    mu = -m
     gens, res, stos = (_Classes.of(model, units) for units in (sc.generators, sc.res_units, sc.storage_units))
-    # per-unit row duals, one row per class: the model holds the rows of the
-    # class's first member
-    psi_mdt, psi_mutex = np.zeros((len(gens.reps), T)), np.zeros((len(stos.reps), T))
-    psi_ini, psi_end = np.zeros(len(stos.reps)), np.zeros(len(stos.reps))
 
-    # equality rows report price_sign * m; inequality rows hold their <=
-    # form, so their multiplier is mu = -m >= 0
-    for row, m in zip(model.rows, out.row_marginals[:n_base]):
-        mu = -m
-        if row.kind == K_BALANCE:
-            lambda_e[row.t] = row.price_sign * m
-        elif row.kind == K_HDEF:
-            lambda_h[row.t] = row.price_sign * m
-        elif row.kind == K_PFRDEF:
-            lambda_pfr[row.t] = row.price_sign * m
-        elif row.kind == K_EFRDEF:
-            lambda_efr[row.t] = row.price_sign * m
-        elif row.kind in (K_COMMIT, K_MUT) and row.rhs != 0.0:
-            # both keep their natural orientation (= and <=)
-            initial_rhs_term -= row.rhs * m
-        elif row.kind == K_ROCOF:
-            mu_rocof[row.t] = mu
-        elif row.kind == K_QSS:
-            mu_qss[row.t] = mu
-        elif row.kind == K_MAXLOSS:
-            omega[row.t] += mu
-            as_payment_rhs += row.rhs * mu
-        elif row.kind == K_MDT:
-            psi_mdt[gens.index[row.unit], row.t] = mu
-        elif row.kind == K_MUTEX:
-            psi_mutex[stos.index[row.unit], row.t] = mu
-        elif row.kind == K_E0CAP:
-            psi_ini[stos.index[row.unit]] = mu
-        elif row.kind == K_EEND:
-            psi_end[stos.index[row.unit]] = mu
+    # omega adds each hour's max-loss multipliers in row order (under
+    # EndogenousMax: generators, RES, storage) to +0.0, so a -0.0 multiplier
+    # reads +0.0 as it always has
+    omega = np.zeros(T)
+    for key in [(K_MAXLOSS, None)] + [(K_MAXLOSS, rep) for group in (gens, res, stos) for rep in group.reps]:
+        if key in rows:
+            omega += mu[rows[key]]
+    as_payment_rhs = 0.0
+    if isinstance(model.loss_rule, FixedProfile):
+        for p, mu_t in zip(model.loss_rule.p_mw, mu[rows[(K_MAXLOSS, None)]]):
+            as_payment_rhs += float(p) * mu_t
+    # the hour-0 commitment and min-up rows carry the initial state
+    initial_rhs_term = 0.0
+    first = np.concatenate([gens.gather(rows, K_COMMIT)[:, 0], gens.gather(rows, K_MUT)[:, 0]])
+    for i in first[b[first] != 0.0]:
+        initial_rhs_term -= b[i] * m[i]
     # cut multipliers through the cut gradients, added in cut order
+    mu1, mu2, mu3 = np.zeros(T), np.zeros(T), np.zeros(T)
     nu = -out.row_marginals[n_base:]
     np.add.at(mu1, pool.t, nu * pool.a1)
     np.add.at(mu2, pool.t, nu * pool.a2)
@@ -515,32 +498,32 @@ def _duals_from(pool: _CutPool, out: lp.LpOutcome, stats: SolveStats) -> DualSol
         return group.spread(_shared_rows(at_reps / sizes))
 
     def bound_series(kind, group, psi=psi_ub):
-        return lifted(group, psi[group.columns(model, kind)])
+        return lifted(group, psi[group.gather(model.cols, kind)])
 
     duals = DualSolution(
-        lambda_e=lambda_e,
-        lambda_h=lambda_h,
-        lambda_pfr=lambda_pfr,
-        lambda_efr=lambda_efr,
-        mu_rocof=mu_rocof,
+        lambda_e=m[rows[(K_BALANCE, None)]],
+        lambda_h=mu[rows[(K_HDEF, None)]],
+        lambda_pfr=mu[rows[(K_PFRDEF, None)]],
+        lambda_efr=mu[rows[(K_EFRDEF, None)]],
+        mu_rocof=mu[rows[(K_ROCOF, None)]],
         mu_nadir_1=mu1,
         mu_nadir_2=mu2,
         mu_nadir_3=mu3,
-        mu_qss=mu_qss,
+        mu_qss=mu[rows[(K_QSS, None)]],
         omega_loss=omega,
         psi_max_y=bound_series(V_Y, gens),
         psi_max_yst=bound_series(V_YST, gens),
         psi_max_ysg=bound_series(V_YSG, gens),
         psi_max_ysd=bound_series(V_YSD, gens),
-        psi_mdt=lifted(gens, psi_mdt),
+        psi_mdt=lifted(gens, mu[gens.gather(rows, K_MDT)]),
         psi_cf=bound_series(V_PRES, res),
         psi_e_min=bound_series(V_E, stos, psi_lb),
         psi_e_max=bound_series(V_E, stos),
         psi_max_ycha=bound_series(V_YCHA, stos),
         psi_max_ydis=bound_series(V_YDIS, stos),
-        psi_mutex=lifted(stos, psi_mutex),
-        psi_ini=lifted(stos, psi_ini),
-        psi_end=lifted(stos, psi_end),
+        psi_mutex=lifted(stos, mu[stos.gather(rows, K_MUTEX)]),
+        psi_ini=lifted(stos, mu[stos.gather(rows, K_E0CAP)][:, 0]),
+        psi_end=lifted(stos, mu[stos.gather(rows, K_EEND)][:, 0]),
         initial_rhs_term=initial_rhs_term,
         as_payment_rhs=as_payment_rhs,
         dual_objective=_dual_objective(model, out),
@@ -585,7 +568,13 @@ def _verify_feasibility(model: UCModel, x: np.ndarray, tol: float) -> None:
     viol = np.maximum(model.row_lower - ax, ax - model.b) / np.maximum(1.0, np.abs(model.b))
     if viol.max() > tol:
         i = int(np.argmax(viol))
-        raise SolverError(f"row {model.rows[i].name} violated by {viol[i]:.3e} (scaled), above tolerance")
+        # named kind[t], kind[unit,t] or, for a unit's one row of a kind,
+        # kind[unit]; a class's own key comes before its members'
+        (kind, unit), idx = next((key, idx) for key, idx in model.rows.items() if i in idx)
+        where = [] if unit is None else [unit]
+        if kind not in (K_E0CAP, K_EEND):
+            where.append(str(int(np.flatnonzero(idx == i)[0])))
+        raise SolverError(f"row {kind}[{','.join(where)}] violated by {viol[i]:.3e} (scaled), above tolerance")
 
 
 # ---------------------------------------------------------------------------
@@ -646,10 +635,26 @@ def _fractional(model: UCModel, x: np.ndarray, skip: np.ndarray) -> list[int]:
     return np.flatnonzero(bad).tolist()
 
 
-def _pick_branch_var(model: UCModel, x: np.ndarray, fractional: list[int]) -> int:
-    pool = [i for i in fractional if model.branch[i]] or fractional
+def _branching(model: UCModel) -> tuple[np.ndarray, np.ndarray]:
+    """The branching policy: the mask of the y, y_cha and y_dis columns,
+    which are branched on first, and every binary column's tie-break weight,
+    its unit's p_max (zero on the other columns)."""
+    mask, weight = np.zeros(model.n_vars, dtype=bool), np.zeros(model.n_vars)
+    for g in model.scenario.generators:
+        mask[model.cols[(V_Y, g.id)]] = True
+        for kind in (V_Y, V_YST, V_YSG, V_YSD):
+            weight[model.cols[(kind, g.id)]] = g.p_max_mw
+    for s in model.scenario.storage_units:
+        for kind in (V_YCHA, V_YDIS):
+            mask[model.cols[(kind, s.id)]] = True
+            weight[model.cols[(kind, s.id)]] = s.p_max_mw
+    return mask, weight
+
+
+def _pick_branch_var(x: np.ndarray, fractional: list[int], mask: np.ndarray, weight: np.ndarray) -> int:
+    pool = [i for i in fractional if mask[i]] or fractional
     # most fractional; ties by unit size descending, then index
-    return min(pool, key=lambda i: (abs(x[i] - 0.5), -model.branch_weight[i], i))
+    return min(pool, key=lambda i: (abs(x[i] - 0.5), -weight[i], i))
 
 
 def _heuristic_fix(model: UCModel, x: np.ndarray) -> dict[int, tuple[float, float]] | None:
@@ -690,20 +695,22 @@ def solve_mip(
 ) -> tuple[CommitmentSchedule, DispatchSolution, SolveStats]:
     """Best-first branch-and-bound on the commitment binaries.
 
-    Branches on the most fractional commitment variable (ties: unit size
-    descending). The root, the rounding heuristic, every node and the
-    fixed-binary polish share one LP session and one cut pool (the cuts are
-    globally valid). A node sets its bound patch in place and restarts dual
-    simplex from its parent's optimal basis, which bound changes leave dual
-    feasible. Returns the incumbent with stats flagged when the budget
-    (``max_nodes`` nodes, ``time_limit_s`` seconds of wall time) runs out
-    before the gap is proven.
+    Branches on the most fractional binary, a y, y_cha or y_dis column if
+    one is fractional (ties: the unit's p_max descending); ``_branching``
+    derives this policy from the model's columns. The root, the rounding
+    heuristic, every node and the fixed-binary polish share one LP session
+    and one cut pool (the cuts are globally valid). A node sets its bound
+    patch in place and restarts dual simplex from its parent's optimal
+    basis, which bound changes leave dual feasible. Returns the incumbent
+    with stats flagged when the budget (``max_nodes`` nodes,
+    ``time_limit_s`` seconds of wall time) runs out before the gap is proven.
     """
     if model.relaxed:
         raise ValueError("solve_mip requires a model built with relaxed=False")
     stats = SolveStats(lp_columns=model.n_vars)
     t0 = time.perf_counter()
     dangling = _dangling_yst(model)
+    branch_mask, branch_weight = _branching(model)
     pool = _CutPool(model)
     root = _solve_root(pool, stats)
 
@@ -749,7 +756,7 @@ def solve_mip(
             if out.objective < inc_obj:
                 incumbent, inc_obj = out.x.copy(), out.objective
             continue
-        var = _pick_branch_var(model, out.x, frac)
+        var = _pick_branch_var(out.x, frac, branch_mask, branch_weight)
         for val in (0.0, 1.0):
             seq += 1
             child = dict(patch)

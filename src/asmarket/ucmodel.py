@@ -5,20 +5,21 @@ CSR matrix whose rows hold ``row_lower <= a @ x <= b`` (equality rows first,
 then every inequality as ``<=`` with ``>=`` rows negated, each block in build
 order). The nadir cone of hour t is not a row: it constrains the aggregate
 columns ``h_sys``, ``efr_sys``, ``pfr_sys`` and ``p_loss`` at index t of
-``cols``, and the solvers approximate it by cuts. Columns and rows carry named
-kinds, so the solvers can read per-unit series, recover duals under the
-conventions the pricing layer expects and tag infeasibility certificates by
-constraint class.
-Each ``RowDef`` keeps its natural sense and right-hand side as written.
+``cols``, and the solvers approximate it by cuts. Columns and rows are
+addressed alike, by named kind and unit: ``cols[(kind, unit)]`` holds a
+unit's columns of one kind and ``rows[(kind, unit)]`` its rows of one kind,
+both in hour order (``unit`` is None for the system's), so the solvers read
+per-unit series and recover duals by gathers, under the conventions the
+pricing layer expects, and tag infeasibility certificates by constraint class.
 
 The relaxation is built on classes of identical units: units equal in every
 field but ``id``, with equal ``InitialState`` entries, share one column block
 and one set of per-unit rows holding one member's values, and the class's
 costs and its coefficients in the balance and aggregation rows are scaled by
-its size. ``cols`` maps every member to its class's columns. The relaxation
-is convex and invariant under permuting a class, so a symmetric optimum
-exists and this is its exact restriction; the mixed-integer build keeps one
-block per unit.
+its size. ``cols`` and ``rows`` map every member to its class's columns and
+rows. The relaxation is convex and invariant under permuting a class, so a
+symmetric optimum exists and this is its exact restriction; the
+mixed-integer build keeps one block per unit.
 Under a fixed loss profile the model differs from profile to profile only in
 the T max-loss right-hand sides, so ``UCModel.with_loss_profile`` re-targets
 a built model instead of building another.
@@ -133,24 +134,17 @@ class InitialState:
         return float(self.storage_e0_mwh.get(storage.id, storage.e_ini_mwh))
 
 
-@dataclass
-class RowDef:
-    name: str
-    kind: str
-    sense: str  # '=', '<=', '>='
-    rhs: float
-    unit: str | None = None
-    t: int = -1
-    price_sign: int = 1  # equality rows: reported dual = price_sign * (d obj / d rhs)
-
-
 class ModelError(Exception):
     pass
 
 
 @dataclass
 class UCModel:
-    """min c@x s.t. row_lower <= a@x <= b, lb <= x <= ub, x[binary] integral."""
+    """min c@x s.t. row_lower <= a@x <= b, lb <= x <= ub, x[binary] integral.
+
+    ``cols`` and ``rows`` map (kind, unit) (unit None for the system) to its
+    columns and its rows of ``a`` in hour order; ``e0``,
+    ``storage_initial_energy`` and ``storage_final_energy`` have one each."""
 
     scenario: Scenario
     loss_rule: LossRule
@@ -160,14 +154,12 @@ class UCModel:
     lb: np.ndarray
     ub: np.ndarray
     binary: np.ndarray            # mask; all False in the relaxed build
-    branch: np.ndarray            # mask of the binary y, y_cha and y_dis columns
-    branch_weight: np.ndarray     # unit p_max; tie-break for branching
     cols: dict[tuple[str, str | None], np.ndarray]  # (kind, unit) -> columns in hour order
     classes: dict[str, tuple[str, ...]]  # unit -> its class's members, the first holding the columns
     a: sparse.csr_matrix
     b: np.ndarray
     row_lower: np.ndarray         # b on the leading equality rows, -inf after
-    rows: list[RowDef]            # rows[i] is the model row behind row i of a
+    rows: dict[tuple[str, str | None], np.ndarray]  # (kind, unit) -> rows of a in hour order
 
     @property
     def n_vars(self) -> int:
@@ -177,33 +169,22 @@ class UCModel:
         """Column of ``kind`` for ``unit`` at hour ``t`` (``e0`` has only t = 0)."""
         return int(self.cols[(kind, unit)][t])
 
-    def rows_of_kind(self, kind: str) -> list[RowDef]:
-        return [r for r in self.rows if r.kind == kind]
-
-    @property
-    def branch_indices(self) -> list[int]:
-        return np.flatnonzero(self.branch).tolist()
-
     @property
     def binary_indices(self) -> list[int]:
         return np.flatnonzero(self.binary).tolist()
 
     def with_loss_profile(self, rule: FixedProfile) -> "UCModel":
         """This model with its T max-loss rows re-targeted to ``rule``: equal,
-        array for array, to ``build_uc`` under ``rule``. Only ``b`` and
-        ``rows`` are new; every other array is shared with this model."""
+        array for array, to ``build_uc`` under ``rule``. Only ``b`` is new;
+        every other array is shared with this model."""
         T = self.scenario.horizon
         if not isinstance(self.loss_rule, FixedProfile):
             raise ModelError("only a model built with a FixedProfile can be re-targeted")
         if not isinstance(rule, FixedProfile) or len(rule.p_mw) != T:
             raise ModelError(f"re-targeting needs a FixedProfile of horizon {T}")
         b = self.b.copy()
-        rows = list(self.rows)
-        for i, row in enumerate(rows):
-            if row.kind == K_MAXLOSS:
-                rows[i] = replace(row, rhs=float(rule.p_mw[row.t]))
-                b[i] = -1.0 * rows[i].rhs  # a >= row, negated as in build_uc
-        return replace(self, loss_rule=rule, b=b, rows=rows)
+        b[self.rows[(K_MAXLOSS, None)]] = -np.array(rule.p_mw, dtype=float)  # p_loss >= p, negated
+        return replace(self, loss_rule=rule, b=b)
 
 
 @functools.cache
@@ -221,6 +202,9 @@ def build_uc(
 ) -> UCModel:
     """Assemble the frequency-secured UC (mixed-integer form or its relaxation).
 
+    Rows are written with their natural sense and right-hand side, then put
+    in row-bound form; ``rows`` keeps each (kind, unit)'s positions in ``a``.
+
     The relaxed build replaces every binary with a [0, 1] box whose bound
     multipliers are the psi duals used by the pricing layer, and holds one
     column block per class of identical units (every field but ``id`` equal,
@@ -228,11 +212,12 @@ def build_uc(
     one member's values, its costs and its coefficients in the balance and
     aggregation rows are multiplied by the class size n, and under
     ``EndogenousMax`` its max-loss row stays ``p <= p_loss``. Every member's
-    ``cols`` entry is its class's columns, and every member's ``classes``
-    entry is one tuple shared by the class. The class key is computed without
-    building a copy of the unit: the unit's type, its compared fields other
-    than ``id``, and its ``InitialState`` entries. Units of classes of one are
-    built exactly as in the mixed-integer form, which keeps one class per unit.
+    ``cols`` and ``rows`` entries are its class's arrays, and every member's
+    ``classes`` entry is one tuple shared by the class. The class key is
+    computed without building a copy of the unit: the unit's type, its
+    compared fields other than ``id``, and its ``InitialState`` entries.
+    Units of classes of one are built exactly as in the mixed-integer form,
+    which keeps one class per unit.
     """
     scenario.check()
     T = scenario.horizon
@@ -264,27 +249,25 @@ def build_uc(
     res_units = [(members[0], len(members)) for members in res_classes]
     stos = [(members[0], len(members)) for members in sto_classes]
 
-    c, lb, ub, binary, branch, weight = [], [], [], [], [], []
+    c, lb, ub, binary = [], [], [], []
     cols: dict[tuple[str, str | None], list[int]] = {}
 
-    def add_var(kind, unit, lo, hi, cost=0.0, is_binary=False, branch_weight=0.0) -> None:
+    def add_var(kind, unit, lo, hi, cost=0.0, is_binary=False) -> None:
         cols.setdefault((kind, unit), []).append(len(c))
         c.append(cost)
         lb.append(lo)
         ub.append(hi)
         binary.append(is_binary and not relaxed)
-        branch.append(binary[-1] and kind in (V_Y, V_YCHA, V_YDIS))
-        weight.append(branch_weight)
 
     inf = float("inf")
     for g, n in gens:
         lam_y = g.inertia_offer_gbp_per_mws * g.p_max_mw * g.inertia_s
         for t in range(T):
             add_var(V_P, g.id, 0.0, inf, n * g.energy_offer_gbp_per_mwh)
-            add_var(V_Y, g.id, 0.0, 1.0, n * lam_y, True, g.p_max_mw)
-            add_var(V_YST, g.id, 0.0, 1.0, 0.0, True, g.p_max_mw)
-            add_var(V_YSG, g.id, 0.0, 1.0, 0.0, True, g.p_max_mw)
-            add_var(V_YSD, g.id, 0.0, 1.0, 0.0, True, g.p_max_mw)
+            add_var(V_Y, g.id, 0.0, 1.0, n * lam_y, True)
+            add_var(V_YST, g.id, 0.0, 1.0, 0.0, True)
+            add_var(V_YSG, g.id, 0.0, 1.0, 0.0, True)
+            add_var(V_YSD, g.id, 0.0, 1.0, 0.0, True)
             add_var(V_PFRG, g.id, 0.0, inf if g.pfr_max_mw > 0 else 0.0, n * g.pfr_offer_gbp_per_mw)
     for r, n in res_units:
         for t in range(T):
@@ -294,8 +277,8 @@ def build_uc(
         for t in range(T):
             add_var(V_PCHA, s.id, 0.0, inf)
             add_var(V_PDIS, s.id, 0.0, inf, n * s.energy_offer_gbp_per_mwh)
-            add_var(V_YCHA, s.id, 0.0, 1.0, n * lam_ys, True, s.p_max_mw)
-            add_var(V_YDIS, s.id, 0.0, 1.0, n * lam_ys, True, s.p_max_mw)
+            add_var(V_YCHA, s.id, 0.0, 1.0, n * lam_ys, True)
+            add_var(V_YDIS, s.id, 0.0, 1.0, n * lam_ys, True)
             add_var(V_E, s.id, s.e_min_mwh, s.e_max_mwh)
             add_var(V_PFRS, s.id, 0.0, inf if s.pfr_max_mw > 0 else 0.0, n * s.pfr_offer_gbp_per_mw)
             add_var(V_EFRS, s.id, 0.0, inf if s.efr_max_mw > 0 else 0.0, n * s.efr_offer_gbp_per_mw)
@@ -304,15 +287,18 @@ def build_uc(
         for kind in (V_H, V_PFRT, V_EFRT, V_PLOSS):
             add_var(kind, None, -inf, inf)
 
-    rows: list[RowDef] = []
-    r_idx, c_idx, data = [], [], []
+    # rows in build order, each with its natural sense and right-hand side
+    rows: dict[tuple[str, str | None], list[int]] = {}
+    sense, rhs_of, r_idx, c_idx, data = [], [], [], [], []
 
-    def add_row(name, kind, sense, rhs, coeffs, unit=None, t=-1, price_sign=1):
+    def add_row(kind, unit, op, rhs, coeffs) -> None:
         for idx, coef in coeffs:
-            r_idx.append(len(rows))
+            r_idx.append(len(sense))
             c_idx.append(idx)
             data.append(coef)
-        rows.append(RowDef(name, kind, sense, float(rhs), unit, t, price_sign))
+        rows.setdefault((kind, unit), []).append(len(sense))
+        sense.append(op)
+        rhs_of.append(float(rhs))
 
     vid = lambda k, u, t: cols[(k, u)][t]
 
@@ -331,7 +317,7 @@ def build_uc(
             rhs = float(y0) if t == 0 else 0.0
             if t > 0:
                 coeffs.append((vid(V_Y, g.id, t - 1), -1.0))
-            add_row(f"commit[{g.id},{t}]", K_COMMIT, "=", rhs, coeffs, g.id, t)
+            add_row(K_COMMIT, g.id, "=", rhs, coeffs)
 
             # start generating lags the start-up decision by start_up_h
             if t >= g.start_up_h:
@@ -340,9 +326,9 @@ def build_uc(
                     link.append((vid(V_YST, g.id, t - g.start_up_h), -1.0))
                 else:
                     link.append((yst, -1.0))
-                add_row(f"sg_link[{g.id},{t}]", K_SGLINK, "=", 0.0, link, g.id, t)
+                add_row(K_SGLINK, g.id, "=", 0.0, link)
             else:
-                add_row(f"sg_link[{g.id},{t}]", K_SGLINK, "=", 0.0, [(ysg, 1.0)], g.id, t)
+                add_row(K_SGLINK, g.id, "=", 0.0, [(ysg, 1.0)])
 
             # min down time: y_st + y_{t-1} + sum y_sd over the trailing
             # window <= 1 (window ends at t-1; including t would forbid
@@ -355,7 +341,7 @@ def build_uc(
                 rhs -= y0
             for j in range(max(0, t - g.min_down_h), t):
                 mdt.append((vid(V_YSD, g.id, j), 1.0))
-            add_row(f"mdt[{g.id},{t}]", K_MDT, "<=", rhs, mdt, g.id, t)
+            add_row(K_MDT, g.id, "<=", rhs, mdt)
 
             # min up time: y_sd - y_{t-1} + sum y_sg over trailing window <= 0
             mut = [(ysd, 1.0)]
@@ -366,18 +352,15 @@ def build_uc(
                 rhs += y0
             for j in range(max(0, t - g.min_up_h), t):
                 mut.append((vid(V_YSG, g.id, j), 1.0))
-            add_row(f"mut[{g.id},{t}]", K_MUT, "<=", rhs, mut, g.id, t)
+            add_row(K_MUT, g.id, "<=", rhs, mut)
 
             if g.p_msg_mw > 0:
-                add_row(f"p_min[{g.id},{t}]", K_PMIN, "<=", 0.0, [(y, g.p_msg_mw), (p, -1.0)], g.id, t)
-            add_row(f"p_max[{g.id},{t}]", K_PMAX, "<=", 0.0, [(p, 1.0), (y, -g.p_max_mw)], g.id, t)
+                add_row(K_PMIN, g.id, "<=", 0.0, [(y, g.p_msg_mw), (p, -1.0)])
+            add_row(K_PMAX, g.id, "<=", 0.0, [(p, 1.0), (y, -g.p_max_mw)])
             if g.pfr_max_mw > 0:
                 pfr = vid(V_PFRG, g.id, t)
-                add_row(f"pfr_cap[{g.id},{t}]", K_PFRCAP, "<=", 0.0, [(pfr, 1.0), (y, -g.pfr_max_mw)], g.id, t)
-                add_row(
-                    f"pfr_margin[{g.id},{t}]", K_PFRMARGIN, "<=", 0.0,
-                    [(pfr, 1.0), (p, 1.0), (y, -g.p_max_mw)], g.id, t,
-                )
+                add_row(K_PFRCAP, g.id, "<=", 0.0, [(pfr, 1.0), (y, -g.pfr_max_mw)])
+                add_row(K_PFRMARGIN, g.id, "<=", 0.0, [(pfr, 1.0), (p, 1.0), (y, -g.p_max_mw)])
 
     # --- storage private constraints
     for s, _ in stos:
@@ -391,41 +374,31 @@ def build_uc(
 
             prev = e0 if t == 0 else vid(V_E, s.id, t - 1)
             add_row(
-                f"e_dyn[{s.id},{t}]", K_EDYN, "=", 0.0,
+                K_EDYN, s.id, "=", 0.0,
                 [(e, 1.0), (prev, -1.0), (pcha, -s.eta_charge), (pdis, 1.0 / s.eta_discharge)],
-                s.id, t,
             )
             if s.p_msg_mw > 0:
-                add_row(f"cha_min[{s.id},{t}]", K_CHALO, "<=", 0.0, [(ycha, s.p_msg_mw), (pcha, -1.0)], s.id, t)
-                add_row(f"dis_min[{s.id},{t}]", K_DISLO, "<=", 0.0, [(ydis, s.p_msg_mw), (pdis, -1.0)], s.id, t)
-            add_row(f"cha_max[{s.id},{t}]", K_CHAHI, "<=", 0.0, [(pcha, 1.0), (ycha, -s.p_max_mw)], s.id, t)
-            add_row(f"dis_max[{s.id},{t}]", K_DISHI, "<=", 0.0, [(pdis, 1.0), (ydis, -s.p_max_mw)], s.id, t)
+                add_row(K_CHALO, s.id, "<=", 0.0, [(ycha, s.p_msg_mw), (pcha, -1.0)])
+                add_row(K_DISLO, s.id, "<=", 0.0, [(ydis, s.p_msg_mw), (pdis, -1.0)])
+            add_row(K_CHAHI, s.id, "<=", 0.0, [(pcha, 1.0), (ycha, -s.p_max_mw)])
+            add_row(K_DISHI, s.id, "<=", 0.0, [(pdis, 1.0), (ydis, -s.p_max_mw)])
             if s.pfr_max_mw > 0:
                 pfr = vid(V_PFRS, s.id, t)
+                add_row(K_SPFRCAP, s.id, "<=", 0.0, [(pfr, 1.0), (ycha, -s.pfr_max_mw), (ydis, -s.pfr_max_mw)])
                 add_row(
-                    f"s_pfr_cap[{s.id},{t}]", K_SPFRCAP, "<=", 0.0,
-                    [(pfr, 1.0), (ycha, -s.pfr_max_mw), (ydis, -s.pfr_max_mw)], s.id, t,
-                )
-                add_row(
-                    f"s_pfr_margin[{s.id},{t}]", K_SPFRMARGIN, "<=", 0.0,
-                    [(pfr, 1.0), (ydis, -s.p_max_mw), (pdis, 1.0), (pcha, -1.0)], s.id, t,
+                    K_SPFRMARGIN, s.id, "<=", 0.0,
+                    [(pfr, 1.0), (ydis, -s.p_max_mw), (pdis, 1.0), (pcha, -1.0)],
                 )
             if s.efr_max_mw > 0:
                 efr = vid(V_EFRS, s.id, t)
+                add_row(K_EFRCAP, s.id, "<=", 0.0, [(efr, 1.0), (ycha, -s.efr_max_mw), (ydis, -s.efr_max_mw)])
                 add_row(
-                    f"efr_cap[{s.id},{t}]", K_EFRCAP, "<=", 0.0,
-                    [(efr, 1.0), (ycha, -s.efr_max_mw), (ydis, -s.efr_max_mw)], s.id, t,
-                )
-                add_row(
-                    f"efr_margin[{s.id},{t}]", K_EFRMARGIN, "<=", 0.0,
+                    K_EFRMARGIN, s.id, "<=", 0.0,
                     [(efr, 1.0), (ycha, -s.p_max_mw), (ydis, -s.p_max_mw), (pdis, 1.0), (pcha, -1.0)],
-                    s.id, t,
                 )
-            add_row(f"mode[{s.id},{t}]", K_MUTEX, "<=", 1.0, [(ycha, 1.0), (ydis, 1.0)], s.id, t)
-        add_row(f"e_ini[{s.id}]", K_E0CAP, "<=", init.e0(s), [(e0, 1.0)], s.id, 0)
-        add_row(
-            f"e_end[{s.id}]", K_EEND, ">=", s.e_end_mwh, [(vid(V_E, s.id, T - 1), 1.0)], s.id, T - 1
-        )
+            add_row(K_MUTEX, s.id, "<=", 1.0, [(ycha, 1.0), (ydis, 1.0)])
+        add_row(K_E0CAP, s.id, "<=", init.e0(s), [(e0, 1.0)])
+        add_row(K_EEND, s.id, ">=", s.e_end_mwh, [(vid(V_E, s.id, T - 1), 1.0)])
 
     # --- system-wide constraints
     params = scenario.params
@@ -440,7 +413,7 @@ def build_uc(
         bal += [(vid(V_PRES, r.id, t), n) for r, n in res_units]
         for s, n in stos:
             bal += [(vid(V_PDIS, s.id, t), n), (vid(V_PCHA, s.id, t), -n)]
-        add_row(f"balance[{t}]", K_BALANCE, "=", scenario.demand_mw[t], bal, None, t, price_sign=1)
+        add_row(K_BALANCE, None, "=", scenario.demand_mw[t], bal)
 
         hdef = [(h, 1.0)]
         hdef += [
@@ -454,70 +427,52 @@ def build_uc(
                     (vid(V_YCHA, s.id, t), -s.inertia_s * s.p_max_mw * n),
                     (vid(V_YDIS, s.id, t), -s.inertia_s * s.p_max_mw * n),
                 ]
-        add_row(f"h_def[{t}]", K_HDEF, "=", 0.0, hdef, None, t, price_sign=-1)
+        add_row(K_HDEF, None, "=", 0.0, hdef)
 
         pdef = [(pfrt, 1.0)]
         pdef += [(vid(V_PFRG, g.id, t), -n) for g, n in gens if g.pfr_max_mw > 0]
         pdef += [(vid(V_PFRS, s.id, t), -n) for s, n in stos if s.pfr_max_mw > 0]
-        add_row(f"pfr_def[{t}]", K_PFRDEF, "=", 0.0, pdef, None, t, price_sign=-1)
+        add_row(K_PFRDEF, None, "=", 0.0, pdef)
 
         edef = [(efrt, 1.0)]
         edef += [(vid(V_EFRS, s.id, t), -n) for s, n in stos if s.efr_max_mw > 0]
-        add_row(f"efr_def[{t}]", K_EFRDEF, "=", 0.0, edef, None, t, price_sign=-1)
+        add_row(K_EFRDEF, None, "=", 0.0, edef)
 
         if isinstance(loss_rule, FixedProfile):
-            add_row(
-                f"max_loss[{t}]", K_MAXLOSS, ">=", loss_rule.p_mw[t], [(ploss, 1.0)], None, t
-            )
+            add_row(K_MAXLOSS, None, ">=", loss_rule.p_mw[t], [(ploss, 1.0)])
         else:
-            for u, _ in gens:
-                if u.loss_eligible:
-                    add_row(
-                        f"max_loss[{u.id},{t}]", K_MAXLOSS, "<=", 0.0,
-                        [(vid(V_P, u.id, t), 1.0), (ploss, -1.0)], u.id, t,
-                    )
-            for u, _ in res_units:
-                if u.loss_eligible:
-                    add_row(
-                        f"max_loss[{u.id},{t}]", K_MAXLOSS, "<=", 0.0,
-                        [(vid(V_PRES, u.id, t), 1.0), (ploss, -1.0)], u.id, t,
-                    )
-            for u, _ in stos:
-                if u.loss_eligible:
-                    add_row(
-                        f"max_loss[{u.id},{t}]", K_MAXLOSS, "<=", 0.0,
-                        [(vid(V_PDIS, u.id, t), 1.0), (ploss, -1.0)], u.id, t,
-                    )
+            for units, kind in ((gens, V_P), (res_units, V_PRES), (stos, V_PDIS)):
+                for u, _ in units:
+                    if u.loss_eligible:
+                        add_row(K_MAXLOSS, u.id, "<=", 0.0, [(vid(kind, u.id, t), 1.0), (ploss, -1.0)])
 
-        add_row(
-            f"rocof[{t}]", K_ROCOF, ">=", 0.0, [(h, 1.0), (ploss, -rocof_coef)], None, t
-        )
-        add_row(
-            f"qss[{t}]", K_QSS, ">=", 0.0,
-            [(efrt, 1.0), (pfrt, 1.0), (ploss, -1.0)], None, t,
-        )
+        add_row(K_ROCOF, None, ">=", 0.0, [(h, 1.0), (ploss, -rocof_coef)])
+        add_row(K_QSS, None, ">=", 0.0, [(efrt, 1.0), (pfrt, 1.0), (ploss, -1.0)])
 
     # HiGHS' row-bound form: equality rows first, then every inequality as
     # <= with the >= rows negated, each block in build order
-    eq = np.array([row.sense == "=" for row in rows])
+    sense = np.array(sense)
+    eq = sense == "="
     order = np.argsort(~eq, kind="stable")
     position = np.argsort(order)
-    flip = np.where([row.sense == ">=" for row in rows], -1.0, 1.0)
+    flip = np.where(sense == ">=", -1.0, 1.0)
     r_idx = np.array(r_idx, dtype=int)
     a = sparse.csr_matrix(
-        (flip[r_idx] * np.array(data), (position[r_idx], c_idx)), shape=(len(rows), len(c))
+        (flip[r_idx] * np.array(data), (position[r_idx], c_idx)), shape=(len(sense), len(c))
     )
-    b = (flip * [row.rhs for row in rows])[order]
+    b = (flip * rhs_of)[order]
     classes = {}
     for members in gen_classes + res_classes + sto_classes:
         ids = tuple(m.id for m in members)
         classes.update(dict.fromkeys(ids, ids))
     cols = {key: np.array(idx) for key, idx in cols.items()}
-    # every member reads its class's columns
-    for (kind, unit), idx in list(cols.items()):
-        if unit is not None:
-            for uid in classes[unit][1:]:
-                cols[(kind, uid)] = idx
+    rows = {key: position[idx] for key, idx in rows.items()}
+    # every member reads its class's columns and rows
+    for index in (cols, rows):
+        for (kind, unit), idx in list(index.items()):
+            if unit is not None:
+                for uid in classes[unit][1:]:
+                    index[(kind, uid)] = idx
     return UCModel(
         scenario=scenario,
         loss_rule=loss_rule,
@@ -527,12 +482,10 @@ def build_uc(
         lb=np.array(lb),
         ub=np.array(ub),
         binary=np.array(binary, dtype=bool),
-        branch=np.array(branch, dtype=bool),
-        branch_weight=np.array(weight),
         cols=cols,
         classes=classes,
         a=a,
         b=b,
         row_lower=np.where(eq[order], b, -np.inf),
-        rows=[rows[i] for i in order],
+        rows=rows,
     )

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -228,6 +230,12 @@ class TestHourly:
 def test_negative_cost_rejected():
     with pytest.raises(AllocationError):
         game(1.0, -0.5)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_cost_rejected(bad):
+    with pytest.raises(AllocationError, match="non-finite stand-alone cost for 'b'"):
+        AirportGame.from_costs([("a", 1.0), ("b", bad), ("c", 2.0)])
 
 
 def test_directional_ordering_constructed_hour():

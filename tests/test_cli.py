@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from asmarket.cli import EXIT_INFEASIBLE, EXIT_INTERNAL, EXIT_OK, EXIT_VALIDATION, main
@@ -6,6 +8,7 @@ from asmarket.solve import CONE_REL_TOL
 from asmarket.tables import load_manifest, verify_manifest
 from asmarket.ucmodel import EndogenousMax, build_uc
 from conftest import binding_scenario, endog_scenario
+from test_scenario import WRONG_TYPES, wrong_type_doc
 
 
 @pytest.fixture
@@ -27,6 +30,15 @@ class TestValidate:
 
     def test_missing_file(self, tmp_path):
         assert main(["validate", str(tmp_path / "nope.json")]) == EXIT_INTERNAL
+
+    @pytest.mark.parametrize("case", ["demand-string", "cf-string", "p-max-string", "horizon-float"])
+    def test_wrong_type_exits_validation(self, tmp_path, capsys, case):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(wrong_type_doc(case)), encoding="utf-8")
+        assert main(["validate", str(path)]) == EXIT_VALIDATION
+        assert WRONG_TYPES[case][1] in capsys.readouterr().err
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == EXIT_VALIDATION
+        assert WRONG_TYPES[case][1] in capsys.readouterr().err
 
 
 class TestRun:
@@ -237,6 +249,15 @@ class TestGame:
         rows = [(f"u{i}", float(i + 1)) for i in range(10)]
         path = self.write_costs(tmp_path, rows)
         assert main(["game", str(path), "--rule", "nucleolus", "--oracle"]) == EXIT_VALIDATION
+
+    @pytest.mark.parametrize("rule", ["nucleolus", "shapley", "proportional"])
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_cost_rejected(self, tmp_path, capsys, rule, bad):
+        path = self.write_costs(tmp_path, [("a", 1.0), ("b", bad), ("c", 2.0)])
+        assert main(["game", str(path), "--rule", rule]) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert "non-finite stand-alone cost for 'b'" in captured.err
+        assert "phi_gbp" not in captured.out
 
     def test_missing_costs_file(self, tmp_path):
         assert main(["game", str(tmp_path / "none.csv"), "--rule", "shapley"]) == EXIT_INTERNAL

@@ -69,7 +69,7 @@ def test_added_row_marginal_comes_last():
     session = LpSession(C, A, ROW_LOWER, ROW_UPPER, LB, UB)
     solve_lp(session)
     extra = np.array([[0.0, 1.0, 0.0, 0.0]])  # x1 <= 1.2 cuts off the first optimum
-    session.add_ub_rows(extra, np.array([1.2]))
+    session.add_ub_rows(np.array([0, 1]), np.array([1]), np.array([1.0]), np.array([1.2]))
     out = solve_lp(session)
     ref = reference(np.vstack([A_UB, extra]), np.concatenate([B_UB, [1.2]]))
     assert_matches(out, ref)
@@ -149,7 +149,7 @@ def test_restored_basis_after_added_rows():
     solve_lp(session)
     session.set_bounds(LB, UB)
     extra = np.array([[0.0, 1.0, 0.0, 0.0]])
-    session.add_ub_rows(extra, np.array([1.2]))
+    session.add_ub_rows(np.array([0, 1]), np.array([1]), np.array([1.0]), np.array([1.2]))
     session.restore(basis)  # taken with one row fewer than the session has now
     out = solve_lp(session)
     assert_matches(out, reference(np.vstack([A_UB, extra]), np.concatenate([B_UB, [1.2]])))

@@ -75,7 +75,6 @@ def lift(model, oracle, out):
     every member takes its class's values, and its class's per-unit row and
     bound duals divided by the class size."""
     size = lambda unit: 1 if unit is None else len(model.classes[unit])
-    rep = lambda unit: None if unit is None else model.classes[unit][0]
     x = np.empty(oracle.n_vars)
     lower, upper = np.empty(oracle.n_vars), np.empty(oracle.n_vars)
     for (kind, unit), idx in oracle.cols.items():
@@ -83,14 +82,12 @@ def lift(model, oracle, out):
         x[idx] = out.x[src]
         lower[idx] = out.lower_marginals[src] / size(unit)
         upper[idx] = out.upper_marginals[src] / size(unit)
-    row_of = {(r.kind, r.unit, r.t): i for i, r in enumerate(model.rows)}
-    n_base = len(model.rows)
-    rows = np.array([
-        out.row_marginals[row_of[(r.kind, rep(r.unit), r.t)]] / size(r.unit) for r in oracle.rows
-    ])
+    rows = np.empty(len(oracle.b))
+    for (kind, unit), idx in oracle.rows.items():
+        rows[idx] = out.row_marginals[model.rows[(kind, unit)]] / size(unit)
     return SimpleNamespace(
         x=x,
-        row_marginals=np.concatenate([rows, out.row_marginals[n_base:]]),
+        row_marginals=np.concatenate([rows, out.row_marginals[len(model.b):]]),
         lower_marginals=lower,
         upper_marginals=upper,
     )
@@ -99,9 +96,9 @@ def lift(model, oracle, out):
 def shifted_loss(model, t, eps):
     """``model`` with every max-loss row of hour ``t`` asking ``eps`` MW more."""
     b = model.b.copy()
-    for i, row in enumerate(model.rows):
-        if row.kind == K_MAXLOSS and row.t == t:
-            b[i] -= eps  # p_loss >= L + eps and p <= p_loss - eps, both held as <=
+    # each row once: a class's members alias its rows
+    hour_t = sorted({int(idx[t]) for (kind, _), idx in model.rows.items() if kind == K_MAXLOSS})
+    b[hour_t] -= eps  # p_loss >= L + eps and p <= p_loss - eps, both held as <=
     return replace(model, b=b)
 
 
@@ -207,8 +204,9 @@ def test_toy10_relaxation_is_the_per_unit_lp(rule):
         assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
     for name in ("data", "indices", "indptr"):
         assert getattr(got.a, name).tobytes() == getattr(want.a, name).tobytes(), name
-    assert got.rows == want.rows
-    assert {k: v.tolist() for k, v in got.cols.items()} == {k: v.tolist() for k, v in want.cols.items()}
+    for index in ("rows", "cols"):
+        got_index, want_index = getattr(got, index), getattr(want, index)
+        assert {k: v.tolist() for k, v in got_index.items()} == {k: v.tolist() for k, v in want_index.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -267,15 +265,11 @@ def test_lift_reads_every_member_by_the_rule(lifted_solve):
     # today's rule, unit by unit: x at the class's columns, and each dual of
     # the class's columns or rows divided by the class size
     s = lifted_solve
-    model, out, T = s.model, s.out, s.sc.horizon
+    model, out = s.model, s.out
     psi = {
         "ub": np.where(np.isfinite(model.ub), -out.upper_marginals, 0.0),
         "lb": np.where(np.isfinite(model.lb), out.lower_marginals, 0.0),
     }
-    row_mu = {}  # (row kind, representative) -> the rows' multipliers by hour
-    for row, m in zip(model.rows, out.row_marginals):
-        if row.unit is not None:
-            row_mu.setdefault((row.kind, row.unit), np.zeros(T))[row.t] = -m
 
     def rule(name, uid):
         rep, n = model.classes[uid][0], len(model.classes[uid])
@@ -286,10 +280,9 @@ def test_lift_reads_every_member_by_the_rule(lifted_solve):
         if name in BOUND_DUALS:
             _, kind, bound = BOUND_DUALS[name]
             return psi[bound][model.cols[(kind, rep)]] / n
-        mu = row_mu[(ROW_DUALS[name][1], rep)] / n
-        if name == "psi_ini":
-            return mu[0]
-        return mu[T - 1] if name == "psi_end" else mu
+        # the class's rows by hour (one row for psi_ini and psi_end)
+        mu = -out.row_marginals[model.rows[(ROW_DUALS[name][1], rep)]] / n
+        return mu[0] if name in ("psi_ini", "psi_end") else mu
 
     groups = DISPATCH_KINDS | BOUND_DUALS | ROW_DUALS
     for name, got in per_unit_tables(s).items():

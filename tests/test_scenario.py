@@ -145,3 +145,56 @@ class TestGBTemplate:
         path = tmp_path / "gb.json"
         write_scenario(sc, path)
         assert load_scenario(path) == sc
+
+
+def _set(*path_and_value):
+    """An edit of a scenario document: the value at the path of keys."""
+    *path, key, value = path_and_value
+
+    def edit(doc):
+        for k in path:
+            doc = doc[k]
+        doc[key] = value
+
+    return edit
+
+
+# edit of the toy10 6 h document -> the diagnostic it must produce
+WRONG_TYPES = {
+    "demand-string": (_set("demand_mw", 1, "x"), "demand_mw[1]: must be a finite number (got 'x')"),
+    "demand-nan": (_set("demand_mw", 0, float("nan")), "demand_mw[0]: must be a finite number"),
+    "demand-not-a-list": (_set("demand_mw", 500.0), "demand_mw: must be a list of numbers"),
+    "cf-string": (_set("res_units", 0, "cf", 2, "0.5"), "res_units[0].cf[2]: must be a finite number (got '0.5')"),
+    "p-max-string": (_set("generators", 0, "p_max_mw", "big"), "generators[0].p_max_mw: must be a finite number"),
+    "offer-inf": (_set("storage_units", 1, "energy_offer_gbp_per_mwh", float("inf")),
+                  "storage_units[1].energy_offer_gbp_per_mwh: must be a finite number"),
+    "p-max-bool": (_set("generators", 2, "p_max_mw", True), "generators[2].p_max_mw: must be a finite number"),
+    "system-string": (_set("system", "f0_hz", "50"), "system.f0_hz: must be a finite number"),
+    "min-up-float": (_set("generators", 0, "min_up_h", 1.5), "generators[0].min_up_h: must be an integer"),
+    "horizon-float": (_set("horizon_hours", 6.7), "horizon_hours: must be an integer (got 6.7)"),
+    "cap-string": (_set("p_loss_cap_mw", [100.0] * 5 + ["x"]), "p_loss_cap_mw[5]: must be a finite number"),
+    "unit-not-an-object": (_set("storage_units", 0, 400.0), "storage_units[0]: must be an object"),
+}
+
+
+def wrong_type_doc(case):
+    doc = scenario_to_dict(toy10_scenario(horizon=6))
+    WRONG_TYPES[case][0](doc)
+    return doc
+
+
+@pytest.mark.parametrize("case", list(WRONG_TYPES))
+def test_wrong_type_is_a_validation_error(case):
+    with pytest.raises(ScenarioValidationError) as err:
+        scenario_from_dict(wrong_type_doc(case))
+    assert any(d.startswith(WRONG_TYPES[case][1]) for d in err.value.diagnostics), err.value.diagnostics
+
+
+def test_integers_stay_valid_numbers():
+    doc = scenario_to_dict(toy10_scenario(horizon=6))
+    doc["demand_mw"] = [int(d) for d in doc["demand_mw"]]
+    doc["generators"][0]["p_max_mw"] = 150
+    doc["res_units"][0]["cf"][0] = 0
+    sc = scenario_from_dict(doc)
+    assert sc.demand_mw == tuple(float(int(d)) for d in toy10_scenario(horizon=6).demand_mw)
+    assert sc.generators[0].p_max_mw == 150.0

@@ -19,6 +19,7 @@ from asmarket.solve import (
     solve_relaxed,
 )
 from asmarket.ucmodel import (
+    V_E0,
     V_EFRT,
     V_H,
     V_PFRT,
@@ -192,6 +193,15 @@ class TestVerifyFeasibility:
         x = x.copy()
         x[model.vid(V_PRES, "wind1", 0)] -= 1.0  # wind enters no row but balance[0]
         with pytest.raises(SolverError, match=r"balance\[0\]"):
+            solve._verify_feasibility(model, x, 1e-6)
+
+    def test_names_a_unit_row_by_unit_and_hour(self, solved):
+        # e0 enters its e_dyn row at hour 0 (scaled by 1) and its e_ini cap
+        # (scaled by e_ini), so the energy-dynamics row is the worst
+        model, x = solved
+        x = x.copy()
+        x[model.vid(V_E0, "bess1", 0)] += 1000.0
+        with pytest.raises(SolverError, match=r"row storage_energy_dynamics\[bess1,0\] violated"):
             solve._verify_feasibility(model, x, 1e-6)
 
     def test_rejects_point_below_ge_row(self, solved):
