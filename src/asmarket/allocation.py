@@ -303,7 +303,8 @@ def nucleolus_lp_oracle(game: AirportGame, max_n: int = 8) -> Allocation:
     objective = np.append(np.zeros(n), 1.0)
     lb, ub = np.full(n + 1, -np.inf), np.full(n + 1, np.inf)
     row_lower = np.append(np.full(n_rows - 1, -np.inf), coal_cost[-1])
-    session = lp.LpSession(objective, np.column_stack([members, eps_col]), row_lower, coal_cost, lb, ub)
+    a = lp.Csr.from_dense(np.column_stack([members, eps_col]))
+    session = lp.LpSession(objective, a, row_lower, coal_cost, lb, ub)
 
     pinned = [n_rows - 1]   # rows of the fixed system, efficiency row first
     levels = [0.0]          # their excess levels

@@ -1,5 +1,14 @@
 """LP sessions on the HiGHS simplex solver that ships with scipy.
 
+scipy's compiled HiGHS extension ``scipy.optimize._highspy._core`` is loaded
+straight from its file, under its own name, so that importing this package
+runs none of scipy's Python packages: ``scipy.optimize``'s ``__init__``
+(linalg, linprog and the optimizers) takes about 0.35 s to import and
+``scipy.sparse`` another 0.2 s, and nothing here uses either. The module is
+registered in ``sys.modules``, so a later ``import scipy.optimize`` reuses
+it. Matrices are held in :class:`Csr`, the row-wise form HiGHS' ``a_matrix_``
+takes.
+
 An :class:`LpSession` holds one HiGHS model in HiGHS' own form: ranged rows
 ``row_lower <= A x <= row_upper`` (an equality row has equal bounds, a ``<=``
 row a lower bound of ``-inf``, a free row infinite bounds) and column bounds.
@@ -30,14 +39,49 @@ marginals <= 0.
 """
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
+from pathlib import Path
 
 import numpy as np
-from scipy import sparse
 
-# scipy's HiGHS binding is private; pyproject requires at least the scipy release it was tested with
-from scipy.optimize._highspy import _core
+
+def _load_highs():
+    """scipy's HiGHS extension, loaded from its file without importing scipy.
+
+    The binding is private to scipy; pyproject requires at least the scipy
+    release it was tested with."""
+    name = "scipy.optimize._highspy._core"
+    if name in sys.modules:
+        return sys.modules[name]
+    scipy = importlib.util.find_spec("scipy")
+    if scipy is None:
+        raise ImportError("asmarket needs scipy >= 1.17 for its HiGHS extension; scipy is not installed")
+    folder = Path(scipy.submodule_search_locations[0], "optimize", "_highspy")
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = folder / f"_core{suffix}"
+        if path.is_file():
+            break
+    else:
+        raise ImportError(
+            f"no HiGHS extension _core{importlib.machinery.EXTENSION_SUFFIXES[0]} in {folder}: "
+            "asmarket needs scipy >= 1.17"
+        )
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    try:
+        spec.loader.exec_module(module)
+    except BaseException:
+        del sys.modules[name]
+        raise
+    return module
+
+
+_core = _load_highs()
 
 FEASIBILITY_TOL = 1e-9  # HiGHS primal and dual feasibility tolerance
 
@@ -63,6 +107,45 @@ _AT_UPPER = int(_core.HighsBasisStatus.kUpper)
 def _check(status: _core.HighsStatus, message: str) -> None:
     if status == _core.HighsStatus.kError:
         raise ValueError(message)
+
+
+@dataclass(frozen=True, eq=False)
+class Csr:
+    """A sparse matrix in compressed sparse row form, as HiGHS' row-wise
+    ``a_matrix_`` takes it: row i holds ``data[indptr[i]:indptr[i + 1]]`` at
+    columns ``indices[indptr[i]:indptr[i + 1]]``, in increasing column order.
+    Indices are int32, the index type of scipy's HiGHS build."""
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+    shape: tuple[int, int]
+
+    @classmethod
+    def from_triplets(cls, rows, cols, values, shape: tuple[int, int]) -> "Csr":
+        """Entry ``values[k]`` at ``(rows[k], cols[k])``, sorted by (row,
+        column) as scipy's canonical CSR is; explicit zeros are kept. No
+        (row, column) pair may occur twice."""
+        rows, cols = np.asarray(rows, dtype=np.int32), np.asarray(cols, dtype=np.int32)
+        order = np.lexsort((cols, rows))
+        rows, cols = rows[order], cols[order]
+        duplicate = (rows[1:] == rows[:-1]) & (cols[1:] == cols[:-1])
+        assert not duplicate.any(), "duplicate (row, column) entry"
+        indptr = np.zeros(shape[0] + 1, dtype=np.int32)
+        np.cumsum(np.bincount(rows, minlength=shape[0]), out=indptr[1:])
+        return cls(indptr, cols, np.asarray(values, dtype=float)[order], shape)
+
+    @classmethod
+    def from_dense(cls, dense: np.ndarray) -> "Csr":
+        """The nonzero entries of a two-dimensional array."""
+        dense = np.asarray(dense, dtype=float)
+        rows, cols = np.nonzero(dense)
+        return cls.from_triplets(rows, cols, dense[rows, cols], dense.shape)
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        """``A @ x``, each row summed in entry order."""
+        row_of = np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
+        return np.bincount(row_of, weights=self.data * x[self.indices], minlength=self.shape[0])
 
 
 @dataclass
@@ -110,13 +193,12 @@ class LpSession:
     def __init__(
         self,
         c: np.ndarray,
-        a: sparse.spmatrix | np.ndarray,
+        a: Csr,
         row_lower: np.ndarray,
         row_upper: np.ndarray,
         lb: np.ndarray,
         ub: np.ndarray,
     ):
-        a = sparse.csr_matrix(a)
         model = _core.HighsLp()
         model.num_col_ = len(c)
         model.num_row_ = a.shape[0]

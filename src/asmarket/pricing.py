@@ -134,26 +134,92 @@ class MarketBreakdown:
     by_technology: dict[str, dict[str, float]]
 
 
+class _Terms:
+    """Per-unit terms of the audit, each computed once per distinct input.
+
+    ``terms(fn, arrays, *scalars)`` is ``fn(*arrays, *scalars)``, remembered
+    under ``fn``, the arrays' identities and the scalars' values: the members
+    of a class of identical units share their solution and dual arrays and
+    their scalars, so a class's term is computed once. The caller still adds
+    the terms unit by unit, in scenario order."""
+
+    def __init__(self):
+        self._seen = {}
+
+    def __call__(self, fn, arrays: tuple, *scalars) -> float:
+        key = (fn, scalars, *map(id, arrays))
+        value = self._seen.get(key)
+        if value is None:
+            value = self._seen[key] = fn(*arrays, *scalars)
+        return value
+
+
+def _gen_cost(p, commit, pfr, energy_offer, inertia_cost, pfr_offer) -> float:
+    return float(energy_offer * p.sum() + inertia_cost * commit.sum() + pfr_offer * pfr.sum())
+
+
+def _res_cost(p, energy_offer) -> float:
+    return float(energy_offer * p.sum())
+
+
+def _sto_cost(discharge, cha_mode, dis_mode, pfr, efr, energy_offer, inertia_cost, pfr_offer, efr_offer) -> float:
+    modes = cha_mode + dis_mode
+    return float(
+        energy_offer * discharge.sum()
+        + inertia_cost * modes.sum()
+        + pfr_offer * pfr.sum()
+        + efr_offer * efr.sum()
+    )
+
+
 def system_costs(scenario: Scenario, primal: DispatchSolution) -> float:
     """Objective recomputed from offers and the primal point."""
+    terms = _Terms()
     total = 0.0
     for g in scenario.generators:
-        total += float(
-            g.energy_offer_gbp_per_mwh * primal.gen_p[g.id].sum()
-            + g.inertia_offer_gbp_per_mws * g.p_max_mw * g.inertia_s * primal.gen_commit[g.id].sum()
-            + g.pfr_offer_gbp_per_mw * primal.gen_pfr[g.id].sum()
+        total += terms(
+            _gen_cost,
+            (primal.gen_p[g.id], primal.gen_commit[g.id], primal.gen_pfr[g.id]),
+            g.energy_offer_gbp_per_mwh,
+            g.inertia_offer_gbp_per_mws * g.p_max_mw * g.inertia_s,
+            g.pfr_offer_gbp_per_mw,
         )
     for r in scenario.res_units:
-        total += float(r.energy_offer_gbp_per_mwh * primal.res_p[r.id].sum())
+        total += terms(_res_cost, (primal.res_p[r.id],), r.energy_offer_gbp_per_mwh)
     for s in scenario.storage_units:
-        modes = primal.sto_cha_mode[s.id] + primal.sto_dis_mode[s.id]
-        total += float(
-            s.energy_offer_gbp_per_mwh * primal.sto_discharge[s.id].sum()
-            + s.inertia_offer_gbp_per_mws * s.p_max_mw * s.inertia_s * modes.sum()
-            + s.pfr_offer_gbp_per_mw * primal.sto_pfr[s.id].sum()
-            + s.efr_offer_gbp_per_mw * primal.sto_efr[s.id].sum()
+        total += terms(
+            _sto_cost,
+            (primal.sto_discharge[s.id], primal.sto_cha_mode[s.id], primal.sto_dis_mode[s.id],
+             primal.sto_pfr[s.id], primal.sto_efr[s.id]),
+            s.energy_offer_gbp_per_mwh,
+            s.inertia_offer_gbp_per_mws * s.p_max_mw * s.inertia_s,
+            s.pfr_offer_gbp_per_mw,
+            s.efr_offer_gbp_per_mw,
         )
     return total
+
+
+def _thermal_profit(max_y, max_yst, max_ysg, max_ysd) -> float:
+    return float(max_y.sum() + max_yst.sum() + max_ysg.sum() + max_ysd.sum())
+
+
+def _mdt_term(mdt, rhs0) -> float:
+    return float(mdt[0] * rhs0 + mdt[1:].sum())
+
+
+def _renewable_profit(psi_cf, cf, p_max) -> float:
+    caps = np.array(cf) * p_max
+    return float(caps @ psi_cf)
+
+
+def _storage_profit(psi_e_min, psi_e_max, max_ycha, max_ydis, mutex, e_min, e_max) -> float:
+    return float(
+        -e_min * psi_e_min.sum()
+        + e_max * psi_e_max.sum()
+        + max_ycha.sum()
+        + max_ydis.sum()
+        + mutex.sum()
+    )
 
 
 def duality_audit(primal: DispatchSolution, duals: DualSolution, scenario: Scenario) -> MarketBreakdown:
@@ -182,30 +248,25 @@ def duality_audit(primal: DispatchSolution, duals: DualSolution, scenario: Scena
     as_payments = duals.as_payment_rhs
     costs = system_costs(scenario, primal)
 
+    terms = _Terms()
     thermal = 0.0
     omitted = duals.initial_rhs_term
     for g in scenario.generators:
-        thermal += float(
-            duals.psi_max_y[g.id].sum()
-            + duals.psi_max_yst[g.id].sum()
-            + duals.psi_max_ysg[g.id].sum()
-            + duals.psi_max_ysd[g.id].sum()
+        thermal += terms(
+            _thermal_profit,
+            (duals.psi_max_y[g.id], duals.psi_max_yst[g.id], duals.psi_max_ysg[g.id], duals.psi_max_ysd[g.id]),
         )
-        rhs0 = 1.0 - init.y0(g.id)
-        mdt = duals.psi_mdt[g.id]
-        omitted += float(mdt[0] * rhs0 + mdt[1:].sum())
+        omitted += terms(_mdt_term, (duals.psi_mdt[g.id],), 1.0 - init.y0(g.id))
     renewable = 0.0
     for r in scenario.res_units:
-        caps = np.array(r.cf) * r.p_max_mw
-        renewable += float(caps @ duals.psi_cf[r.id])
+        renewable += terms(_renewable_profit, (duals.psi_cf[r.id],), r.cf, r.p_max_mw)
     storage = 0.0
     for s in scenario.storage_units:
-        storage += float(
-            -s.e_min_mwh * duals.psi_e_min[s.id].sum()
-            + s.e_max_mwh * duals.psi_e_max[s.id].sum()
-            + duals.psi_max_ycha[s.id].sum()
-            + duals.psi_max_ydis[s.id].sum()
-            + duals.psi_mutex[s.id].sum()
+        storage += terms(
+            _storage_profit,
+            (duals.psi_e_min[s.id], duals.psi_e_max[s.id],
+             duals.psi_max_ycha[s.id], duals.psi_max_ydis[s.id], duals.psi_mutex[s.id]),
+            s.e_min_mwh, s.e_max_mwh,
         )
         storage += init.e0(s) * duals.psi_ini[s.id] - s.e_end_mwh * duals.psi_end[s.id]
 
@@ -237,9 +298,26 @@ def duality_audit(primal: DispatchSolution, duals: DualSolution, scenario: Scena
     )
 
 
+def _dot(x, price) -> float:
+    return float(price @ x)
+
+
+def _inertia_revenue(commit, lambda_h, inertia_mw) -> float:
+    return float(lambda_h @ (inertia_mw * commit))
+
+
+def _storage_energy_revenue(discharge, charge, lambda_e) -> float:
+    return float(lambda_e @ (discharge - charge))
+
+
+def _storage_inertia_revenue(cha_mode, dis_mode, lambda_h, inertia_mw) -> float:
+    return float(lambda_h @ (inertia_mw * (cha_mode + dis_mode)))
+
+
 def _technology_revenues(
     scenario: Scenario, primal: DispatchSolution, prices: AsPrices
 ) -> dict[str, dict[str, float]]:
+    terms = _Terms()
     out: dict[str, dict[str, float]] = {}
 
     def bucket(tech):
@@ -247,24 +325,28 @@ def _technology_revenues(
             tech, {"energy_revenue": 0.0, "inertia_revenue": 0.0, "pfr_revenue": 0.0, "efr_revenue": 0.0}
         )
 
+    # the price arrays are one object each, so they key by identity too
+    lam_e, lam_h, lam_pfr, lam_efr = prices.lambda_e, prices.lambda_h, prices.lambda_pfr, prices.lambda_efr
     for g in scenario.generators:
         b = bucket(g.technology)
-        b["energy_revenue"] += float(prices.lambda_e @ primal.gen_p[g.id])
-        b["inertia_revenue"] += float(
-            prices.lambda_h @ (g.inertia_s * g.p_max_mw * primal.gen_commit[g.id])
-        )
-        b["pfr_revenue"] += float(prices.lambda_pfr @ primal.gen_pfr[g.id])
+        b["energy_revenue"] += terms(_dot, (primal.gen_p[g.id], lam_e))
+        b["inertia_revenue"] += terms(_inertia_revenue, (primal.gen_commit[g.id], lam_h), g.inertia_s * g.p_max_mw)
+        b["pfr_revenue"] += terms(_dot, (primal.gen_pfr[g.id], lam_pfr))
     for r in scenario.res_units:
         b = bucket(r.technology)
-        b["energy_revenue"] += float(prices.lambda_e @ primal.res_p[r.id])
+        b["energy_revenue"] += terms(_dot, (primal.res_p[r.id], lam_e))
     for s in scenario.storage_units:
         b = bucket(s.technology)
-        net = primal.sto_discharge[s.id] - primal.sto_charge[s.id]
-        b["energy_revenue"] += float(prices.lambda_e @ net)
-        modes = primal.sto_cha_mode[s.id] + primal.sto_dis_mode[s.id]
-        b["inertia_revenue"] += float(prices.lambda_h @ (s.inertia_s * s.p_max_mw * modes))
-        b["pfr_revenue"] += float(prices.lambda_pfr @ primal.sto_pfr[s.id])
-        b["efr_revenue"] += float(prices.lambda_efr @ primal.sto_efr[s.id])
+        b["energy_revenue"] += terms(
+            _storage_energy_revenue, (primal.sto_discharge[s.id], primal.sto_charge[s.id], lam_e)
+        )
+        b["inertia_revenue"] += terms(
+            _storage_inertia_revenue,
+            (primal.sto_cha_mode[s.id], primal.sto_dis_mode[s.id], lam_h),
+            s.inertia_s * s.p_max_mw,
+        )
+        b["pfr_revenue"] += terms(_dot, (primal.sto_pfr[s.id], lam_pfr))
+        b["efr_revenue"] += terms(_dot, (primal.sto_efr[s.id], lam_efr))
     for b in out.values():
         b["as_revenue"] = b["inertia_revenue"] + b["pfr_revenue"] + b["efr_revenue"]
     return out

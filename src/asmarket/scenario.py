@@ -6,9 +6,10 @@ level so the format can evolve.
 """
 from __future__ import annotations
 
+import functools
 import json
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import MISSING, asdict, dataclass, fields, replace
 from pathlib import Path
 
 SCHEMA_VERSION = 1
@@ -262,38 +263,50 @@ def _numbers(v, path: str, diags: list[str]) -> tuple[float, ...] | None:
     return None if bad else tuple(float(x) for x in v)
 
 
+# declared field type -> (check, what the value must be)
+_FIELD_CHECKS = {
+    "float": (_is_number, "a finite number"),
+    "int": (_is_integer, "an integer"),
+    "bool": (lambda v: isinstance(v, bool), "true or false"),
+    "str": (lambda v: isinstance(v, str), "a string"),
+}
+
+
+@functools.cache
+def _field_table(cls) -> tuple[tuple[str, str, bool], ...]:
+    """(name, declared type, required) of each field of ``cls``."""
+    return tuple(
+        (f.name, f.type, f.default is MISSING and f.default_factory is MISSING) for f in fields(cls)
+    )
+
+
 def _spec_from_dict(cls, raw: dict, path: str, diags: list[str]):
     """Build a dataclass from a JSON mapping, reporting unknown/missing keys
-    and numeric fields not holding a finite number (an integer if ``int``)."""
-    import dataclasses
-
+    and fields not holding a value of their declared type: a finite number
+    for ``float``, an integer for ``int``, a boolean for ``bool`` and a
+    string for ``str``."""
     if not isinstance(raw, dict):
         diags.append(f"{path}: must be an object (got {raw!r})")
         return None
-    names = {f.name for f in fields(cls)}
-    for k in sorted(set(raw) - names):
+    table = _field_table(cls)
+    for k in sorted(set(raw) - {name for name, _, _ in table}):
         diags.append(f"{path}.{k}: unknown field")
-    kwargs = {}
+    kwargs, missing = {}, []
     n_diags = len(diags)
-    for f in fields(cls):
-        if f.name in raw:
-            v = raw[f.name]
-            if f.name == "cf":
-                v = _numbers(v, f"{path}.cf", diags)
-            elif f.type == "float" and not _is_number(v):
-                diags.append(f"{path}.{f.name}: must be a finite number (got {v!r})")
-            elif f.type == "int" and not _is_integer(v):
-                diags.append(f"{path}.{f.name}: must be an integer (got {v!r})")
-            kwargs[f.name] = v
-    missing = [
-        f.name
-        for f in fields(cls)
-        if f.name not in kwargs
-        and f.default is dataclasses.MISSING
-        and f.default_factory is dataclasses.MISSING
-    ]
-    for name in missing:
-        diags.append(f"{path}.{name}: missing required field")
+    for name, type_, required in table:
+        if name not in raw:
+            if required:
+                missing.append(f"{path}.{name}: missing required field")
+            continue
+        v = raw[name]
+        if name == "cf":
+            v = _numbers(v, f"{path}.cf", diags)
+        elif type_ in _FIELD_CHECKS:
+            ok, what = _FIELD_CHECKS[type_]
+            if not ok(v):
+                diags.append(f"{path}.{name}: must be {what} (got {v!r})")
+        kwargs[name] = v
+    diags.extend(missing)
     if len(diags) > n_diags:
         return None
     try:
@@ -351,8 +364,6 @@ def scenario_from_dict(doc: dict) -> Scenario:
 
 
 def scenario_to_dict(scenario: Scenario) -> dict:
-    from dataclasses import asdict
-
     return {
         "schema_version": SCHEMA_VERSION,
         "system": asdict(scenario.params),

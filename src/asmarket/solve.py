@@ -32,7 +32,6 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import sparse
 
 from . import lp
 from .frequency import cone_norm, cut_coefficients, nadir_terms, separating_cut
@@ -226,7 +225,13 @@ class _CutPool:
         T = model.scenario.horizon
         self.t, self.a1, self.a2 = np.arange(T), np.zeros(T), np.zeros(T)
         self._index, self._data = self._entries(self.t, self.a1, self.a2)
-        a = sparse.vstack([model.a, self.rows], format="csr")
+        cuts = self.rows
+        a = lp.Csr(
+            np.concatenate([model.a.indptr, model.a.indptr[-1] + cuts.indptr[1:]]),
+            np.concatenate([model.a.indices, cuts.indices]),
+            np.concatenate([model.a.data, cuts.data]),
+            (len(model.b) + T, model.n_vars),
+        )
         row_lower = np.concatenate([model.row_lower, np.full(T, -np.inf)])
         b = np.concatenate([model.b, np.zeros(T)])
         self.session = lp.LpSession(model.c, a, row_lower, b, model.lb, model.ub)
@@ -237,11 +242,11 @@ class _CutPool:
         return self._cone_cols[t], np.column_stack([c_h, c_pfr, c_efr, c_loss])
 
     @property
-    def rows(self) -> sparse.csr_matrix:
+    def rows(self) -> lp.Csr:
         """Every cut row, in cut order."""
-        indptr = np.arange(0, self._data.size + 1, 4)
-        return sparse.csr_matrix(
-            (self._data.ravel(), self._index.ravel(), indptr), shape=(len(self._data), self.model.n_vars)
+        indptr = np.arange(0, self._data.size + 1, 4, dtype=np.int32)
+        return lp.Csr(
+            indptr, self._index.ravel().astype(np.int32), self._data.ravel(), (len(self._data), self.model.n_vars)
         )
 
     def add(self, t: np.ndarray, a1: np.ndarray, a2: np.ndarray) -> None:

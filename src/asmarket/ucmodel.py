@@ -1,9 +1,9 @@
 """Frequency-secured unit-commitment model builder.
 
 ``build_uc`` returns the LP in the form HiGHS receives: column arrays, one
-CSR matrix whose rows hold ``row_lower <= a @ x <= b`` (equality rows first,
-then every inequality as ``<=`` with ``>=`` rows negated, each block in build
-order). The nadir cone of hour t is not a row: it constrains the aggregate
+:class:`lp.Csr` matrix whose rows hold ``row_lower <= a @ x <= b`` (equality
+rows first, then every inequality as ``<=`` with ``>=`` rows negated, each
+block in build order). The nadir cone of hour t is not a row: it constrains the aggregate
 columns ``h_sys``, ``efr_sys``, ``pfr_sys`` and ``p_loss`` at index t of
 ``cols``, and the solvers approximate it by cuts. Columns and rows are
 addressed alike, by named kind and unit: ``cols[(kind, unit)]`` holds a
@@ -31,8 +31,8 @@ import operator
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
-from scipy import sparse
 
+from .lp import Csr
 from .scenario import Scenario
 
 # Variable kinds
@@ -156,7 +156,7 @@ class UCModel:
     binary: np.ndarray            # mask; all False in the relaxed build
     cols: dict[tuple[str, str | None], np.ndarray]  # (kind, unit) -> columns in hour order
     classes: dict[str, tuple[str, ...]]  # unit -> its class's members, the first holding the columns
-    a: sparse.csr_matrix
+    a: Csr
     b: np.ndarray
     row_lower: np.ndarray         # b on the leading equality rows, -inf after
     rows: dict[tuple[str, str | None], np.ndarray]  # (kind, unit) -> rows of a in hour order
@@ -457,9 +457,7 @@ def build_uc(
     position = np.argsort(order)
     flip = np.where(sense == ">=", -1.0, 1.0)
     r_idx = np.array(r_idx, dtype=int)
-    a = sparse.csr_matrix(
-        (flip[r_idx] * np.array(data), (position[r_idx], c_idx)), shape=(len(sense), len(c))
-    )
+    a = Csr.from_triplets(position[r_idx], c_idx, flip[r_idx] * np.array(data), (len(sense), len(c)))
     b = (flip * rhs_of)[order]
     classes = {}
     for members in gen_classes + res_classes + sto_classes:

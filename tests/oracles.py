@@ -2,12 +2,16 @@
 commitment patterns (the LP evaluator is shared with the solver, the search
 is not: each pattern gets its own cold LP session through
 ``solve_fixed_binaries``, independent of the branch-and-bound's warm one), and
-the per-unit relaxation that the class-column relaxation reduces."""
+the per-unit relaxation that the class-column relaxation reduces, and
+scipy's CSR matrix of a model's ``lp.Csr``."""
 from __future__ import annotations
 
 from dataclasses import replace
 from itertools import product
 
+from scipy import sparse
+
+from asmarket.lp import Csr
 from asmarket.scenario import Scenario
 from asmarket.solve import solve_fixed_binaries
 from asmarket.ucmodel import UCModel
@@ -44,3 +48,8 @@ def classes_of_one(scenario: Scenario) -> Scenario:
         res_units=tuple(replace(u, technology=u.id) for u in scenario.res_units),
         storage_units=tuple(replace(u, technology=u.id) for u in scenario.storage_units),
     )
+
+
+def as_scipy(a: Csr) -> sparse.csr_matrix:
+    """``a`` as scipy's CSR matrix, sharing its three arrays."""
+    return sparse.csr_matrix((a.data, a.indices, a.indptr), shape=a.shape)

@@ -5,7 +5,7 @@ import pytest
 from scipy.optimize import linprog
 
 from asmarket import lp
-from asmarket.lp import LpSession, solve_lp
+from asmarket.lp import Csr, LpSession, solve_lp
 
 # min x0 + 2 x1 - 3 x2 + x3
 #   x0 + x1      = 2     (active equality)
@@ -19,7 +19,7 @@ B_UB = np.array([1.5])
 LB = np.array([0.0, 0.0, 0.0, 0.5])
 UB = np.array([10.0, 10.0, 1.0, 5.0])
 # the same rows in HiGHS' form: row_lower <= A x <= row_upper
-A = np.vstack([A_EQ, A_UB])
+A = Csr.from_dense(np.vstack([A_EQ, A_UB]))
 ROW_LOWER = np.array([2.0, -np.inf])
 ROW_UPPER = np.array([2.0, 1.5])
 

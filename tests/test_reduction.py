@@ -46,7 +46,7 @@ from asmarket.ucmodel import (
     build_uc,
 )
 from conftest import binding_scenario, toy10_scenario
-from oracles import classes_of_one
+from oracles import as_scipy, classes_of_one
 
 
 def tripled(sc):
@@ -142,7 +142,7 @@ def test_lift_is_optimal_on_oracle_arrays(pair):
     assert abs(solve._dual_objective(oracle, lifted) - objective) <= DUALITY_TOL * scale
     assert solve._max_cs_residual(oracle_pool, lifted) <= DUALITY_TOL * scale
     # dual feasibility: the lifted multipliers price every column at its cost
-    a = sparse.vstack([oracle.a, oracle_pool.rows], format="csr")
+    a = sparse.vstack([as_scipy(oracle.a), as_scipy(oracle_pool.rows)], format="csr")
     reduced_cost = oracle.c - a.T @ lifted.row_marginals - lifted.lower_marginals - lifted.upper_marginals
     assert np.max(np.abs(reduced_cost)) <= DUALITY_TOL * max(1.0, np.max(np.abs(oracle.c)))
 

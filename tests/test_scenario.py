@@ -1,5 +1,8 @@
+import json
+
 import pytest
 
+from asmarket.cli import EXIT_VALIDATION, main
 from asmarket.scenario import (
     ScenarioError,
     ScenarioValidationError,
@@ -174,6 +177,12 @@ WRONG_TYPES = {
     "horizon-float": (_set("horizon_hours", 6.7), "horizon_hours: must be an integer (got 6.7)"),
     "cap-string": (_set("p_loss_cap_mw", [100.0] * 5 + ["x"]), "p_loss_cap_mw[5]: must be a finite number"),
     "unit-not-an-object": (_set("storage_units", 0, 400.0), "storage_units[0]: must be an object"),
+    # a truthy string would make the unit loss-eligible
+    "loss-eligible-string": (_set("generators", 0, "loss_eligible", "no"),
+                             "generators[0].loss_eligible: must be true or false (got 'no')"),
+    "id-number": (_set("generators", 1, "id", 5), "generators[1].id: must be a string (got 5)"),
+    "technology-number": (_set("res_units", 0, "technology", 3), "res_units[0].technology: must be a string"),
+    "kind-list": (_set("storage_units", 0, "kind", ["BESS"]), "storage_units[0].kind: must be a string"),
 }
 
 
@@ -188,6 +197,14 @@ def test_wrong_type_is_a_validation_error(case):
     with pytest.raises(ScenarioValidationError) as err:
         scenario_from_dict(wrong_type_doc(case))
     assert any(d.startswith(WRONG_TYPES[case][1]) for d in err.value.diagnostics), err.value.diagnostics
+
+
+@pytest.mark.parametrize("case", ["loss-eligible-string", "id-number"])
+def test_validate_rejects_non_numeric_field_types(tmp_path, capsys, case):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(wrong_type_doc(case)), encoding="utf-8")
+    assert main(["validate", str(path)]) == EXIT_VALIDATION
+    assert WRONG_TYPES[case][1] in capsys.readouterr().err
 
 
 def test_integers_stay_valid_numbers():

@@ -37,7 +37,7 @@ from asmarket.ucmodel import (
     build_uc,
 )
 from conftest import bess, binding_scenario, gen, single_gen_scenario, toy10_scenario
-from oracles import enumerate_commitments
+from oracles import as_scipy, enumerate_commitments
 
 
 def plain_gen_scenario(horizon=2, demand=60.0):
@@ -229,7 +229,7 @@ class TestCutPool:
         pool = solve._CutPool(model)
         angle = rng.uniform(0.0, 2.0 * np.pi, 60)
         pool.add(rng.integers(0, T, 60), np.cos(angle), np.sin(angle))
-        rows = pool.rows
+        rows = as_scipy(pool.rows)
         assert rows.shape == (T + 60, model.n_vars)
         assert np.array_equal(pool.t[:T], np.arange(T)) and not pool.a1[:T].any() and not pool.a2[:T].any()
         assert np.all(np.diff(rows.indptr) == 4)
@@ -305,9 +305,9 @@ class TestWarmStart:
         eq = np.isfinite(model.row_lower)
         cold = linprog(
             model.c,
-            A_ub=sparse.vstack([model.a[~eq], pool.rows]),
+            A_ub=sparse.vstack([as_scipy(model.a)[~eq], as_scipy(pool.rows)]),
             b_ub=np.concatenate([model.b[~eq], np.zeros(len(pool.t))]),
-            A_eq=model.a[eq],
+            A_eq=as_scipy(model.a)[eq],
             b_eq=model.b[eq],
             bounds=np.column_stack([model.lb, model.ub]),
             method="highs",

@@ -34,6 +34,7 @@ from asmarket.ucmodel import (
     build_uc,
 )
 from conftest import binding_scenario, endog_scenario, gen, single_gen_scenario, toy10_scenario
+from oracles import as_scipy
 
 
 def test_row_census_single_gen_single_hour():
@@ -53,7 +54,7 @@ def test_fixed_profile_rhs_on_gb_template():
     assert len(rows) == 6
     # p_loss >= 1800, held negated as -p_loss <= -1800
     assert np.all(m.b[rows] == -1800.0) and np.all(m.row_lower[rows] == -np.inf)
-    assert np.all(m.a[rows][:, m.cols[(V_PLOSS, None)]].toarray() == -np.eye(6))
+    assert np.all(as_scipy(m.a)[rows][:, m.cols[(V_PLOSS, None)]].toarray() == -np.eye(6))
     assert not any(kind == K_MAXLOSS for kind, unit in m.rows if unit is not None)
 
 
@@ -172,7 +173,7 @@ def test_rows_in_row_bound_form(toy10_builds):
         assert m.a.shape == (len(m.b), m.n_vars)
     assert np.array_equal(fixed.b[fixed.rows[(K_MAXLOSS, None)]], np.full(6, -120.5))
     # the >= rows of RoCoF and QSS are negated in a: -h + c p_loss <= 0
-    assert np.all(fixed.a[fixed.rows[(K_ROCOF, None)]][:, fixed.cols[(V_H, None)]].toarray() == -np.eye(6))
+    assert np.all(as_scipy(fixed.a)[fixed.rows[(K_ROCOF, None)]][:, fixed.cols[(V_H, None)]].toarray() == -np.eye(6))
     relaxed, mip = toy10_builds
     assert rows_as_lists(relaxed) == rows_as_lists(mip)
 
@@ -192,7 +193,7 @@ def test_rows_partition_the_rows(toy10_builds, rule):
                 assert idx is m.rows[(kind, m.classes[unit][0])]
         # row t of a system kind is hour t's: it holds p_loss at hour t
         for kind in (K_ROCOF, K_QSS):
-            rows = m.a[m.rows[(kind, None)]][:, m.cols[(V_PLOSS, None)]].toarray()
+            rows = as_scipy(m.a)[m.rows[(kind, None)]][:, m.cols[(V_PLOSS, None)]].toarray()
             assert np.array_equal(rows != 0, np.eye(T, dtype=bool))
     assert len(own_keys(gb.rows, gb)) < len(gb.rows)  # the GB classes alias their members
 
