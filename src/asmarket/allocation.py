@@ -22,6 +22,9 @@ class AllocationError(Exception):
 
 
 GROUP_TOL = 1e-9  # relative cost band within which nucleolus players form one type
+CORE_TOL = 1e-9   # core_check's band, relative to max(1, C(N))
+SHAPLEY_BRUTEFORCE_MAX_N = 12  # 2^n coalitions
+NUCLEOLUS_ORACLE_MAX_N = 8     # 2^n LP rows
 
 
 @dataclass(frozen=True)
@@ -136,11 +139,11 @@ def _coalition_costs(costs: np.ndarray) -> np.ndarray:
     return c
 
 
-def shapley_bruteforce(game: AirportGame, max_n: int = 12) -> Allocation:
+def shapley_bruteforce(game: AirportGame) -> Allocation:
     """Exact subset-weighted marginal-contribution sum (exponential)."""
     n = game.n
-    if n > max_n:
-        raise AllocationError(f"shapley_bruteforce: {n} players exceeds max_n={max_n}")
+    if n > SHAPLEY_BRUTEFORCE_MAX_N:
+        raise AllocationError(f"shapley_bruteforce: {n} players exceeds max_n={SHAPLEY_BRUTEFORCE_MAX_N}")
     if n == 0:
         return Allocation(rule="shapley_bruteforce", phi={}, hour=game.hour)
     costs = game.costs
@@ -269,7 +272,7 @@ def nucleolus(game: AirportGame) -> Allocation:
 # Lexicographic-LP nucleolus oracle
 
 
-def nucleolus_lp_oracle(game: AirportGame, max_n: int = 8) -> Allocation:
+def nucleolus_lp_oracle(game: AirportGame) -> Allocation:
     """Nucleolus by lexicographic minimisation of sorted coalition excesses.
 
     One HiGHS session per game holds a row ``x(S) - eps <= C(S)`` for every
@@ -286,8 +289,8 @@ def nucleolus_lp_oracle(game: AirportGame, max_n: int = 8) -> Allocation:
     squares.
     """
     n = game.n
-    if n > max_n:
-        raise AllocationError(f"nucleolus_lp_oracle: {n} players exceeds max_n={max_n}")
+    if n > NUCLEOLUS_ORACLE_MAX_N:
+        raise AllocationError(f"nucleolus_lp_oracle: {n} players exceeds max_n={NUCLEOLUS_ORACLE_MAX_N}")
     if n == 0:
         return Allocation(rule="nucleolus_lp", phi={}, hour=game.hour)
     costs = game.costs
@@ -367,7 +370,7 @@ class CoreReport:
     coalitions_checked: int
 
 
-def core_check(alloc: Allocation, game: AirportGame, tol: float = 1e-9) -> CoreReport:
+def core_check(alloc: Allocation, game: AirportGame) -> CoreReport:
     """Verify efficiency, individual and coalitional rationality over every
     coalition (2^n enumeration, n <= 20)."""
     n = game.n
@@ -391,7 +394,8 @@ def core_check(alloc: Allocation, game: AirportGame, tol: float = 1e-9) -> CoreR
     worst_idx = int(np.argmax(excess))
     worst = float(excess[worst_idx])
     coalition = tuple(game.ids[i] for i in range(n) if (worst_idx >> i) & 1)
-    passed = eff_gap <= tol * scale and ir <= tol * scale and worst <= tol * scale
+    tol = CORE_TOL * scale
+    passed = eff_gap <= tol and ir <= tol and worst <= tol
     return CoreReport(
         rule=alloc.rule,
         passed=passed,

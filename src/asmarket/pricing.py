@@ -134,92 +134,47 @@ class MarketBreakdown:
     by_technology: dict[str, dict[str, float]]
 
 
-class _Terms:
-    """Per-unit terms of the audit, each computed once per distinct input.
-
-    ``terms(fn, arrays, *scalars)`` is ``fn(*arrays, *scalars)``, remembered
-    under ``fn``, the arrays' identities and the scalars' values: the members
-    of a class of identical units share their solution and dual arrays and
-    their scalars, so a class's term is computed once. The caller still adds
-    the terms unit by unit, in scenario order."""
-
-    def __init__(self):
-        self._seen = {}
-
-    def __call__(self, fn, arrays: tuple, *scalars) -> float:
-        key = (fn, scalars, *map(id, arrays))
-        value = self._seen.get(key)
-        if value is None:
-            value = self._seen[key] = fn(*arrays, *scalars)
-        return value
+def _stack(table: dict, units, *shape: int) -> np.ndarray:
+    """The units' entries of a per-unit table, in scenario order, as one
+    ``(len(units), *shape)`` array (explicit shape: ``units`` may be empty)."""
+    return np.array([table[u.id] for u in units], dtype=float).reshape(len(units), *shape)
 
 
-def _gen_cost(p, commit, pfr, energy_offer, inertia_cost, pfr_offer) -> float:
-    return float(energy_offer * p.sum() + inertia_cost * commit.sum() + pfr_offer * pfr.sum())
+def _product(units, *names: str) -> np.ndarray:
+    """Per unit, the product of its scalar fields ``names``, left to right."""
+    out = np.ones(len(units))
+    for name in names:
+        out = out * np.array([getattr(u, name) for u in units], dtype=float)
+    return out
 
 
-def _res_cost(p, energy_offer) -> float:
-    return float(energy_offer * p.sum())
-
-
-def _sto_cost(discharge, cha_mode, dis_mode, pfr, efr, energy_offer, inertia_cost, pfr_offer, efr_offer) -> float:
-    modes = cha_mode + dis_mode
-    return float(
-        energy_offer * discharge.sum()
-        + inertia_cost * modes.sum()
-        + pfr_offer * pfr.sum()
-        + efr_offer * efr.sum()
-    )
+def _add(total, *terms: np.ndarray):
+    """``total`` plus the per-unit terms one at a time, in scenario order; the
+    entries of several term arrays alternate unit by unit."""
+    for term in np.column_stack(terms).ravel().tolist():
+        total += term
+    return total
 
 
 def system_costs(scenario: Scenario, primal: DispatchSolution) -> float:
     """Objective recomputed from offers and the primal point."""
-    terms = _Terms()
-    total = 0.0
-    for g in scenario.generators:
-        total += terms(
-            _gen_cost,
-            (primal.gen_p[g.id], primal.gen_commit[g.id], primal.gen_pfr[g.id]),
-            g.energy_offer_gbp_per_mwh,
-            g.inertia_offer_gbp_per_mws * g.p_max_mw * g.inertia_s,
-            g.pfr_offer_gbp_per_mw,
-        )
-    for r in scenario.res_units:
-        total += terms(_res_cost, (primal.res_p[r.id],), r.energy_offer_gbp_per_mwh)
-    for s in scenario.storage_units:
-        total += terms(
-            _sto_cost,
-            (primal.sto_discharge[s.id], primal.sto_cha_mode[s.id], primal.sto_dis_mode[s.id],
-             primal.sto_pfr[s.id], primal.sto_efr[s.id]),
-            s.energy_offer_gbp_per_mwh,
-            s.inertia_offer_gbp_per_mws * s.p_max_mw * s.inertia_s,
-            s.pfr_offer_gbp_per_mw,
-            s.efr_offer_gbp_per_mw,
-        )
-    return total
-
-
-def _thermal_profit(max_y, max_yst, max_ysg, max_ysd) -> float:
-    return float(max_y.sum() + max_yst.sum() + max_ysg.sum() + max_ysd.sum())
-
-
-def _mdt_term(mdt, rhs0) -> float:
-    return float(mdt[0] * rhs0 + mdt[1:].sum())
-
-
-def _renewable_profit(psi_cf, cf, p_max) -> float:
-    caps = np.array(cf) * p_max
-    return float(caps @ psi_cf)
-
-
-def _storage_profit(psi_e_min, psi_e_max, max_ycha, max_ydis, mutex, e_min, e_max) -> float:
-    return float(
-        -e_min * psi_e_min.sum()
-        + e_max * psi_e_max.sum()
-        + max_ycha.sum()
-        + max_ydis.sum()
-        + mutex.sum()
+    T = scenario.horizon
+    gens, res, stos = scenario.generators, scenario.res_units, scenario.storage_units
+    gen = (
+        _product(gens, "energy_offer_gbp_per_mwh") * _stack(primal.gen_p, gens, T).sum(axis=1)
+        + _product(gens, "inertia_offer_gbp_per_mws", "p_max_mw", "inertia_s")
+        * _stack(primal.gen_commit, gens, T).sum(axis=1)
+        + _product(gens, "pfr_offer_gbp_per_mw") * _stack(primal.gen_pfr, gens, T).sum(axis=1)
     )
+    ren = _product(res, "energy_offer_gbp_per_mwh") * _stack(primal.res_p, res, T).sum(axis=1)
+    modes = _stack(primal.sto_cha_mode, stos, T) + _stack(primal.sto_dis_mode, stos, T)
+    sto = (
+        _product(stos, "energy_offer_gbp_per_mwh") * _stack(primal.sto_discharge, stos, T).sum(axis=1)
+        + _product(stos, "inertia_offer_gbp_per_mws", "p_max_mw", "inertia_s") * modes.sum(axis=1)
+        + _product(stos, "pfr_offer_gbp_per_mw") * _stack(primal.sto_pfr, stos, T).sum(axis=1)
+        + _product(stos, "efr_offer_gbp_per_mw") * _stack(primal.sto_efr, stos, T).sum(axis=1)
+    )
+    return _add(0.0, np.concatenate((gen, ren, sto)))
 
 
 def duality_audit(primal: DispatchSolution, duals: DualSolution, scenario: Scenario) -> MarketBreakdown:
@@ -248,27 +203,31 @@ def duality_audit(primal: DispatchSolution, duals: DualSolution, scenario: Scena
     as_payments = duals.as_payment_rhs
     costs = system_costs(scenario, primal)
 
-    terms = _Terms()
-    thermal = 0.0
-    omitted = duals.initial_rhs_term
-    for g in scenario.generators:
-        thermal += terms(
-            _thermal_profit,
-            (duals.psi_max_y[g.id], duals.psi_max_yst[g.id], duals.psi_max_ysg[g.id], duals.psi_max_ysd[g.id]),
-        )
-        omitted += terms(_mdt_term, (duals.psi_mdt[g.id],), 1.0 - init.y0(g.id))
-    renewable = 0.0
-    for r in scenario.res_units:
-        renewable += terms(_renewable_profit, (duals.psi_cf[r.id],), r.cf, r.p_max_mw)
-    storage = 0.0
-    for s in scenario.storage_units:
-        storage += terms(
-            _storage_profit,
-            (duals.psi_e_min[s.id], duals.psi_e_max[s.id],
-             duals.psi_max_ycha[s.id], duals.psi_max_ydis[s.id], duals.psi_mutex[s.id]),
-            s.e_min_mwh, s.e_max_mwh,
-        )
-        storage += init.e0(s) * duals.psi_ini[s.id] - s.e_end_mwh * duals.psi_end[s.id]
+    T = scenario.horizon
+    gens, res, stos = scenario.generators, scenario.res_units, scenario.storage_units
+    thermal = _add(0.0, (
+        _stack(duals.psi_max_y, gens, T).sum(axis=1)
+        + _stack(duals.psi_max_yst, gens, T).sum(axis=1)
+        + _stack(duals.psi_max_ysg, gens, T).sum(axis=1)
+        + _stack(duals.psi_max_ysd, gens, T).sum(axis=1)
+    ))
+    mdt = _stack(duals.psi_mdt, gens, T)
+    rhs0 = np.array([1.0 - init.y0(g.id) for g in gens])
+    omitted = _add(duals.initial_rhs_term, mdt[:, 0] * rhs0 + mdt[:, 1:].sum(axis=1))
+    caps = np.array([r.cf for r in res], dtype=float).reshape(len(res), T) * _product(res, "p_max_mw")[:, None]
+    renewable = _add(0.0, np.vecdot(caps, _stack(duals.psi_cf, res, T)))
+    bounds = (
+        -_product(stos, "e_min_mwh") * _stack(duals.psi_e_min, stos, T).sum(axis=1)
+        + _product(stos, "e_max_mwh") * _stack(duals.psi_e_max, stos, T).sum(axis=1)
+        + _stack(duals.psi_max_ycha, stos, T).sum(axis=1)
+        + _stack(duals.psi_max_ydis, stos, T).sum(axis=1)
+        + _stack(duals.psi_mutex, stos, T).sum(axis=1)
+    )
+    ends = (
+        np.array([init.e0(s) for s in stos]) * _stack(duals.psi_ini, stos)
+        - _product(stos, "e_end_mwh") * _stack(duals.psi_end, stos)
+    )
+    storage = _add(0.0, bounds, ends)
 
     lhs = energy_payments + as_payments
     rhs = costs + thermal + renewable + storage + omitted
@@ -298,56 +257,40 @@ def duality_audit(primal: DispatchSolution, duals: DualSolution, scenario: Scena
     )
 
 
-def _dot(x, price) -> float:
-    return float(price @ x)
-
-
-def _inertia_revenue(commit, lambda_h, inertia_mw) -> float:
-    return float(lambda_h @ (inertia_mw * commit))
-
-
-def _storage_energy_revenue(discharge, charge, lambda_e) -> float:
-    return float(lambda_e @ (discharge - charge))
-
-
-def _storage_inertia_revenue(cha_mode, dis_mode, lambda_h, inertia_mw) -> float:
-    return float(lambda_h @ (inertia_mw * (cha_mode + dis_mode)))
-
-
 def _technology_revenues(
     scenario: Scenario, primal: DispatchSolution, prices: AsPrices
 ) -> dict[str, dict[str, float]]:
-    terms = _Terms()
-    out: dict[str, dict[str, float]] = {}
-
-    def bucket(tech):
-        return out.setdefault(
-            tech, {"energy_revenue": 0.0, "inertia_revenue": 0.0, "pfr_revenue": 0.0, "efr_revenue": 0.0}
-        )
-
-    # the price arrays are one object each, so they key by identity too
+    T = scenario.horizon
+    gens, res, stos = scenario.generators, scenario.res_units, scenario.storage_units
     lam_e, lam_h, lam_pfr, lam_efr = prices.lambda_e, prices.lambda_h, prices.lambda_pfr, prices.lambda_efr
-    for g in scenario.generators:
-        b = bucket(g.technology)
-        b["energy_revenue"] += terms(_dot, (primal.gen_p[g.id], lam_e))
-        b["inertia_revenue"] += terms(_inertia_revenue, (primal.gen_commit[g.id], lam_h), g.inertia_s * g.p_max_mw)
-        b["pfr_revenue"] += terms(_dot, (primal.gen_pfr[g.id], lam_pfr))
-    for r in scenario.res_units:
-        b = bucket(r.technology)
-        b["energy_revenue"] += terms(_dot, (primal.res_p[r.id], lam_e))
-    for s in scenario.storage_units:
-        b = bucket(s.technology)
-        b["energy_revenue"] += terms(
-            _storage_energy_revenue, (primal.sto_discharge[s.id], primal.sto_charge[s.id], lam_e)
-        )
-        b["inertia_revenue"] += terms(
-            _storage_inertia_revenue,
-            (primal.sto_cha_mode[s.id], primal.sto_dis_mode[s.id], lam_h),
-            s.inertia_s * s.p_max_mw,
-        )
-        b["pfr_revenue"] += terms(_dot, (primal.sto_pfr[s.id], lam_pfr))
-        b["efr_revenue"] += terms(_dot, (primal.sto_efr[s.id], lam_efr))
-    for b in out.values():
+    # per unit in scenario order; a revenue a unit cannot earn is a 0.0 term
+    sto_modes = _stack(primal.sto_cha_mode, stos, T) + _stack(primal.sto_dis_mode, stos, T)
+    revenue = {
+        "energy_revenue": np.concatenate((
+            np.vecdot(_stack(primal.gen_p, gens, T), lam_e),
+            np.vecdot(_stack(primal.res_p, res, T), lam_e),
+            np.vecdot(_stack(primal.sto_discharge, stos, T) - _stack(primal.sto_charge, stos, T), lam_e),
+        )),
+        "inertia_revenue": np.concatenate((
+            np.vecdot(_product(gens, "inertia_s", "p_max_mw")[:, None] * _stack(primal.gen_commit, gens, T), lam_h),
+            np.zeros(len(res)),
+            np.vecdot(_product(stos, "inertia_s", "p_max_mw")[:, None] * sto_modes, lam_h),
+        )),
+        "pfr_revenue": np.concatenate((
+            np.vecdot(_stack(primal.gen_pfr, gens, T), lam_pfr),
+            np.zeros(len(res)),
+            np.vecdot(_stack(primal.sto_pfr, stos, T), lam_pfr),
+        )),
+        "efr_revenue": np.concatenate((
+            np.zeros(len(gens) + len(res)),
+            np.vecdot(_stack(primal.sto_efr, stos, T), lam_efr),
+        )),
+    }
+    techs = np.array([u.technology for u in scenario.all_units])
+    out: dict[str, dict[str, float]] = {}
+    for tech in dict.fromkeys(techs.tolist()):
+        mine = techs == tech
+        b = out[tech] = {key: _add(0.0, terms[mine]) for key, terms in revenue.items()}
         b["as_revenue"] = b["inertia_revenue"] + b["pfr_revenue"] + b["efr_revenue"]
     return out
 

@@ -176,7 +176,8 @@ class StorageSpec:
 
 @dataclass(frozen=True)
 class Scenario:
-    """Complete market instance. Immutable once constructed."""
+    """Complete market instance. Validated on construction, which raises
+    ScenarioValidationError on any diagnostic, and immutable after it."""
 
     params: SystemParams
     horizon: int
@@ -219,11 +220,10 @@ class Scenario:
             seen.add(s.id)
         return out
 
-    def check(self) -> "Scenario":
+    def __post_init__(self):
         diags = self.validate()
         if diags:
             raise ScenarioValidationError(diags)
-        return self
 
     @property
     def all_units(self) -> tuple:
@@ -351,7 +351,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
     cap = None if cap is None else _numbers(cap, "p_loss_cap_mw", diags)
     if diags:
         raise ScenarioValidationError(diags)
-    scenario = Scenario(
+    return Scenario(
         params=params,
         horizon=horizon,
         demand_mw=demand,
@@ -360,7 +360,6 @@ def scenario_from_dict(doc: dict) -> Scenario:
         storage_units=tuple(stos),
         p_loss_cap_mw=cap,
     )
-    return scenario.check()
 
 
 def scenario_to_dict(scenario: Scenario) -> dict:
@@ -551,4 +550,4 @@ def gb_template(horizon: int = 168) -> Scenario:
         generators=tuple(gens),
         res_units=tuple(res),
         storage_units=tuple(stos),
-    ).check()
+    )

@@ -219,7 +219,6 @@ def build_uc(
     Units of classes of one are built exactly as in the mixed-integer form,
     which keeps one class per unit.
     """
-    scenario.check()
     T = scenario.horizon
     if not scenario.all_units:
         raise ModelError("empty fleet: scenario has no units")

@@ -88,7 +88,7 @@ def single_gen_scenario(horizon=2, demand=60.0) -> Scenario:
         horizon=horizon,
         demand_mw=(demand,) * horizon,
         generators=(gen("g1", 100.0, 0.0, 5.0, 50.0, 40.0, 0.5, 2.0),),
-    ).check()
+    )
 
 
 def binding_scenario(horizon=3) -> Scenario:
@@ -104,7 +104,7 @@ def binding_scenario(horizon=3) -> Scenario:
             gen("g2", 300.0, 50.0, 5.0, 90.0, 65.0, 0.8, 3.0, 1, 1),
         ),
         storage_units=(bess("b1", 80.0, 160.0, 80.0, 50.0, 10.0),),
-    ).check()
+    )
 
 
 def toy10_scenario(horizon=24) -> Scenario:
@@ -139,7 +139,7 @@ def toy10_scenario(horizon=24) -> Scenario:
             phes("phes1", 150.0, 900.0, 50.0, 45.0, 0.8, 3.0),
             bess("bess1", 120.0, 240.0, 100.0, 35.0, 8.0),
         ),
-    ).check()
+    )
 
 
 def endog_scenario(horizon=2) -> Scenario:
@@ -156,7 +156,7 @@ def endog_scenario(horizon=2) -> Scenario:
         demand_mw=demand,
         generators=gens,
         storage_units=(bess("b1", 150.0, 300.0, 150.0, 50.0, 5.0),),
-    ).check()
+    )
 
 
 def free_pfr_scenario(horizon=2) -> Scenario:
@@ -170,7 +170,7 @@ def free_pfr_scenario(horizon=2) -> Scenario:
             gen("big", 1000.0, 0.0, 10.0, 500.0, 30.0, 0.0, 0.0),
             gen("mid", 120.0, 0.0, 5.0, 40.0, 45.0, 0.0, 0.0),
         ),
-    ).check()
+    )
 
 
 @pytest.fixture

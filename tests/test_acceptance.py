@@ -62,7 +62,7 @@ def test_criterion_shapley_oracle_equivalence():
     for _ in range(1000):
         g = random_game(rng, 12)
         a = shapley_airport(g)
-        b = shapley_bruteforce(g, max_n=12)
+        b = shapley_bruteforce(g)
         worst = max(worst, max(abs(a.phi[u] - b.phi[u]) for u in a.phi))
     elapsed = time.perf_counter() - t0
     report(
@@ -81,7 +81,7 @@ def test_criterion_nucleolus_oracle_equivalence():
     for _ in range(1000):
         g = random_game(rng, 8)
         a = nucleolus(g)
-        b = nucleolus_lp_oracle(g, max_n=8)
+        b = nucleolus_lp_oracle(g)
         worst = max(worst, max(abs(a.phi[u] - b.phi[u]) for u in a.phi))
     elapsed = time.perf_counter() - t0
     report(
@@ -196,14 +196,14 @@ def test_criterion_mip_enumeration():
             gen("a", 100.0, 30.0, 5.0, 40.0, 50.0, 1.0, 3.0),
             gen("b", 80.0, 20.0, 5.0, 32.0, 70.0, 1.5, 4.0),
         ),
-    ).check()
+    )
     instances.append(build_uc(sc_b, FixedProfile.constant(15.0, 1), relaxed=False))
     # (c) generator plus BESS, one hour: 6 binaries incl. the mode pair
     sc_c = Scenario(
         params=GB, horizon=1, demand_mw=(80.0,),
         generators=(gen("g", 100.0, 0.0, 5.0, 40.0, 50.0, 1.0, 3.0),),
         storage_units=(bess("bat", 30.0, 60.0, 30.0, 45.0, 6.0),),
-    ).check()
+    )
     instances.append(build_uc(sc_c, FixedProfile.constant(20.0, 1), relaxed=False))
 
     worst = 0.0
@@ -229,7 +229,7 @@ def test_criterion_directional_allocation():
         demand_mw=(5000.0,),
         generators=(gen("big", 1800.0, 1800.0, 5.0, 0.0, 40.0, 1.0, 0.0),) + mids,
         storage_units=(bess("bat", 1500.0, 3000.0, 1500.0, 55.0, 10.0),),
-    ).check()
+    )
     model = build_uc(sc, EndogenousMax(), relaxed=False)
     schedule, dispatch, _ = solve_mip(model)
     assert dispatch.gen_p["big"][0] == pytest.approx(1800.0, abs=1e-4)

@@ -62,7 +62,7 @@ class TestShapley:
     def test_bruteforce_guard(self):
         g = game(*range(1, 14))
         with pytest.raises(AllocationError):
-            shapley_bruteforce(g, max_n=12)
+            shapley_bruteforce(g)
 
     def test_random_agreement(self):
         rng = np.random.default_rng(21)
@@ -125,7 +125,7 @@ class TestNucleolus:
 
     def test_lp_oracle_guard(self):
         with pytest.raises(AllocationError):
-            nucleolus_lp_oracle(game(*range(1, 11)), max_n=8)
+            nucleolus_lp_oracle(game(*range(1, 11)))
 
     def test_random_agreement(self):
         rng = np.random.default_rng(33)

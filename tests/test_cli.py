@@ -3,7 +3,7 @@ import json
 import pytest
 
 from asmarket.cli import EXIT_INFEASIBLE, EXIT_INTERNAL, EXIT_OK, EXIT_VALIDATION, main
-from asmarket.scenario import gb_template, write_scenario
+from asmarket.scenario import Scenario, gb_template, write_scenario
 from asmarket.solve import CONE_REL_TOL
 from asmarket.tables import load_manifest, verify_manifest
 from asmarket.ucmodel import EndogenousMax, build_uc
@@ -116,6 +116,15 @@ class TestRun:
             for s in m["stages"]:
                 s.pop("wall_s")
         assert m1 == m2
+
+    def test_a_run_validates_once(self, scenario_file, tmp_path, monkeypatch):
+        # the MIP, the relaxed pricing and the stand-alone builds reuse the
+        # loaded scenario, which was validated when it was constructed
+        calls = []
+        validate = Scenario.validate
+        monkeypatch.setattr(Scenario, "validate", lambda self: calls.append(1) or validate(self))
+        assert self.run(scenario_file, tmp_path / "out") == EXIT_OK
+        assert len(calls) == 1
 
     def test_gb_rerun_byte_identical_across_jobs(self, tmp_path):
         # GB scale: the relaxed solves share one read-only array per class,

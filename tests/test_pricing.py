@@ -21,6 +21,7 @@ from asmarket.scenario import Scenario, SystemParams, gb_template
 from asmarket.solve import DualSolution, solve_mip, solve_relaxed
 from asmarket.ucmodel import EndogenousMax, FixedProfile, InitialState, build_uc
 from conftest import binding_scenario, endog_scenario, free_pfr_scenario, gen, toy10_scenario
+from oracles import audit_by_unit, breakdown_differences
 
 GB = SystemParams()
 
@@ -80,7 +81,7 @@ class TestDualityAudit:
         sc = Scenario(
             params=GB, horizon=2, demand_mw=(60.0, 70.0),
             generators=(gen("g1", 100.0, 0.0, 5.0, 50.0, 40.0, 0.0, 0.0),),
-        ).check()
+        )
         m = build_uc(sc, FixedProfile.constant(0.0, 2), relaxed=True)
         dispatch, duals, _ = solve_relaxed(m)
         breakdown = duality_audit(dispatch, duals, sc)
@@ -162,7 +163,7 @@ class TestDualityAudit:
                     gen("g1", 100.0, 0.0, 5.0, 0.0, 40.0, 1.0, 0.0, 0, 1, 1),
                     gen("g2", 100.0, 0.0, 0.0, 0.0, 200.0),
                 ),
-            ).check()
+            )
             rule, init = FixedProfile.constant(0.0, 2), InitialState(gen_on={"g1": 1})
         dispatch, duals, _ = solve_relaxed(build_uc(sc, rule, relaxed=True, initial_state=init))
         assert duals.initial_state == init
@@ -180,6 +181,42 @@ class TestDualityAudit:
             duals.psi_max_y[uid] = np.zeros_like(duals.psi_max_y[uid])
         with pytest.raises(AuditError):
             duality_audit(dispatch, duals, sc)
+
+
+AUDIT_CASES = {
+    "toy10-6h-endogenous": lambda: (toy10_scenario(6), EndogenousMax(), None),
+    "binding-fixed-100MW": lambda: (binding_scenario(), FixedProfile.constant(100.0, 3), None),
+    "generators-only": lambda: (free_pfr_scenario(), EndogenousMax(), None),  # no RES, no storage
+    "gb-6h-endogenous": lambda: (gb_template(6), EndogenousMax(), None),
+    # classes split by their initial state; the storage terms' order shows here
+    "gb-6h-initial-state": lambda: (gb_template(6), EndogenousMax(), InitialState(
+        gen_on={"ccgt_3": 1, "nuclear_1": 1}, storage_e0_mwh={"bess_7": 10.0, "phes_2": 1600.0})),
+}
+
+
+@pytest.fixture(scope="module", params=list(AUDIT_CASES))
+def audited(request):
+    sc, rule, init = AUDIT_CASES[request.param]()
+    dispatch, duals, _ = solve_relaxed(build_uc(sc, rule, relaxed=True, initial_state=init))
+    return sc, dispatch, duals, duality_audit(dispatch, duals, sc)
+
+
+class TestAuditTerms:
+    def test_matches_the_per_unit_oracle_bit_for_bit(self, audited):
+        sc, dispatch, duals, breakdown = audited
+        assert breakdown_differences(breakdown, audit_by_unit(dispatch, duals, sc)) == []
+
+    def test_technology_revenues_add_up(self, audited):
+        sc, _, _, breakdown = audited
+        techs = breakdown.by_technology
+        assert list(techs) == list(dict.fromkeys(u.technology for u in sc.all_units))
+        for kind in ("inertia", "pfr", "efr"):
+            total = sum(b[f"{kind}_revenue"] for b in techs.values())
+            assert total == pytest.approx(getattr(breakdown, f"{kind}_revenue").sum(), rel=1e-9)
+        energy = sum(b["energy_revenue"] for b in techs.values())
+        assert energy == pytest.approx(breakdown.energy_payments, rel=1e-9)
+        for b in techs.values():
+            assert b["as_revenue"] == b["inertia_revenue"] + b["pfr_revenue"] + b["efr_revenue"]
 
 
 class TestStandalone:
@@ -207,7 +244,7 @@ class TestStandalone:
                 sc.generators[0],
                 dataclasses.replace(sc.generators[1], energy_offer_gbp_per_mwh=25.0),
             ),
-        ).check()
+        )
         block = self.block_i(sc, FixedProfile.constant(0.0, sc.horizon))
         _, dispatch = block
         assert dispatch.gen_p["mid"][0] > 0  # now dispatched

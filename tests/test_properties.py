@@ -74,7 +74,7 @@ def random_scenario(rng) -> tuple[Scenario, float]:
         generators=tuple(gens),
         res_units=res,
         storage_units=tuple(storage),
-    ).check()
+    )
     return sc, loss
 
 
@@ -129,7 +129,7 @@ def small_mip_instance(rng) -> object:
                     mut=int(rng.integers(0, 3)), mdt=int(rng.integers(0, 3)),
                     st=int(rng.integers(0, 2))),
             ),
-        ).check()
+        )
         loss = 0.0
     elif kind == 1:
         # two generators, one hour, binding AS
@@ -141,7 +141,7 @@ def small_mip_instance(rng) -> object:
                 gen("a", 100.0, 30.0, 5.0, 40.0, float(rng.uniform(30, 60)), 1.0, 3.0),
                 gen("b", 80.0, 20.0, 5.0, 32.0, float(rng.uniform(50, 90)), 1.5, 4.0),
             ),
-        ).check()
+        )
         loss = float(rng.uniform(0.0, 18.0))
     else:
         # generator plus a battery, one hour
@@ -151,7 +151,7 @@ def small_mip_instance(rng) -> object:
             demand_mw=(float(rng.uniform(40, 90)),),
             generators=(gen("g", 100.0, 0.0, 5.0, 40.0, float(rng.uniform(30, 70)), 1.0, 3.0),),
             storage_units=(bess("bat", 30.0, 60.0, 30.0, 45.0, 6.0),),
-        ).check()
+        )
         loss = float(rng.uniform(0.0, 25.0))
     return build_uc(sc, FixedProfile.constant(loss, sc.horizon), relaxed=False)
 
@@ -203,7 +203,7 @@ def duplicated_fleet(rng) -> Scenario:
     return Scenario(
         params=SystemParams(), horizon=horizon, demand_mw=demand,
         generators=tuple(gens), storage_units=tuple(storage),
-    ).check()
+    )
 
 
 def test_pipeline_on_duplicated_fleets():

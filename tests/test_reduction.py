@@ -59,7 +59,7 @@ def tripled(sc):
         generators=copies(sc.generators),
         res_units=copies(sc.res_units),
         storage_units=copies(sc.storage_units),
-    ).check()
+    )
 
 
 def lp_solve(model):
@@ -361,7 +361,7 @@ def test_one_changed_field_splits_a_member_off():
     storage = list(sc.storage_units)
     k = next(i for i, u in enumerate(storage) if u.id == "bess_17")
     storage[k] = replace(storage[k], efr_max_mw=storage[k].efr_max_mw / 2)
-    sc = replace(sc, storage_units=tuple(storage)).check()
+    sc = replace(sc, storage_units=tuple(storage))
     model = build_uc(sc, FixedProfile.constant(1000.0, 1), relaxed=True)
     assert model.classes == reference_classes(sc)
     assert model.classes["bess_17"] == ("bess_17",)

@@ -1,9 +1,12 @@
 import json
+from dataclasses import replace
 
 import pytest
 
 from asmarket.cli import EXIT_VALIDATION, main
+from asmarket.pricing import duality_audit
 from asmarket.scenario import (
+    Scenario,
     ScenarioError,
     ScenarioValidationError,
     gb_template,
@@ -12,6 +15,8 @@ from asmarket.scenario import (
     scenario_to_dict,
     write_scenario,
 )
+from asmarket.solve import solve_relaxed
+from asmarket.ucmodel import EndogenousMax, build_uc
 from conftest import binding_scenario, toy10_scenario
 
 
@@ -87,6 +92,25 @@ def test_truncated_slices_all_series():
     assert len(cut.demand_mw) == 5
     assert all(len(r.cf) == 5 for r in cut.res_units)
     assert cut.validate() == []
+
+
+def test_invalid_scenario_cannot_be_constructed():
+    sc = binding_scenario()
+    with pytest.raises(ScenarioValidationError) as err:
+        replace(sc, demand_mw=(500.0, 0.0, 560.0))
+    assert err.value.diagnostics == ["demand_mw[1]: demand must be > 0 (got 0.0)"]
+
+
+def test_a_price_pass_validates_once(tmp_path, monkeypatch):
+    path = tmp_path / "sc.json"
+    write_scenario(toy10_scenario(horizon=6), path)
+    calls = []
+    validate = Scenario.validate
+    monkeypatch.setattr(Scenario, "validate", lambda self: calls.append(1) or validate(self))
+    sc = load_scenario(path)
+    dispatch, duals, _ = solve_relaxed(build_uc(sc, EndogenousMax(), relaxed=True))
+    duality_audit(dispatch, duals, sc)
+    assert len(calls) == 1
 
 
 class TestGBTemplate:

@@ -47,7 +47,7 @@ def plain_gen_scenario(horizon=2, demand=60.0):
         horizon=horizon,
         demand_mw=(demand,) * horizon,
         generators=(gen("g1", 100.0, 0.0, 5.0, 50.0, 40.0, 0.0, 0.0),),
-    ).check()
+    )
 
 
 class TestRelaxed:
@@ -67,7 +67,7 @@ class TestRelaxed:
             horizon=1,
             demand_mw=(300.0,),
             generators=(gen("g1", 1000.0, 0.0, 5.0, 1000.0, 40.0, 0.5, 0.0),),
-        ).check()
+        )
         m = build_uc(sc, FixedProfile.constant(100.0, 1), relaxed=True)
         _, duals, _ = solve_relaxed(m)
         assert duals.mu_rocof[0] > 1e-6
@@ -167,7 +167,7 @@ class TestInfeasibility:
         # the IIS joins one balance row to the security rows; a binary mode
         # row is in it too but does not take the blame
         sc = toy10_scenario(6)
-        sc = dataclasses.replace(sc, demand_mw=tuple(2.0 * d for d in sc.demand_mw)).check()
+        sc = dataclasses.replace(sc, demand_mw=tuple(2.0 * d for d in sc.demand_mw))
         m = build_uc(sc, FixedProfile.constant(300.0, 6), relaxed=relaxed)
         with pytest.raises(InfeasibleError) as err:
             (solve_relaxed if relaxed else solve_mip)(m)
@@ -330,7 +330,7 @@ class TestMip:
         sc = plain_gen_scenario(horizon=1, demand=60.0)
         sc = Scenario(
             params=sc.params, horizon=1, demand_mw=(500.0,), generators=sc.generators
-        ).check()
+        )
         m = build_uc(sc, FixedProfile.constant(0.0, 1), relaxed=False)
         with pytest.raises(InfeasibleError) as err:
             solve_mip(m)
@@ -447,7 +447,7 @@ class TestMip:
                 gen("base", 100.0, 0.0, 5.0, 50.0, 40.0, 0.0, 0.0),
                 gen("slow", 80.0, 20.0, 5.0, 30.0, 20.0, 0.0, 0.0, 0, 0, 2),
             ),
-        ).check()
+        )
         m = build_uc(sc, FixedProfile.constant(0.0, 3), relaxed=False)
         schedule, dispatch, _ = solve_mip(m)
         on = schedule.gen_on["slow"]
@@ -465,7 +465,7 @@ class TestMip:
                 gen("g1", 100.0, 0.0, 5.0, 50.0, 40.0, 0.0, 0.0),
                 gen("g2", 100.0, 30.0, 5.0, 50.0, 300.0, 0.0, 0.0),
             ),
-        ).check()
+        )
         init = InitialState(gen_on={"g2": 1})
         m = build_uc(sc, FixedProfile.constant(0.0, 1), relaxed=False, initial_state=init)
         schedule, _, _ = solve_mip(m)
@@ -488,7 +488,7 @@ class TestStorage:
                 gen("dear", 200.0, 0.0, 5.0, 80.0, 100.0, 0.0, 0.0),
             ),
             storage_units=(battery,),
-        ).check()
+        )
 
     def test_price_arbitrage_and_soc_dynamics(self):
         sc = self.arbitrage_scenario()
@@ -529,7 +529,7 @@ class TestStorage:
             demand_mw=(500.0, 500.0),
             generators=(gen("base", 1000.0, 0.0, 10.0, 0.0, 30.0, 0.2, 0.0),),
             storage_units=(ph,),
-        ).check()
+        )
         m = build_uc(sc, FixedProfile.constant(40.0, 2), relaxed=False)
         schedule, dispatch, _ = solve_mip(m)
         charge = dispatch.sto_charge["ph"]
