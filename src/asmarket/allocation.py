@@ -37,7 +37,11 @@ class AirportGame:
     @classmethod
     def from_costs(cls, costs: dict[str, float] | list[tuple[str, float]], hour: int | None = None):
         items = list(costs.items()) if isinstance(costs, dict) else list(costs)
+        seen = set()
         for uid, w in items:
+            if uid in seen:
+                raise AllocationError(f"duplicate player id {uid!r}")
+            seen.add(uid)
             if not math.isfinite(w):
                 raise AllocationError(f"non-finite stand-alone cost for {uid!r}: {w}")
             if w < 0:

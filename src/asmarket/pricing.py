@@ -194,7 +194,7 @@ def duality_audit(primal: DispatchSolution, duals: DualSolution, scenario: Scena
     as_market = primal.p_loss_mw * prices.omega_loss
     omega_resid = np.abs(as_market - (inertia_rev + pfr_rev + efr_rev))
 
-    demand = np.asarray(scenario.demand_mw)
+    demand = np.asarray(scenario.demand_mw, dtype=float)
     energy_payments = float(demand @ prices.lambda_e)
     # the payment identity uses the loss rows' actual rhs: equal to the
     # hourly AS market under a fixed loss parameter (complementary

@@ -9,6 +9,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import operator
 from dataclasses import MISSING, asdict, dataclass, fields, replace
 from pathlib import Path
 
@@ -32,11 +33,47 @@ class ScenarioValidationError(ScenarioError):
 
 def _is_number(v) -> bool:
     """A finite JSON number (an integer or a float; a boolean is not one)."""
-    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+    return isinstance(v, float) and math.isfinite(v) or isinstance(v, int) and not isinstance(v, bool)
 
 
-def _is_integer(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
+# declared field type -> (check, what the value must be)
+_FIELD_CHECKS = {
+    "float": (_is_number, "a finite number"),
+    "int": (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer"),
+    "bool": (lambda v: isinstance(v, bool), "true or false"),
+    "str": (lambda v: isinstance(v, str), "a string"),
+}
+_SERIES = "tuple[float, ...]"  # hourly values, a list of numbers in a document
+_DOC_KEYS = {"params": "system", "horizon": "horizon_hours"}  # where field and key differ
+
+
+@functools.cache
+def _typed_fields(cls) -> tuple:
+    """A getter of the type-checked fields of ``cls``: its scalars' (document
+    key, check, what), then its series' (document key, optional)."""
+    scalars = [f for f in fields(cls) if f.type in _FIELD_CHECKS]
+    series = [f for f in fields(cls) if f.type in (_SERIES, f"{_SERIES} | None")]
+    return (
+        operator.attrgetter(*(f.name for f in scalars + series)),
+        tuple((_DOC_KEYS.get(f.name, f.name), *_FIELD_CHECKS[f.type]) for f in scalars),
+        tuple((_DOC_KEYS.get(f.name, f.name), f.type != _SERIES) for f in series),
+    )
+
+
+def _type_errors(obj, prefix: str) -> list[str]:
+    """A diagnostic for each field of ``obj`` not holding a value of its
+    declared type: a finite number for ``float``, an integer for ``int``, a
+    boolean for ``bool``, a string for ``str``, and a tuple of finite
+    numbers (or None, if optional) for a series."""
+    getter, scalars, series = _typed_fields(type(obj))
+    values = getter(obj)
+    out = [f"{prefix}{key}: must be {what} (got {v!r})" for (key, ok, what), v in zip(scalars, values) if not ok(v)]
+    for (key, optional), v in zip(series, values[len(scalars):]):
+        if isinstance(v, tuple):
+            out.extend(f"{prefix}{key}[{t}]: must be a finite number (got {x!r})" for t, x in enumerate(v) if not _is_number(x))
+        elif not (optional and v is None):
+            out.append(f"{prefix}{key}: must be a list of numbers (got {v!r})")
+    return out
 
 
 @dataclass(frozen=True)
@@ -50,10 +87,12 @@ class SystemParams:
     t_pfr_s: float = 10.0
 
     def validate(self, path: str = "system") -> list[str]:
-        out = []
+        out = _type_errors(self, f"{path}.")
+        if out:
+            return out
         for name in ("f0_hz", "rocof_max_hz_per_s", "delta_f_max_hz", "t_efr_s", "t_pfr_s"):
             v = getattr(self, name)
-            if not (_is_number(v) and v > 0):
+            if v <= 0:
                 out.append(f"{path}.{name}: must be strictly positive (got {v!r})")
         if self.t_efr_s >= self.t_pfr_s:
             out.append(f"{path}.t_efr_s: must be < t_pfr_s (got {self.t_efr_s} >= {self.t_pfr_s})")
@@ -80,8 +119,10 @@ class GeneratorSpec:
     loss_eligible: bool = True
     technology: str = "thermal"
 
-    def validate(self, path: str) -> list[str]:
-        out = []
+    def validate(self, path: str, horizon: int | None = None) -> list[str]:
+        out = _type_errors(self, f"{path}.")
+        if out:
+            return out
         if not (0 <= self.p_msg_mw <= self.p_max_mw):
             out.append(f"{path}.p_msg_mw: must satisfy 0 <= p_msg <= p_max (got {self.p_msg_mw}, p_max {self.p_max_mw})")
         if self.p_max_mw <= 0:
@@ -92,7 +133,7 @@ class GeneratorSpec:
             out.append(f"{path}.inertia_s: must be >= 0 (got {self.inertia_s})")
         for name in ("min_up_h", "min_down_h", "start_up_h"):
             v = getattr(self, name)
-            if not (_is_integer(v) and v >= 0):
+            if v < 0:
                 out.append(f"{path}.{name}: must be a non-negative integer (got {v!r})")
         return out
 
@@ -108,11 +149,13 @@ class RESSpec:
     loss_eligible: bool = True
     technology: str = "res"
 
-    def validate(self, path: str, horizon: int) -> list[str]:
-        out = []
+    def validate(self, path: str, horizon: int | None = None) -> list[str]:
+        out = _type_errors(self, f"{path}.")
+        if out:
+            return out
         if self.p_max_mw <= 0:
             out.append(f"{path}.p_max_mw: must be > 0 (got {self.p_max_mw})")
-        if len(self.cf) != horizon:
+        if horizon is not None and len(self.cf) != horizon:
             out.append(f"{path}.cf: length {len(self.cf)} does not match horizon {horizon}")
         for t, v in enumerate(self.cf):
             if not (0.0 <= v <= 1.0):
@@ -144,8 +187,10 @@ class StorageSpec:
     loss_eligible: bool = True
     technology: str = "storage"
 
-    def validate(self, path: str) -> list[str]:
-        out = []
+    def validate(self, path: str, horizon: int | None = None) -> list[str]:
+        out = _type_errors(self, f"{path}.")
+        if out:
+            return out
         if self.kind not in (PHES, BESS):
             out.append(f"{path}.kind: must be 'PHES' or 'BESS' (got {self.kind!r})")
         if self.p_max_mw <= 0:
@@ -174,10 +219,18 @@ class StorageSpec:
         return out
 
 
+# the unit groups: document key and Scenario field, spec class. A unit's
+# validate(path, horizon) skips its range checks if a type check fails; a
+# horizon of None (the scenario's own type checks failed) skips series lengths.
+_UNIT_GROUPS = (("generators", GeneratorSpec), ("res_units", RESSpec), ("storage_units", StorageSpec))
+
+
 @dataclass(frozen=True)
 class Scenario:
-    """Complete market instance. Validated on construction, which raises
-    ScenarioValidationError on any diagnostic, and immutable after it."""
+    """Complete market instance, immutable. Construction validates it however
+    it was built (from a document, by ``gb_template``, by
+    ``dataclasses.replace``) and raises ScenarioValidationError on any
+    diagnostic."""
 
     params: SystemParams
     horizon: int
@@ -189,35 +242,32 @@ class Scenario:
 
     def validate(self) -> list[str]:
         out = self.params.validate()
-        if self.horizon <= 0:
-            out.append(f"horizon: must be >= 1 (got {self.horizon})")
-        if len(self.demand_mw) != self.horizon:
-            out.append(f"demand_mw: length {len(self.demand_mw)} does not match horizon {self.horizon}")
-        for t, d in enumerate(self.demand_mw):
-            if not (_is_number(d) and d > 0):
-                out.append(f"demand_mw[{t}]: demand must be > 0 (got {d})")
-        if self.p_loss_cap_mw is not None:
-            if len(self.p_loss_cap_mw) != self.horizon:
-                out.append(f"p_loss_cap_mw: length {len(self.p_loss_cap_mw)} does not match horizon {self.horizon}")
-            for t, v in enumerate(self.p_loss_cap_mw):
-                if v < 0:
-                    out.append(f"p_loss_cap_mw[{t}]: must be >= 0 (got {v})")
+        own = _type_errors(self, "")
+        out += own
+        if not own:
+            if self.horizon <= 0:
+                out.append(f"horizon: must be >= 1 (got {self.horizon})")
+            if len(self.demand_mw) != self.horizon:
+                out.append(f"demand_mw: length {len(self.demand_mw)} does not match horizon {self.horizon}")
+            for t, d in enumerate(self.demand_mw):
+                if d <= 0:
+                    out.append(f"demand_mw[{t}]: demand must be > 0 (got {d})")
+            if self.p_loss_cap_mw is not None:
+                if len(self.p_loss_cap_mw) != self.horizon:
+                    out.append(f"p_loss_cap_mw: length {len(self.p_loss_cap_mw)} does not match horizon {self.horizon}")
+                for t, v in enumerate(self.p_loss_cap_mw):
+                    if v < 0:
+                        out.append(f"p_loss_cap_mw[{t}]: must be >= 0 (got {v})")
+        horizon = None if own else self.horizon
         seen: set[str] = set()
-        for i, g in enumerate(self.generators):
-            out.extend(g.validate(f"generators[{i}]"))
-            if g.id in seen:
-                out.append(f"generators[{i}].id: duplicate unit id {g.id!r}")
-            seen.add(g.id)
-        for i, r in enumerate(self.res_units):
-            out.extend(r.validate(f"res_units[{i}]", self.horizon))
-            if r.id in seen:
-                out.append(f"res_units[{i}].id: duplicate unit id {r.id!r}")
-            seen.add(r.id)
-        for i, s in enumerate(self.storage_units):
-            out.extend(s.validate(f"storage_units[{i}]"))
-            if s.id in seen:
-                out.append(f"storage_units[{i}].id: duplicate unit id {s.id!r}")
-            seen.add(s.id)
+        for key, _ in _UNIT_GROUPS:
+            for i, u in enumerate(getattr(self, key)):
+                out += u.validate(f"{key}[{i}]", horizon)
+                if not isinstance(u.id, str):
+                    continue  # reported by the unit's type check
+                if u.id in seen:
+                    out.append(f"{key}[{i}].id: duplicate unit id {u.id!r}")
+                seen.add(u.id)
         return out
 
     def __post_init__(self):
@@ -251,114 +301,68 @@ class Scenario:
 # ---------------------------------------------------------------------------
 # Document I/O
 
-
-def _numbers(v, path: str, diags: list[str]) -> tuple[float, ...] | None:
-    """``v`` as floats if it is a list of finite JSON numbers; else each
-    offending entry is reported and None returned."""
-    if not isinstance(v, list):
-        diags.append(f"{path}: must be a list of numbers (got {v!r})")
-        return None
-    bad = [f"{path}[{t}]: must be a finite number (got {x!r})" for t, x in enumerate(v) if not _is_number(x)]
-    diags.extend(bad)
-    return None if bad else tuple(float(x) for x in v)
+_TOP_KEYS = {"schema_version", *(_DOC_KEYS.get(f.name, f.name) for f in fields(Scenario))}
 
 
-# declared field type -> (check, what the value must be)
-_FIELD_CHECKS = {
-    "float": (_is_number, "a finite number"),
-    "int": (_is_integer, "an integer"),
-    "bool": (lambda v: isinstance(v, bool), "true or false"),
-    "str": (lambda v: isinstance(v, str), "a string"),
-}
+def _tuple(v):
+    """A document's list as a tuple, any other value as it is."""
+    return tuple(v) if isinstance(v, list) else v
 
 
 @functools.cache
-def _field_table(cls) -> tuple[tuple[str, str, bool], ...]:
-    """(name, declared type, required) of each field of ``cls``."""
-    return tuple(
-        (f.name, f.type, f.default is MISSING and f.default_factory is MISSING) for f in fields(cls)
+def _doc_keys(cls) -> tuple[dict, frozenset, tuple]:
+    """The keys of ``cls``'s document objects in field order, the required
+    ones, and the series."""
+    return (
+        dict.fromkeys(f.name for f in fields(cls)),
+        frozenset(f.name for f in fields(cls) if f.default is MISSING),
+        tuple(f.name for f in fields(cls) if f.type == _SERIES),
     )
 
 
-def _spec_from_dict(cls, raw: dict, path: str, diags: list[str]):
-    """Build a dataclass from a JSON mapping, reporting unknown/missing keys
-    and fields not holding a value of their declared type: a finite number
-    for ``float``, an integer for ``int``, a boolean for ``bool`` and a
-    string for ``str``."""
+def _spec_from_dict(cls, raw, path: str, diags: list[str]):
+    """``cls`` built from a document object, or None after reporting a
+    non-object, unknown keys or missing required keys. The values are
+    checked when the ``Scenario`` holding the spec is built."""
     if not isinstance(raw, dict):
         diags.append(f"{path}: must be an object (got {raw!r})")
         return None
-    table = _field_table(cls)
-    for k in sorted(set(raw) - {name for name, _, _ in table}):
-        diags.append(f"{path}.{k}: unknown field")
-    kwargs, missing = {}, []
-    n_diags = len(diags)
-    for name, type_, required in table:
-        if name not in raw:
-            if required:
-                missing.append(f"{path}.{name}: missing required field")
-            continue
-        v = raw[name]
-        if name == "cf":
-            v = _numbers(v, f"{path}.cf", diags)
-        elif type_ in _FIELD_CHECKS:
-            ok, what = _FIELD_CHECKS[type_]
-            if not ok(v):
-                diags.append(f"{path}.{name}: must be {what} (got {v!r})")
-        kwargs[name] = v
-    diags.extend(missing)
-    if len(diags) > n_diags:
+    keys, required, series = _doc_keys(cls)
+    if not required <= raw.keys() <= keys.keys():
+        diags.extend(f"{path}.{k}: unknown field" for k in sorted(raw.keys() - keys))
+        diags.extend(f"{path}.{k}: missing required field" for k in keys if k in required and k not in raw)
         return None
-    try:
-        return cls(**kwargs)
-    except TypeError as exc:
-        diags.append(f"{path}: {exc}")
-        return None
+    for key in series:
+        raw = {**raw, key: _tuple(raw[key])}
+    return cls(**raw)
 
 
 def scenario_from_dict(doc: dict) -> Scenario:
+    """The scenario of a document. Unknown and missing keys and non-objects
+    are reported before any value is checked."""
     if not isinstance(doc, dict):
         raise ScenarioError("scenario document must be a JSON object")
     version = doc.get("schema_version")
     if version != SCHEMA_VERSION:
         raise ScenarioError(f"schema_version: expected {SCHEMA_VERSION} (got {version!r})")
-    diags: list[str] = []
+    diags = [f"{k}: unknown field" for k in sorted(doc.keys() - _TOP_KEYS)]
+    diags += [f"{k}: missing required field" for k in ("horizon_hours", "demand_mw") if k not in doc]
     params = _spec_from_dict(SystemParams, doc.get("system", {}), "system", diags)
-    gens = []
-    for i, raw in enumerate(doc.get("generators", [])):
-        g = _spec_from_dict(GeneratorSpec, raw, f"generators[{i}]", diags)
-        if g is not None:
-            gens.append(g)
-    res = []
-    for i, raw in enumerate(doc.get("res_units", [])):
-        r = _spec_from_dict(RESSpec, raw, f"res_units[{i}]", diags)
-        if r is not None:
-            res.append(r)
-    stos = []
-    for i, raw in enumerate(doc.get("storage_units", [])):
-        s = _spec_from_dict(StorageSpec, raw, f"storage_units[{i}]", diags)
-        if s is not None:
-            stos.append(s)
-    horizon = doc.get("horizon_hours")
-    if "horizon_hours" not in doc:
-        diags.append("horizon_hours: missing required field")
-    elif not _is_integer(horizon):
-        diags.append(f"horizon_hours: must be an integer (got {horizon!r})")
-    if "demand_mw" not in doc:
-        diags.append("demand_mw: missing required field")
-    demand = _numbers(doc.get("demand_mw", []), "demand_mw", diags)
-    cap = doc.get("p_loss_cap_mw")
-    cap = None if cap is None else _numbers(cap, "p_loss_cap_mw", diags)
+    units = {}
+    for key, cls in _UNIT_GROUPS:
+        raws = doc.get(key, [])
+        if not isinstance(raws, list):
+            diags.append(f"{key}: must be a list of objects (got {raws!r})")
+            continue
+        units[key] = tuple(_spec_from_dict(cls, raw, f"{key}[{i}]", diags) for i, raw in enumerate(raws))
     if diags:
         raise ScenarioValidationError(diags)
     return Scenario(
         params=params,
-        horizon=horizon,
-        demand_mw=demand,
-        generators=tuple(gens),
-        res_units=tuple(res),
-        storage_units=tuple(stos),
-        p_loss_cap_mw=cap,
+        horizon=doc["horizon_hours"],
+        demand_mw=_tuple(doc["demand_mw"]),
+        p_loss_cap_mw=_tuple(doc.get("p_loss_cap_mw")),
+        **units,
     )
 
 
@@ -496,52 +500,34 @@ def gb_template(horizon: int = 168) -> Scenario:
             )
 
     stos: list[StorageSpec] = []
-    for i in range(12):
-        stos.append(
-            StorageSpec(
-                id=f"phes_{i + 1}",
-                kind=PHES,
-                p_max_mw=400.0,
-                p_msg_mw=0.0,
-                e_min_mwh=0.0,
-                e_max_mwh=3200.0,
-                e_ini_mwh=1600.0,
-                e_end_mwh=1600.0,
-                eta_charge=0.866,
-                eta_discharge=0.866,
-                inertia_s=5.0,
-                pfr_max_mw=80.0,
-                efr_max_mw=0.0,
-                energy_offer_gbp_per_mwh=60.0,
-                inertia_offer_gbp_per_mws=1.0,
-                pfr_offer_gbp_per_mw=5.0,
-                efr_offer_gbp_per_mw=0.0,
-                technology="PHES",
+    # e_ini = e_end = half the energy capacity; offers: energy, inertia, PFR, EFR
+    for kind, count, p_max, e_max, eta, h, pfr, efr, le, lh, lpfr, lefr in (
+        (PHES, 12, 400.0, 3200.0, 0.866, 5.0, 80.0, 0.0, 60.0, 1.0, 5.0, 0.0),
+        (BESS, 200, 100.0, 200.0, 0.92, 0.0, 0.0, 5.0, 50.0, 0.0, 0.0, 10.0),
+    ):
+        for i in range(count):
+            stos.append(
+                StorageSpec(
+                    id=f"{kind.lower()}_{i + 1}",
+                    kind=kind,
+                    p_max_mw=p_max,
+                    p_msg_mw=0.0,
+                    e_min_mwh=0.0,
+                    e_max_mwh=e_max,
+                    e_ini_mwh=e_max / 2,
+                    e_end_mwh=e_max / 2,
+                    eta_charge=eta,
+                    eta_discharge=eta,
+                    inertia_s=h,
+                    pfr_max_mw=pfr,
+                    efr_max_mw=efr,
+                    energy_offer_gbp_per_mwh=le,
+                    inertia_offer_gbp_per_mws=lh,
+                    pfr_offer_gbp_per_mw=lpfr,
+                    efr_offer_gbp_per_mw=lefr,
+                    technology=kind,
+                )
             )
-        )
-    for i in range(200):
-        stos.append(
-            StorageSpec(
-                id=f"bess_{i + 1}",
-                kind=BESS,
-                p_max_mw=100.0,
-                p_msg_mw=0.0,
-                e_min_mwh=0.0,
-                e_max_mwh=200.0,
-                e_ini_mwh=100.0,
-                e_end_mwh=100.0,
-                eta_charge=0.92,
-                eta_discharge=0.92,
-                inertia_s=0.0,
-                pfr_max_mw=0.0,
-                efr_max_mw=5.0,
-                energy_offer_gbp_per_mwh=50.0,
-                inertia_offer_gbp_per_mws=0.0,
-                pfr_offer_gbp_per_mw=0.0,
-                efr_offer_gbp_per_mw=10.0,
-                technology="BESS",
-            )
-        )
 
     return Scenario(
         params=SystemParams(),

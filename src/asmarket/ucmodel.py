@@ -231,6 +231,22 @@ def build_uc(
     ):
         raise ModelError("EndogenousMax requires at least one loss-eligible unit")
     init = initial_state or InitialState()
+    gen_ids = {g.id for g in scenario.generators}
+    for uid, y0 in init.gen_on.items():
+        if uid not in gen_ids:
+            raise ModelError(f"initial state: gen_on names no generator ({uid!r})")
+        if y0 not in (0, 1):
+            raise ModelError(f"initial state: gen_on[{uid!r}] must be 0 or 1 (got {y0!r})")
+    storage = {s.id: s for s in scenario.storage_units}
+    for uid, e0 in init.storage_e0_mwh.items():
+        if uid not in storage:
+            raise ModelError(f"initial state: storage_e0_mwh names no storage unit ({uid!r})")
+        s = storage[uid]
+        if not (s.e_min_mwh <= e0 <= s.e_max_mwh):
+            raise ModelError(
+                f"initial state: storage_e0_mwh[{uid!r}] must lie in [e_min, e_max] = "
+                f"[{s.e_min_mwh}, {s.e_max_mwh}] (got {e0!r})"
+            )
 
     def grouped(units) -> list[tuple]:
         if not relaxed:

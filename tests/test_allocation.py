@@ -238,6 +238,11 @@ def test_non_finite_cost_rejected(bad):
         AirportGame.from_costs([("a", 1.0), ("b", bad), ("c", 2.0)])
 
 
+def test_duplicate_player_id_rejected():
+    with pytest.raises(AllocationError, match="duplicate player id 'a'"):
+        AirportGame.from_costs([("a", 1.0), ("b", 2.0), ("a", 0.5)])
+
+
 def test_directional_ordering_constructed_hour():
     # one large unit and several mid-size ones: proportional charges the
     # largest strictly less than shapley and nucleolus; nucleolus does not

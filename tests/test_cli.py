@@ -268,5 +268,13 @@ class TestGame:
         assert "non-finite stand-alone cost for 'b'" in captured.err
         assert "phi_gbp" not in captured.out
 
+    @pytest.mark.parametrize("rule", ["nucleolus", "shapley", "proportional"])
+    def test_duplicate_id_rejected(self, tmp_path, capsys, rule):
+        path = self.write_costs(tmp_path, [("a", 0.5), ("b", 2.0), ("a", 1.0)])
+        assert main(["game", str(path), "--rule", rule]) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert "duplicate player id 'a'" in captured.err
+        assert "phi_gbp" not in captured.out
+
     def test_missing_costs_file(self, tmp_path):
         assert main(["game", str(tmp_path / "none.csv"), "--rule", "shapley"]) == EXIT_INTERNAL

@@ -183,6 +183,7 @@ def _set(*path_and_value):
             doc = doc[k]
         doc[key] = value
 
+    edit.keys, edit.value = (*path, key), value
     return edit
 
 
@@ -239,3 +240,58 @@ def test_integers_stay_valid_numbers():
     sc = scenario_from_dict(doc)
     assert sc.demand_mw == tuple(float(int(d)) for d in toy10_scenario(horizon=6).demand_mw)
     assert sc.generators[0].p_max_mw == 150.0
+
+
+def _replaced(obj, keys, value):
+    """``obj`` built through ``dataclasses.replace`` with the value at the
+    document key path ``keys`` set to ``value``, a list as a tuple where
+    ``obj`` is a series (a tuple, or None if optional)."""
+    if not keys:
+        return tuple(value) if isinstance(value, list) and (obj is None or isinstance(obj, tuple)) else value
+    key, *rest = keys
+    if isinstance(obj, tuple):
+        return obj[:key] + (_replaced(obj[key], rest, value),) + obj[key + 1:]
+    name = {"system": "params", "horizon_hours": "horizon"}.get(key, key)
+    return replace(obj, **{name: _replaced(getattr(obj, name), rest, value)})
+
+
+@pytest.mark.parametrize("case", [c for c in WRONG_TYPES if c != "unit-not-an-object"])
+def test_built_scenario_gets_the_document_diagnostics(case):
+    # a unit that is not an object is a document's structural error only
+    with pytest.raises(ScenarioValidationError) as from_doc:
+        scenario_from_dict(wrong_type_doc(case))
+    edit = WRONG_TYPES[case][0]
+    with pytest.raises(ScenarioValidationError) as built:
+        _replaced(toy10_scenario(horizon=6), edit.keys, edit.value)
+    assert built.value.diagnostics == from_doc.value.diagnostics
+
+
+@pytest.mark.parametrize("changes, diagnostics", [
+    ({"p_loss_cap_mw": (100.0,) * 5 + (float("nan"),)}, ["p_loss_cap_mw[5]: must be a finite number (got nan)"]),
+    ({"horizon": 4.0}, ["horizon_hours: must be an integer (got 4.0)"]),
+], ids=["cap-nan", "horizon-float"])
+def test_built_scenario_type_checked(changes, diagnostics):
+    with pytest.raises(ScenarioValidationError) as err:
+        replace(toy10_scenario(horizon=6), **changes)
+    assert err.value.diagnostics == diagnostics
+
+
+@pytest.mark.parametrize("edit, diagnostics", [
+    (_set("notes", "hand-edited"), ["notes: unknown field"]),
+    (_set("res_units", 5), ["res_units: must be a list of objects (got 5)"]),
+    (_set("storage_units", 0, "e_max", 1.0), ["storage_units[0].e_max: unknown field"]),
+], ids=["unknown-top-level-key", "group-not-a-list", "unknown-unit-key"])
+def test_structural_errors_reported_alone(edit, diagnostics):
+    doc = wrong_type_doc("demand-string")  # a type error, not reported beside a structural one
+    edit(doc)
+    with pytest.raises(ScenarioValidationError) as err:
+        scenario_from_dict(doc)
+    assert err.value.diagnostics == diagnostics
+
+
+def test_misspelt_unit_group_rejected():
+    doc = scenario_to_dict(toy10_scenario(horizon=6))
+    doc["generatorz"] = doc.pop("generators")
+    with pytest.raises(ScenarioValidationError) as err:
+        scenario_from_dict(doc)
+    assert err.value.diagnostics == ["generatorz: unknown field"]
