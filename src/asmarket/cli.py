@@ -191,9 +191,7 @@ def cmd_run(args) -> int:
         )
 
         standalone = run_stage(
-            "standalone",
-            lambda: standalone_markets(scenario, (schedule, dispatch), jobs=args.jobs),
-            lambda r: r.stats,
+            "standalone", lambda: standalone_markets(scenario, (schedule, dispatch)), lambda r: r.stats
         )
 
         rules = list(RULES) if args.rule == "all" else [args.rule]
@@ -241,19 +239,20 @@ def cmd_run(args) -> int:
 
 
 def _read_costs_file(path: Path) -> list[tuple[str, float]]:
+    """Rows ``id,omega``, after an optional first line ``unit_id,omega_gbp``;
+    blank lines and ``#`` comments are skipped."""
+    lines = [line.strip() for line in Path(path).read_text(encoding="utf-8").splitlines()]
+    lines = [line for line in lines if line and not line.startswith("#")]
+    if lines and lines[0] == "unit_id,omega_gbp":
+        lines = lines[1:]
     rows = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
+    for line in lines:
         parts = [p.strip() for p in line.split(",")]
-        if len(parts) < 2:
-            raise ScenarioError(f"costs file line needs 'id,omega': {line!r}")
+        if len(parts) != 2:
+            raise ScenarioError(f"costs file line needs exactly 'id,omega': {line!r}")
         try:
             value = float(parts[1])
         except ValueError:
-            if not rows:
-                continue  # header line
             raise ScenarioError(f"bad omega value in line: {line!r}")
         rows.append((parts[0], value))
     if not rows:
@@ -308,8 +307,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="'endogenous', 'profile' (scenario p_loss_cap_mw) or a constant MW value")
     p.add_argument("--gap", type=float, default=1e-6, help="relative MIP gap")
     p.add_argument("--hours", type=int, default=None, help="truncate the horizon")
-    p.add_argument("--jobs", type=int, default=4,
-                   help="worker threads over the distinct stand-alone loss profiles")
+    # no effect: kept so that existing command lines, the benchmark's among them, still parse
+    p.add_argument("--jobs", type=int,
+                   help="ignored, accepted for existing command lines; stand-alone solves run serially")
     p.set_defaults(fn=cmd_run)
 
     p = sub.add_parser("game", help="allocate a cost vector from a file of id,omega rows")

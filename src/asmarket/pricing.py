@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import logging
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -344,7 +343,6 @@ def _aggregate(solved: list[SolveStats]) -> SolveStats:
 def standalone_markets(
     scenario: Scenario,
     block_i: tuple[CommitmentSchedule, DispatchSolution],
-    jobs: int = 1,
 ) -> StandAloneCosts:
     """One relaxed solve per distinct dispatched loss profile, with the loss
     parameter fixed to that profile; Omega_{i,t} = p_i_t * omega_t.
@@ -354,10 +352,8 @@ def standalone_markets(
     model is built once per call; each profile re-targets its max-loss rows
     (``UCModel.with_loss_profile``) and is solved cold on a fresh session, so
     HiGHS sees exactly what a fresh build would hand it. Pure function of its
-    inputs; the solves are independent and only read the shared model, so
-    they may fan out over ``jobs`` worker threads (one task per distinct
-    profile) without changing the result. Entries at or below ``ZERO_CLAMP``
-    times the largest magnitude are zeroed and logged at DEBUG.
+    inputs. Entries at or below ``ZERO_CLAMP`` times the largest magnitude
+    are zeroed and logged at DEBUG.
     """
     _, dispatch = block_i
     T = scenario.horizon
@@ -376,23 +372,17 @@ def standalone_markets(
     for uid, prof in profiles.items():
         if prof.any():
             representative.setdefault(prof.tobytes(), uid)
-    reps = list(representative.values())
-    base = build_uc(scenario, FixedProfile.constant(0.0, T), relaxed=True) if reps else None
-
-    def solve_profile(uid: str) -> tuple[np.ndarray, SolveStats]:
+    base = build_uc(scenario, FixedProfile.constant(0.0, T), relaxed=True) if representative else None
+    omega_of: dict[bytes, np.ndarray] = {}
+    solved: list[SolveStats] = []
+    for key, uid in representative.items():
         model = base.with_loss_profile(FixedProfile(tuple(profiles[uid])))
         try:
             _, duals, stats = solve_relaxed(model)
         except InfeasibleError as exc:
             raise StandaloneError(uid, exc) from exc
-        return duals.omega_loss, stats
-
-    if jobs > 1 and len(reps) > 1:
-        with ThreadPoolExecutor(max_workers=min(jobs, len(reps))) as pool:
-            results = list(pool.map(solve_profile, reps))
-    else:
-        results = [solve_profile(uid) for uid in reps]
-    omega_of = {key: omega for key, (omega, _) in zip(representative, results)}
+        omega_of[key] = duals.omega_loss
+        solved.append(stats)
 
     omegas = {
         uid: prof * omega_of[prof.tobytes()] if prof.any() else np.zeros(T)
@@ -410,5 +400,5 @@ def standalone_markets(
         omegas=omegas,
         dispatched=dispatched,
         technology={uid: tech[uid] for uid in profiles},
-        stats=_aggregate([stats for _, stats in results]),
+        stats=_aggregate(solved),
     )

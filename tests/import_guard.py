@@ -4,9 +4,10 @@
 
 Importing ``asmarket`` and ``asmarket.cli`` and solving the toy10 2 h
 relaxation must load no scipy module but the HiGHS extension
-``scipy.optimize._highspy._core`` and its own submodules. scipy's own HiGHS
+``scipy.optimize._highspy._core`` and its own submodules, and must not load
+``concurrent.futures``: the library starts no worker pool. scipy's own HiGHS
 interface must then still work, on that same extension module. Exits
-non-zero, naming what failed, when either does not hold."""
+non-zero, naming what failed, when any of these does not hold."""
 import sys
 from pathlib import Path
 
@@ -38,6 +39,9 @@ def main() -> int:
     extra = scipy_modules()
     if extra:
         print(f"asmarket imported scipy modules besides {CORE}: {extra}", file=sys.stderr)
+        return 1
+    if "concurrent.futures" in sys.modules:
+        print("asmarket imported concurrent.futures", file=sys.stderr)
         return 1
     from scipy.optimize import linprog
 

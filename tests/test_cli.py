@@ -126,9 +126,9 @@ class TestRun:
         assert self.run(scenario_file, tmp_path / "out") == EXIT_OK
         assert len(calls) == 1
 
-    def test_gb_rerun_byte_identical_across_jobs(self, tmp_path):
-        # GB scale: the relaxed solves share one read-only array per class,
-        # and the stand-alone solves fan out over threads
+    def test_gb_rerun_byte_identical(self, tmp_path):
+        # GB scale: the relaxed solves share one read-only array per class;
+        # the second run passes --jobs 2, which must have no effect
         path = tmp_path / "gb.json"
         write_scenario(gb_template(1), path)
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -274,6 +274,23 @@ class TestGame:
         assert main(["game", str(path), "--rule", rule]) == EXIT_VALIDATION
         captured = capsys.readouterr()
         assert "duplicate player id 'a'" in captured.err
+        assert "phi_gbp" not in captured.out
+
+    def test_unparsable_first_line_rejected(self, tmp_path, capsys):
+        # only the exact header may stand before the data; a first row whose
+        # omega does not parse is not taken for one
+        path = tmp_path / "costs.csv"
+        path.write_text("a,x\nb,2.0\nc,3.0\n", encoding="utf-8")
+        assert main(["game", str(path), "--rule", "nucleolus"]) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert "'a,x'" in captured.err
+        assert "phi_gbp" not in captured.out
+
+    def test_extra_field_rejected(self, tmp_path, capsys):
+        path = self.write_costs(tmp_path, [("a", "1.0,junk"), ("b", 2.0), ("c", 3.0)])
+        assert main(["game", str(path), "--rule", "nucleolus"]) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert "'a,1.0,junk'" in captured.err
         assert "phi_gbp" not in captured.out
 
     def test_missing_costs_file(self, tmp_path):

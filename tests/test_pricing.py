@@ -1,6 +1,5 @@
 import dataclasses
 import logging
-import sys
 
 import numpy as np
 import pytest
@@ -287,14 +286,6 @@ class TestStandalone:
             standalone_markets(sc, block)
         assert err.value.unit_id == "g1"
 
-    def test_jobs_do_not_change_results(self):
-        sc = endog_scenario()
-        block = self.block_i(sc)
-        a = standalone_markets(sc, block, jobs=1)
-        b = standalone_markets(sc, block, jobs=4)
-        for uid in a.omegas:
-            assert a.omegas[uid] == pytest.approx(b.omegas[uid], abs=0.0)
-
     @staticmethod
     def loss_profiles(sc, dispatch):
         """The loss profiles standalone_markets solves for, by unit."""
@@ -317,7 +308,7 @@ class TestStandalone:
             return solve_relaxed(model, *args, **kwargs)
 
         monkeypatch.setattr(pricing, "solve_relaxed", counting)
-        sa = standalone_markets(sc, block, jobs=4)
+        sa = standalone_markets(sc, block)
         profiles = self.loss_profiles(sc, dispatch)
         # g1, g2 and g3 are dispatched identically
         assert profiles["g1"].any()
@@ -348,23 +339,18 @@ class TestStandalone:
             return build_uc(*args, **kwargs)
 
         monkeypatch.setattr(pricing, "build_uc", counting)
-        sa = standalone_markets(sc, block, jobs=2)
+        sa = standalone_markets(sc, block)
         distinct = {p.tobytes() for p in self.loss_profiles(sc, block[1]).values() if p.any()}
         assert len(distinct) > 1
         assert len(builds) == 1
         assert sa.stats.oa_rounds >= len(distinct)
 
     def test_gb_shared_model_matches_fresh_builds(self):
-        # every distinct GB profile re-targets one model, solved on two threads
-        # that switch often, so a write to the shared model would show
+        # every distinct GB profile re-targets one model, so a write to the
+        # shared model would show in a later profile's result
         sc = gb_template(1)
         schedule, dispatch, _ = solve_mip(build_uc(sc, EndogenousMax(), relaxed=False), rel_gap=1e-2)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            sa = standalone_markets(sc, (schedule, dispatch), jobs=2)
-        finally:
-            sys.setswitchinterval(interval)
+        sa = standalone_markets(sc, (schedule, dispatch))
         omega_of, solved = {}, []
         for uid, prof in self.loss_profiles(sc, dispatch).items():
             if not prof.any():
