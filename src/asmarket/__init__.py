@@ -56,12 +56,10 @@ from .allocation import (  # noqa: F401
     AllocationError,
     AllocationSeries,
     CoreReport,
-    TypedGroups,
     allocate_hourly,
     core_check,
     group_by_type,
     nucleolus,
-    nucleolus_airport,
     nucleolus_lp_oracle,
     proportional,
     shapley_airport,

@@ -2,10 +2,11 @@
 
 The coalition cost rule is C(M) = max of the members' stand-alone costs
 (C(empty) = 0), which makes the game concave-free ("airport problem") and
-admits closed forms: the sequential (telescoping) Shapley value and the
-inductive nucleolus recursion over cost-identical groups. Both closed forms
-are paired with independent brute-force oracles: full subset enumeration for
-Shapley and a lexicographic sequence of LPs for the nucleolus.
+admits closed forms: the sequential (telescoping) Shapley value and
+Littlechild's nucleolus recursion over bands of equal cost (within
+GROUP_TOL). Both closed forms are paired with independent brute-force
+oracles: full subset enumeration for Shapley and a lexicographic sequence of
+LPs for the nucleolus.
 """
 from __future__ import annotations
 
@@ -32,10 +33,9 @@ class AirportGame:
     """Players sorted ascending by stand-alone cost; ties by id."""
 
     players: tuple[tuple[str, float], ...]
-    hour: int | None = None
 
     @classmethod
-    def from_costs(cls, costs: dict[str, float] | list[tuple[str, float]], hour: int | None = None):
+    def from_costs(cls, costs: dict[str, float] | list[tuple[str, float]]):
         items = list(costs.items()) if isinstance(costs, dict) else list(costs)
         seen = set()
         for uid, w in items:
@@ -47,7 +47,7 @@ class AirportGame:
             if w < 0:
                 raise AllocationError(f"negative stand-alone cost for {uid!r}: {w}")
         items.sort(key=lambda kv: (kv[1], kv[0]))
-        return cls(players=tuple((u, float(w)) for u, w in items), hour=hour)
+        return cls(players=tuple((u, float(w)) for u, w in items))
 
     @property
     def n(self) -> int:
@@ -68,39 +68,24 @@ class AirportGame:
 
 
 @dataclass
-class NucleolusState:
-    """One round of the inductive recursion."""
-
-    iteration: int
-    alpha: float
-    split: int          # k_q: last group index assigned this round
-    remaining: int      # unassigned unit count after the round
-
-
-@dataclass
 class Allocation:
     rule: str
     phi: dict[str, float]
-    hour: int | None = None
-    efficiency_gap: float = 0.0
-    nucleolus_steps: tuple[NucleolusState, ...] = ()
 
     def vector(self, ids: list[str]) -> np.ndarray:
         return np.array([self.phi[u] for u in ids])
 
 
-def _finalize(rule: str, game: AirportGame, phi: dict[str, float], hour=None, steps=()) -> Allocation:
-    total = game.total
+def _finalize(rule: str, total: float, phi: dict[str, float]) -> Allocation:
     paid = sum(phi.values())
-    gap = abs(paid - total)
-    if gap > 1e-9 * max(1.0, total):
+    if abs(paid - total) > 1e-9 * max(1.0, total):
         raise AllocationError(f"{rule}: allocations sum to {paid}, expected {total}")
     clean = {}
     for uid, v in phi.items():
         if v < -1e-9 * max(1.0, total):
             raise AllocationError(f"{rule}: negative charge {v} for {uid!r}")
         clean[uid] = max(float(v), 0.0)
-    return Allocation(rule=rule, phi=clean, hour=hour, efficiency_gap=float(gap), nucleolus_steps=tuple(steps))
+    return Allocation(rule=rule, phi=clean)
 
 
 # ---------------------------------------------------------------------------
@@ -112,10 +97,10 @@ def proportional(game: AirportGame) -> Allocation:
     costs = game.costs
     total = costs.sum()
     if game.n == 0 or game.total == 0.0:
-        return Allocation(rule="proportional", phi={u: 0.0 for u in game.ids}, hour=game.hour)
+        return Allocation(rule="proportional", phi={u: 0.0 for u in game.ids})
     share = game.total / total
     phi = {u: w * share for (u, w) in game.players}
-    return _finalize("proportional", game, phi, game.hour)
+    return _finalize("proportional", game.total, phi)
 
 
 def shapley_airport(game: AirportGame) -> Allocation:
@@ -123,13 +108,13 @@ def shapley_airport(game: AirportGame) -> Allocation:
     player is shared equally by everyone at least that large."""
     n = game.n
     if n == 0:
-        return Allocation(rule="shapley", phi={}, hour=game.hour)
+        return Allocation(rule="shapley", phi={})
     costs = game.costs
     increments = np.diff(costs, prepend=0.0)
     shares = increments / (n - np.arange(n))
     phi_sorted = np.cumsum(shares)
     phi = {u: float(v) for (u, _), v in zip(game.players, phi_sorted)}
-    return _finalize("shapley", game, phi, game.hour)
+    return _finalize("shapley", game.total, phi)
 
 
 def _coalition_costs(costs: np.ndarray) -> np.ndarray:
@@ -149,7 +134,7 @@ def shapley_bruteforce(game: AirportGame) -> Allocation:
     if n > SHAPLEY_BRUTEFORCE_MAX_N:
         raise AllocationError(f"shapley_bruteforce: {n} players exceeds max_n={SHAPLEY_BRUTEFORCE_MAX_N}")
     if n == 0:
-        return Allocation(rule="shapley_bruteforce", phi={}, hour=game.hour)
+        return Allocation(rule="shapley_bruteforce", phi={})
     costs = game.costs
     c = _coalition_costs(costs)
     masks = np.arange(1 << n, dtype=np.int64)
@@ -163,113 +148,57 @@ def shapley_bruteforce(game: AirportGame) -> Allocation:
         without = masks[(masks >> i) & 1 == 0]
         marg = c[without | (1 << i)] - c[without]
         phi[uid] = float(weights[sizes[without]] @ marg)
-    return _finalize("shapley_bruteforce", game, phi, game.hour)
+    return _finalize("shapley_bruteforce", game.total, phi)
 
 
 # ---------------------------------------------------------------------------
 # Nucleolus
 
 
-@dataclass(frozen=True)
-class TypeGroup:
-    cost: float
-    members: tuple[str, ...]
-
-    @property
-    def count(self) -> int:
-        return len(self.members)
-
-
-@dataclass(frozen=True)
-class TypedGroups:
-    groups: tuple[TypeGroup, ...]
-
-    @property
-    def m(self) -> int:
-        return len(self.groups)
-
-    def counts(self) -> list[int]:
-        return [g.count for g in self.groups]
-
-
-def group_by_type(game: AirportGame) -> TypedGroups:
-    """Merge players whose costs agree within ``GROUP_TOL`` (relative, chained
-    on the sorted sequence); the merged group cost is the band maximum."""
-    groups: list[TypeGroup] = []
-    members: list[str] = []
-    cost = None
+def group_by_type(game: AirportGame) -> list[tuple[float, list[str]]]:
+    """The players as ``[(cost, members)]`` bands in ascending cost: costs
+    that agree within ``GROUP_TOL`` (relative, chained on the sorted sequence)
+    form one band, whose cost is the band maximum."""
+    costs: list[float] = []
+    members: list[list[str]] = []
     for uid, w in game.players:
-        if cost is not None and w - cost <= GROUP_TOL * max(1.0, w):
-            members.append(uid)
-            cost = max(cost, w)
+        if costs and w - costs[-1] <= GROUP_TOL * max(1.0, w):
+            costs[-1] = w  # players are sorted, so w is the band maximum so far
+            members[-1].append(uid)
         else:
-            if members:
-                groups.append(TypeGroup(cost=cost, members=tuple(members)))
-            members = [uid]
-            cost = w
-    if members:
-        groups.append(TypeGroup(cost=cost, members=tuple(members)))
-    return TypedGroups(groups=tuple(groups))
-
-
-def nucleolus_airport(groups: TypedGroups, hour: int | None = None) -> Allocation:
-    """Inductive nucleolus for the airport game over cost-identical groups.
-
-    Each round picks the excess level alpha_q minimising over the candidate
-    split points; groups up to the split pay -alpha_q per member. When the
-    split reaches the last or second-to-last group the allocation is
-    complete, the final group absorbing the remainder exactly.
-    """
-    m = groups.m
-    if m == 0:
-        return Allocation(rule="nucleolus", phi={}, hour=hour)
-    costs = [g.cost for g in groups.groups]
-    if costs[-1] <= 0.0:
-        raise AllocationError("nucleolus_airport requires at least one positive cost")
-    counts = groups.counts()
-    cum = np.cumsum(counts)  # l_k
-
-    phi: dict[str, float] = {}
-    steps: list[NucleolusState] = []
-    assigned_total = 0.0
-    k_prev = 0  # k_{q-1}; groups 1..k_prev already assigned (1-based)
-    q = 0
-    while k_prev < m - 1:
-        q += 1
-        best = math.inf
-        best_k = None
-        prior = cum[k_prev - 1] if k_prev else 0
-        for k in range(k_prev + 1, m):  # k-terms over [k_q+1, m-1] (1-based)
-            val = (costs[k - 1] - assigned_total) / (cum[k - 1] - prior + 1)
-            if val < best - 1e-15:
-                best = val
-                best_k = k
-        m_term = (costs[m - 1] - assigned_total) / (cum[m - 1] - prior)
-        if m_term < best - 1e-15:
-            best = m_term
-            best_k = m
-        assert best_k is not None and best_k > k_prev  # the split always advances
-        alpha = -best
-        for j in range(k_prev + 1, best_k + 1):
-            g = groups.groups[j - 1]
-            for uid in g.members:
-                phi[uid] = best
-            assigned_total += best * g.count
-        remaining = int(cum[m - 1] - cum[best_k - 1])
-        steps.append(NucleolusState(iteration=q, alpha=alpha, split=best_k, remaining=remaining))
-        k_prev = best_k
-    if k_prev == m - 1:
-        last = groups.groups[m - 1]
-        share = (costs[m - 1] - assigned_total) / last.count
-        for uid in last.members:
-            phi[uid] = share
-    expanded = [(uid, g.cost) for g in groups.groups for uid in g.members]
-    return _finalize("nucleolus", AirportGame.from_costs(expanded, hour), phi, hour, steps)
+            costs.append(w)
+            members.append([uid])
+    return list(zip(costs, members))
 
 
 def nucleolus(game: AirportGame) -> Allocation:
-    """Nucleolus of the airport game (grouping + recursion)."""
-    return nucleolus_airport(group_by_type(game), hour=game.hour)
+    """Nucleolus of the airport game by Littlechild's recursion over the
+    cost bands of ``group_by_type``.
+
+    Each round charges every member of the next unassigned bands one share:
+    the least, over the candidate last bands k, of band k's cost net of the
+    charges already made, divided by the unassigned members up to k plus one.
+    The last band divides by its members alone, absorbing the remainder
+    exactly. Ties within 1e-15 go to the earlier band.
+    """
+    groups = group_by_type(game)
+    phi: dict[str, float] = {}
+    assigned = 0.0
+    done = 0  # bands already charged
+    while done < len(groups):
+        best, split, count = math.inf, done, 0
+        for k in range(done, len(groups)):
+            cost, members = groups[k]
+            count += len(members)
+            share = (cost - assigned) / (count if k == len(groups) - 1 else count + 1)
+            if share < best - 1e-15:
+                best, split = share, k
+        for _, members in groups[done:split + 1]:
+            for uid in members:
+                phi[uid] = best
+            assigned += best * len(members)
+        done = split + 1
+    return _finalize("nucleolus", game.total, phi)
 
 
 # ---------------------------------------------------------------------------
@@ -296,10 +225,10 @@ def nucleolus_lp_oracle(game: AirportGame) -> Allocation:
     if n > NUCLEOLUS_ORACLE_MAX_N:
         raise AllocationError(f"nucleolus_lp_oracle: {n} players exceeds max_n={NUCLEOLUS_ORACLE_MAX_N}")
     if n == 0:
-        return Allocation(rule="nucleolus_lp", phi={}, hour=game.hour)
+        return Allocation(rule="nucleolus_lp", phi={})
     costs = game.costs
     if n == 1:
-        return _finalize("nucleolus_lp", game, {game.ids[0]: float(costs[0])}, game.hour)
+        return _finalize("nucleolus_lp", game.total, {game.ids[0]: float(costs[0])})
     scale = max(1.0, float(costs.max()))
 
     # row r is coalition mask r + 1; the last row is the grand coalition
@@ -356,7 +285,7 @@ def nucleolus_lp_oracle(game: AirportGame) -> Allocation:
         raise AllocationError("nucleolus oracle failed to pin the allocation")
     x, *_ = np.linalg.lstsq(system, coal_cost[pinned] + levels, rcond=None)
     phi = {uid: float(x[i]) for i, uid in enumerate(game.ids)}
-    return _finalize("nucleolus_lp", game, phi, game.hour)
+    return _finalize("nucleolus_lp", game.total, phi)
 
 
 # ---------------------------------------------------------------------------
@@ -367,7 +296,7 @@ def nucleolus_lp_oracle(game: AirportGame) -> Allocation:
 class CoreReport:
     rule: str
     passed: bool
-    efficiency_gap: float
+    efficiency_residual: float
     worst_ir_violation: float
     worst_coalition_excess: float
     worst_coalition: tuple[str, ...]
@@ -403,7 +332,7 @@ def core_check(alloc: Allocation, game: AirportGame) -> CoreReport:
     return CoreReport(
         rule=alloc.rule,
         passed=passed,
-        efficiency_gap=eff_gap,
+        efficiency_residual=eff_gap,
         worst_ir_violation=ir,
         worst_coalition_excess=worst,
         worst_coalition=coalition,
@@ -445,12 +374,8 @@ def allocate_hourly(standalone, rule: str) -> AllocationSeries:
         nonzero = [(u, w) for u, w in entries if w > 0.0]
         phi = {u: 0.0 for u, _ in entries}
         if nonzero:
-            alloc = RULES[rule](AirportGame.from_costs(nonzero, hour=t))
-            phi.update(alloc.phi)
-            steps = alloc.nucleolus_steps
-        else:
-            steps = ()
-        per_hour.append(Allocation(rule=rule, phi=phi, hour=t, nucleolus_steps=steps))
+            phi.update(RULES[rule](AirportGame.from_costs(nonzero)).phi)
+        per_hour.append(Allocation(rule=rule, phi=phi))
         for u, v in phi.items():
             by_unit[u] = by_unit.get(u, 0.0) + v
     by_tech: dict[str, float] = {}

@@ -50,6 +50,8 @@ EXIT_INTERNAL = 3
 
 OUT_DIR_ENV = "ASMARKET_OUT_DIR"
 
+ORACLES = {"shapley": shapley_bruteforce, "nucleolus": nucleolus_lp_oracle}
+
 
 def cmd_validate(args) -> int:
     try:
@@ -265,17 +267,16 @@ def cmd_game(args) -> int:
         costs = _read_costs_file(args.costs_file)
         game = AirportGame.from_costs(costs)
         alloc = RULES[args.rule](game)
+        # the oracle runs, or refuses, before anything is printed
+        oracle = None
+        if args.oracle:
+            if args.rule not in ORACLES:
+                raise AllocationError(f"no oracle for the {args.rule} rule")
+            oracle = ORACLES[args.rule](game)
         print("unit_id,phi_gbp")
         for uid, _ in game.players:
             print(f"{uid},{alloc.phi[uid]!r}")
-        if args.oracle:
-            if args.rule == "shapley":
-                oracle = shapley_bruteforce(game)
-            elif args.rule == "nucleolus":
-                oracle = nucleolus_lp_oracle(game)
-            else:
-                print("no oracle for the proportional rule", file=sys.stderr)
-                return EXIT_VALIDATION
+        if oracle is not None:
             dev = max(abs(alloc.phi[u] - oracle.phi[u]) for u in alloc.phi)
             print(f"# oracle max deviation: {dev!r}")
     except OSError as exc:

@@ -224,7 +224,6 @@ class _CutPool:
         self._cone_cols = np.column_stack([model.cols[(kind, None)] for kind in cone])
         T = model.scenario.horizon
         self.t, self.a1, self.a2 = np.arange(T), np.zeros(T), np.zeros(T)
-        self._index, self._data = self._entries(self.t, self.a1, self.a2)
         cuts = self.rows
         a = lp.Csr(
             np.concatenate([model.a.indptr, model.a.indptr[-1] + cuts.indptr[1:]]),
@@ -244,10 +243,9 @@ class _CutPool:
     @property
     def rows(self) -> lp.Csr:
         """Every cut row, in cut order."""
-        indptr = np.arange(0, self._data.size + 1, 4, dtype=np.int32)
-        return lp.Csr(
-            indptr, self._index.ravel().astype(np.int32), self._data.ravel(), (len(self._data), self.model.n_vars)
-        )
+        index, data = self._entries(self.t, self.a1, self.a2)
+        indptr = np.arange(0, data.size + 1, 4, dtype=np.int32)
+        return lp.Csr(indptr, index.ravel().astype(np.int32), data.ravel(), (len(data), self.model.n_vars))
 
     def add(self, t: np.ndarray, a1: np.ndarray, a2: np.ndarray) -> None:
         """Append cuts to the pool and to the session."""
@@ -256,8 +254,6 @@ class _CutPool:
         self.t = np.concatenate([self.t, t])
         self.a1 = np.concatenate([self.a1, a1])
         self.a2 = np.concatenate([self.a2, a2])
-        self._index = np.concatenate([self._index, index])
-        self._data = np.concatenate([self._data, data])
 
 
 def _patched_bounds(model: UCModel, patch: dict[int, tuple[float, float]] | None):
@@ -789,6 +785,7 @@ def solve_mip(
             f"{polished.message})"
         )
     x = polished.x
+    _verify_feasibility(model, x, FEAS_TOL)
     inc_obj = polished.objective
     stats.rel_mip_gap = max(0.0, (inc_obj - best_bound) / max(1.0, abs(inc_obj)))
     stats.budget_exhausted = budget_exhausted

@@ -102,9 +102,9 @@ def write_standalone_matrix(path, run_id, standalone) -> None:
 
 def write_allocation(path, run_id, series, technology) -> None:
     rows = []
-    for alloc in series.per_hour:
+    for hour, alloc in enumerate(series.per_hour, start=1):
         for uid in sorted(alloc.phi):
-            rows.append((alloc.hour + 1, uid, technology.get(uid, ""), alloc.phi[uid]))
+            rows.append((hour, uid, technology.get(uid, ""), alloc.phi[uid]))
     write_table(path, run_id, ["hour", "unit_id", "technology", "phi_gbp"], rows)
 
 

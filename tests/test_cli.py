@@ -258,6 +258,25 @@ class TestGame:
         rows = [(f"u{i}", float(i + 1)) for i in range(10)]
         path = self.write_costs(tmp_path, rows)
         assert main(["game", str(path), "--rule", "nucleolus", "--oracle"]) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "exceeds max_n" in captured.err
+
+    @pytest.mark.parametrize("rule, n", [("proportional", 3), ("shapley", 13)])
+    def test_oracle_refusal_prints_no_allocation(self, tmp_path, capsys, rule, n):
+        # no oracle for the rule, or too many players for it: nothing on stdout
+        path = self.write_costs(tmp_path, [(f"u{i}", float(i + 1)) for i in range(n)])
+        assert main(["game", str(path), "--rule", rule, "--oracle"]) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.strip()
+
+    def test_all_zero_game_with_oracle(self, tmp_path, capsys):
+        path = self.write_costs(tmp_path, [("a", 0.0), ("b", 0.0)])
+        assert main(["game", str(path), "--rule", "nucleolus", "--oracle"]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert "a,0.0" in out and "b,0.0" in out
+        assert float(out.splitlines()[-1].split(":")[1]) == 0.0
 
     @pytest.mark.parametrize("rule", ["nucleolus", "shapley", "proportional"])
     @pytest.mark.parametrize("bad", ["nan", "inf"])

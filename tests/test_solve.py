@@ -438,6 +438,24 @@ class TestMip:
         assert not isinstance(err.value, InfeasibleError)
         assert "iteration limit reached" in str(err.value)
 
+    def test_polished_point_is_verified(self, monkeypatch):
+        # the polish's point is checked against every row like a relaxed
+        # solve's: moved below max_loss[0] (p_loss >= 100), it is refused
+        sc = binding_scenario()
+        m = build_uc(sc, FixedProfile.constant(100.0, 3), relaxed=False)
+        real = solve._oa_solve
+
+        def shifted_polish(pool, patch, stats):
+            out = real(pool, patch, stats)
+            if patch is not None and set(patch) == set(m.binary_indices):
+                out.x = out.x.copy()
+                out.x[m.vid(V_PLOSS, None, 0)] -= 1.0
+            return out
+
+        monkeypatch.setattr(solve, "_oa_solve", shifted_polish)
+        with pytest.raises(SolverError, match=r"row max_loss\[0\] violated"):
+            solve_mip(m)
+
     def test_start_up_lead_time(self):
         sc = Scenario(
             params=SystemParams(),
