@@ -25,7 +25,6 @@ from .frequency import (  # noqa: F401
 from .ucmodel import (  # noqa: F401
     EndogenousMax,
     FixedProfile,
-    InitialState,
     UCModel,
     build_uc,
 )

@@ -107,7 +107,11 @@ _SOLVER_FIELDS = (
 def cmd_run(args) -> int:
     t_start = time.perf_counter()
     out_dir = Path(args.out or os.environ.get(OUT_DIR_ENV) or "asmarket_out")
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"cannot create output directory: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     flags = {
         "rule": args.rule,
         "loss_rule": args.loss_rule,

@@ -181,10 +181,10 @@ def duality_audit(primal: DispatchSolution, duals: DualSolution, scenario: Scena
 
     energy + AS payments = system costs + thermal/renewable/storage profits
     (+ the explicitly reported omitted terms: the min-down-time block and any
-    nonzero initial-state constants, read from the initial state the duals
-    record). A residual beyond tolerance flags a dual-recovery defect.
+    nonzero initial-state constants, read from the scenario's
+    ``initially_on`` and ``e_ini_mwh``). A residual beyond tolerance flags a
+    dual-recovery defect.
     """
-    init = duals.initial_state
     prices = as_prices_from_duals(duals, scenario.params)
 
     inertia_rev = prices.lambda_h * primal.inertia_mws
@@ -211,7 +211,7 @@ def duality_audit(primal: DispatchSolution, duals: DualSolution, scenario: Scena
         + _stack(duals.psi_max_ysd, gens, T).sum(axis=1)
     ))
     mdt = _stack(duals.psi_mdt, gens, T)
-    rhs0 = np.array([1.0 - init.y0(g.id) for g in gens])
+    rhs0 = np.array([1.0 - int(g.initially_on) for g in gens])
     omitted = _add(duals.initial_rhs_term, mdt[:, 0] * rhs0 + mdt[:, 1:].sum(axis=1))
     caps = np.array([r.cf for r in res], dtype=float).reshape(len(res), T) * _product(res, "p_max_mw")[:, None]
     renewable = _add(0.0, np.vecdot(caps, _stack(duals.psi_cf, res, T)))
@@ -223,7 +223,7 @@ def duality_audit(primal: DispatchSolution, duals: DualSolution, scenario: Scena
         + _stack(duals.psi_mutex, stos, T).sum(axis=1)
     )
     ends = (
-        np.array([init.e0(s) for s in stos]) * _stack(duals.psi_ini, stos)
+        _product(stos, "e_ini_mwh") * _stack(duals.psi_ini, stos)
         - _product(stos, "e_end_mwh") * _stack(duals.psi_end, stos)
     )
     storage = _add(0.0, bounds, ends)

@@ -116,6 +116,7 @@ class GeneratorSpec:
     min_up_h: int = 0
     min_down_h: int = 0
     start_up_h: int = 0
+    initially_on: bool = False  # committed in the hour before the horizon
     loss_eligible: bool = True
     technology: str = "thermal"
 
@@ -385,10 +386,9 @@ def load_scenario(path: str | Path) -> Scenario:
     Raises ScenarioError on malformed documents and ScenarioValidationError
     (listing every violated invariant with its field path) on invalid ones.
     """
-    text = Path(path).read_text(encoding="utf-8")
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ScenarioError(f"malformed scenario document: {exc}") from exc
     return scenario_from_dict(doc)
 

@@ -29,7 +29,7 @@ from __future__ import annotations
 import heapq
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -72,7 +72,6 @@ from .ucmodel import (
     V_YSD,
     V_YSG,
     V_YST,
-    InitialState,
 )
 
 
@@ -184,7 +183,6 @@ class DualSolution:
     initial_rhs_term: float
     as_payment_rhs: float  # sum of loss-row rhs * omega; zero under EndogenousMax
     dual_objective: float
-    initial_state: InitialState = field(default_factory=InitialState)  # of the model solved
 
 
 @dataclass
@@ -195,7 +193,6 @@ class SolveStats:
     rel_mip_gap: float = 0.0
     rel_duality_gap: float = 0.0
     max_cs_residual: float = 0.0
-    wall_s: float = 0.0
     budget_exhausted: bool = False
     oa_rounds: int = 0               # LPs solved inside OA loops
     # "converged", "graced" (some OA loop accepted a point within FEAS_TOL
@@ -528,7 +525,6 @@ def _duals_from(pool: _CutPool, out: lp.LpOutcome, stats: SolveStats) -> DualSol
         initial_rhs_term=initial_rhs_term,
         as_payment_rhs=as_payment_rhs,
         dual_objective=_dual_objective(model, out),
-        initial_state=model.initial_state,
     )
     stats.max_cs_residual = _max_cs_residual(pool, out)
     scale = max(1.0, abs(out.objective))
@@ -602,7 +598,6 @@ def solve_relaxed(model: UCModel) -> tuple[DispatchSolution, DualSolution, Solve
     if not model.relaxed:
         raise ValueError("solve_relaxed requires a model built with relaxed=True")
     stats = SolveStats(lp_columns=model.n_vars)
-    t0 = time.perf_counter()
     pool = _CutPool(model)
     out = _solve_root(pool, stats)
     _verify_feasibility(model, out.x, FEAS_TOL)
@@ -612,7 +607,6 @@ def solve_relaxed(model: UCModel) -> tuple[DispatchSolution, DualSolution, Solve
     stats.rel_duality_gap = gap
     stats.cuts = len(pool.t)
     stats.final_cone_residual = _final_cone_residual(model, out.x)
-    stats.wall_s = time.perf_counter() - t0
     if gap > DUALITY_TOL:
         raise DualRecoveryError(f"relative duality gap {gap:.3e} exceeds tolerance")
     return dispatch, duals, stats
@@ -667,7 +661,7 @@ def _heuristic_fix(model: UCModel, x: np.ndarray) -> dict[int, tuple[float, floa
 
     for g in model.scenario.generators:
         y = (x[model.cols[(V_Y, g.id)]] > INTEGRALITY_TOL).astype(int)
-        prev = np.concatenate([[model.initial_state.y0(g.id)], y[:-1]])
+        prev = np.concatenate([[int(g.initially_on)], y[:-1]])
         ysg = np.maximum(0, y - prev)
         # start-up indicators consistent with the lead time
         starts = np.flatnonzero(ysg) - g.start_up_h
@@ -793,7 +787,6 @@ def solve_mip(
         stats.stop_reason = "budget"
     stats.cuts = len(pool.t)
     stats.final_cone_residual = _final_cone_residual(model, x)
-    stats.wall_s = time.perf_counter() - t0
     schedule = _commitment_from_x(model, x)
     dispatch = _dispatch_from_x(model, x, inc_obj)
     _check_schedule(model, schedule)
@@ -805,7 +798,7 @@ def _check_schedule(model: UCModel, sched: CommitmentSchedule) -> None:
         y = sched.gen_on[g.id]
         ysg = sched.gen_start_gen[g.id]
         ysd = sched.gen_shut_down[g.id]
-        prev = model.initial_state.y0(g.id)
+        prev = int(g.initially_on)
         for t in range(model.scenario.horizon):
             if y[t] != prev + ysg[t] - ysd[t]:
                 raise SolverError(f"commitment transition identity violated for {g.id} at t={t}")

@@ -219,7 +219,7 @@ def verify_manifest(manifest: dict, out_dir: Path) -> list[str]:
             problems.append(f"{name}: missing")
             continue
         if p.suffix == ".csv":
-            first = p.read_text(encoding="utf-8").splitlines()[0]
+            first = (p.read_text(encoding="utf-8").splitlines() or [""])[0]
             if first != f"# run: {manifest['run_id']}":
                 problems.append(f"{name}: run id mismatch ({first!r})")
     return problems

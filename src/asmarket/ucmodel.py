@@ -13,13 +13,13 @@ per-unit series and recover duals by gathers, under the conventions the
 pricing layer expects, and tag infeasibility certificates by constraint class.
 
 The relaxation is built on classes of identical units: units equal in every
-field but ``id``, with equal ``InitialState`` entries, share one column block
-and one set of per-unit rows holding one member's values, and the class's
-costs and its coefficients in the balance and aggregation rows are scaled by
-its size. ``cols`` and ``rows`` map every member to its class's columns and
-rows. The relaxation is convex and invariant under permuting a class, so a
-symmetric optimum exists and this is its exact restriction; the
-mixed-integer build keeps one block per unit.
+field but ``id`` share one column block and one set of per-unit rows
+holding one member's values, and the class's costs and its coefficients in
+the balance and aggregation rows are scaled by its size. ``cols`` and
+``rows`` map every member to its class's columns and rows. The relaxation
+is convex and invariant under permuting a class, so a symmetric optimum
+exists and this is its exact restriction; the mixed-integer build keeps one
+block per unit.
 Under a fixed loss profile the model differs from profile to profile only in
 the T max-loss right-hand sides, so ``UCModel.with_loss_profile`` re-targets
 a built model instead of building another.
@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import functools
 import operator
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -116,24 +116,6 @@ class EndogenousMax:
 LossRule = FixedProfile | EndogenousMax
 
 
-@dataclass(frozen=True)
-class InitialState:
-    """Pre-horizon block for hour-1 transition and storage rows.
-
-    Defaults: every generator off, storage at its e_ini. History sums before
-    the horizon start are treated as zero.
-    """
-
-    gen_on: dict[str, int] = field(default_factory=dict)
-    storage_e0_mwh: dict[str, float] = field(default_factory=dict)
-
-    def y0(self, gen_id: str) -> int:
-        return int(self.gen_on.get(gen_id, 0))
-
-    def e0(self, storage) -> float:
-        return float(self.storage_e0_mwh.get(storage.id, storage.e_ini_mwh))
-
-
 class ModelError(Exception):
     pass
 
@@ -149,7 +131,6 @@ class UCModel:
     scenario: Scenario
     loss_rule: LossRule
     relaxed: bool
-    initial_state: InitialState
     c: np.ndarray
     lb: np.ndarray
     ub: np.ndarray
@@ -198,7 +179,6 @@ def build_uc(
     scenario: Scenario,
     loss_rule: LossRule,
     relaxed: bool,
-    initial_state: InitialState | None = None,
 ) -> UCModel:
     """Assemble the frequency-secured UC (mixed-integer form or its relaxation).
 
@@ -207,15 +187,15 @@ def build_uc(
 
     The relaxed build replaces every binary with a [0, 1] box whose bound
     multipliers are the psi duals used by the pricing layer, and holds one
-    column block per class of identical units (every field but ``id`` equal,
-    and equal ``InitialState`` entries): the block and its per-unit rows hold
-    one member's values, its costs and its coefficients in the balance and
-    aggregation rows are multiplied by the class size n, and under
+    column block per class of identical units (every field but ``id``
+    equal): the block and its per-unit rows hold one member's values, its
+    costs and its coefficients in the balance and aggregation rows are
+    multiplied by the class size n, and under
     ``EndogenousMax`` its max-loss row stays ``p <= p_loss``. Every member's
     ``cols`` and ``rows`` entries are its class's arrays, and every member's
     ``classes`` entry is one tuple shared by the class. The class key is
-    computed without building a copy of the unit: the unit's type, its
-    compared fields other than ``id``, and its ``InitialState`` entries.
+    computed without building a copy of the unit: the unit's type and its
+    compared fields other than ``id``.
     Units of classes of one are built exactly as in the mixed-integer form,
     which keeps one class per unit.
     """
@@ -230,30 +210,13 @@ def build_uc(
         u.loss_eligible for u in scenario.all_units
     ):
         raise ModelError("EndogenousMax requires at least one loss-eligible unit")
-    init = initial_state or InitialState()
-    gen_ids = {g.id for g in scenario.generators}
-    for uid, y0 in init.gen_on.items():
-        if uid not in gen_ids:
-            raise ModelError(f"initial state: gen_on names no generator ({uid!r})")
-        if y0 not in (0, 1):
-            raise ModelError(f"initial state: gen_on[{uid!r}] must be 0 or 1 (got {y0!r})")
-    storage = {s.id: s for s in scenario.storage_units}
-    for uid, e0 in init.storage_e0_mwh.items():
-        if uid not in storage:
-            raise ModelError(f"initial state: storage_e0_mwh names no storage unit ({uid!r})")
-        s = storage[uid]
-        if not (s.e_min_mwh <= e0 <= s.e_max_mwh):
-            raise ModelError(
-                f"initial state: storage_e0_mwh[{uid!r}] must lie in [e_min, e_max] = "
-                f"[{s.e_min_mwh}, {s.e_max_mwh}] (got {e0!r})"
-            )
 
     def grouped(units) -> list[tuple]:
         if not relaxed:
             return [(u,) for u in units]
         by_key: dict = {}
         for u in units:
-            key = (type(u), _class_fields(type(u))(u), init.gen_on.get(u.id), init.storage_e0_mwh.get(u.id))
+            key = (type(u), _class_fields(type(u))(u))
             by_key.setdefault(key, []).append(u)
         return [tuple(members) for members in by_key.values()]
 
@@ -319,7 +282,7 @@ def build_uc(
 
     # --- thermal private constraints
     for g, _ in gens:
-        y0 = init.y0(g.id)
+        y0 = int(g.initially_on)
         for t in range(T):
             y = vid(V_Y, g.id, t)
             yst = vid(V_YST, g.id, t)
@@ -412,7 +375,7 @@ def build_uc(
                     [(efr, 1.0), (ycha, -s.p_max_mw), (ydis, -s.p_max_mw), (pdis, 1.0), (pcha, -1.0)],
                 )
             add_row(K_MUTEX, s.id, "<=", 1.0, [(ycha, 1.0), (ydis, 1.0)])
-        add_row(K_E0CAP, s.id, "<=", init.e0(s), [(e0, 1.0)])
+        add_row(K_E0CAP, s.id, "<=", s.e_ini_mwh, [(e0, 1.0)])
         add_row(K_EEND, s.id, ">=", s.e_end_mwh, [(vid(V_E, s.id, T - 1), 1.0)])
 
     # --- system-wide constraints
@@ -490,7 +453,6 @@ def build_uc(
         scenario=scenario,
         loss_rule=loss_rule,
         relaxed=relaxed,
-        initial_state=init,
         c=np.array(c),
         lb=np.array(lb),
         ub=np.array(ub),

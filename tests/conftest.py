@@ -8,6 +8,7 @@ leave those constraints feasible but binding where the test wants prices.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -79,6 +80,18 @@ def phes(uid, p_max, e_max, pfr, lam_e, lam_h, lam_pfr, e_frac=0.5, tech="PHES")
         inertia_offer_gbp_per_mws=lam_h,
         pfr_offer_gbp_per_mw=lam_pfr,
         technology=tech,
+    )
+
+
+def with_initial_state(sc: Scenario, on=(), e0=None) -> Scenario:
+    """``sc`` with the generators named in ``on`` committed in the hour before
+    the horizon and each storage unit named in ``e0`` (id -> MWh) starting
+    from that energy."""
+    e0 = e0 or {}
+    return replace(
+        sc,
+        generators=tuple(replace(g, initially_on=True) if g.id in on else g for g in sc.generators),
+        storage_units=tuple(replace(s, e_ini_mwh=e0[s.id]) if s.id in e0 else s for s in sc.storage_units),
     )
 
 
@@ -169,6 +182,22 @@ def free_pfr_scenario(horizon=2) -> Scenario:
         generators=(
             gen("big", 1000.0, 0.0, 10.0, 500.0, 30.0, 0.0, 0.0),
             gen("mid", 120.0, 0.0, 5.0, 40.0, 45.0, 0.0, 0.0),
+        ),
+    )
+
+
+def hour_one_shutdown_scenario() -> Scenario:
+    """One hour of 60 MW; the dear g2, committed before the horizon with a
+    30 MW minimum, is cheapest shut down at hour 1 while g1 serves the load.
+    g1 is not loss-eligible: the 1000 MWs of the two units could not secure
+    its 60 MW in a stand-alone market."""
+    return Scenario(
+        params=SystemParams(),
+        horizon=1,
+        demand_mw=(60.0,),
+        generators=(
+            replace(gen("g1", 100.0, 0.0, 5.0, 50.0, 40.0, 0.0, 0.0), loss_eligible=False),
+            replace(gen("g2", 100.0, 30.0, 5.0, 50.0, 300.0, 0.0, 0.0), initially_on=True),
         ),
     )
 

@@ -62,7 +62,6 @@ def audit_by_unit(primal: DispatchSolution, duals: DualSolution, scenario: Scena
     """``pricing.duality_audit`` as plain per-unit loops: each unit's terms
     are computed from its own arrays and added in scenario order. No
     residual check is made."""
-    init = duals.initial_state
     prices = as_prices_from_duals(duals, scenario.params)
     lam_e, lam_h, lam_pfr, lam_efr = prices.lambda_e, prices.lambda_h, prices.lambda_pfr, prices.lambda_efr
     inertia_rev = lam_h * primal.inertia_mws
@@ -87,7 +86,7 @@ def audit_by_unit(primal: DispatchSolution, duals: DualSolution, scenario: Scena
         thermal += float(duals.psi_max_y[g.id].sum() + duals.psi_max_yst[g.id].sum()
                          + duals.psi_max_ysg[g.id].sum() + duals.psi_max_ysd[g.id].sum())
         mdt = duals.psi_mdt[g.id]
-        omitted += float(mdt[0] * (1.0 - init.y0(g.id)) + mdt[1:].sum())
+        omitted += float(mdt[0] * (1.0 - int(g.initially_on)) + mdt[1:].sum())
         b = bucket(g.technology)
         b["energy_revenue"] += float(lam_e @ p)
         b["inertia_revenue"] += float(lam_h @ (g.inertia_s * g.p_max_mw * commit))
@@ -112,7 +111,7 @@ def audit_by_unit(primal: DispatchSolution, duals: DualSolution, scenario: Scena
             + duals.psi_max_ydis[s.id].sum()
             + duals.psi_mutex[s.id].sum()
         )
-        storage += float(init.e0(s) * duals.psi_ini[s.id] - s.e_end_mwh * duals.psi_end[s.id])
+        storage += float(s.e_ini_mwh * duals.psi_ini[s.id] - s.e_end_mwh * duals.psi_end[s.id])
         b = bucket(s.technology)
         b["energy_revenue"] += float(lam_e @ (primal.sto_discharge[s.id] - primal.sto_charge[s.id]))
         b["inertia_revenue"] += float(lam_h @ (s.inertia_s * s.p_max_mw * modes))

@@ -7,7 +7,7 @@ from asmarket.scenario import Scenario, gb_template, write_scenario
 from asmarket.solve import CONE_REL_TOL
 from asmarket.tables import load_manifest, verify_manifest
 from asmarket.ucmodel import EndogenousMax, build_uc
-from conftest import binding_scenario, endog_scenario
+from conftest import binding_scenario, endog_scenario, hour_one_shutdown_scenario
 from test_scenario import WRONG_TYPES, wrong_type_doc
 
 
@@ -30,6 +30,14 @@ class TestValidate:
 
     def test_missing_file(self, tmp_path):
         assert main(["validate", str(tmp_path / "nope.json")]) == EXIT_INTERNAL
+
+    def test_non_utf8_file(self, tmp_path, capsys):
+        path = tmp_path / "utf16.json"
+        path.write_bytes(json.dumps({"schema_version": 1}).encode("utf-16"))  # starts ff fe
+        assert main(["validate", str(path)]) == EXIT_VALIDATION
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == EXIT_VALIDATION
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 2 and all(line.startswith("malformed scenario document: ") for line in lines)
 
     @pytest.mark.parametrize("case", ["demand-string", "cf-string", "p-max-string", "horizon-float"])
     def test_wrong_type_exits_validation(self, tmp_path, capsys, case):
@@ -211,6 +219,26 @@ class TestRun:
     def test_gap_out_of_range(self, scenario_file, tmp_path, capsys, value):
         assert self.run(scenario_file, tmp_path / "out", ["--gap", value]) == EXIT_VALIDATION
         assert "--gap" in capsys.readouterr().err
+
+    def test_out_naming_a_file(self, scenario_file, tmp_path, capsys):
+        out = tmp_path / "some.csv"
+        out.write_text("kept\n")
+        assert self.run(scenario_file, out) == EXIT_INTERNAL
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("cannot create output directory: ")
+        assert out.read_text() == "kept\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["some.csv", "toy.json"]  # no manifest
+
+    def test_initially_on_unit_shut_down_at_hour_one(self, tmp_path):
+        path = tmp_path / "shutdown.json"
+        write_scenario(hour_one_shutdown_scenario(), path)
+        assert json.loads(path.read_text())["generators"][1]["initially_on"] is True
+        out = tmp_path / "out"
+        assert self.run(path, out) == EXIT_OK
+        assert (out / "commitment.csv").read_text().splitlines()[2:] == [
+            "1,g1,thermal,1,1,1,0,0,0",
+            "1,g2,thermal,0,0,0,1,0,0",
+        ]
 
     def test_out_dir_from_env(self, scenario_file, tmp_path, monkeypatch):
         monkeypatch.setenv("ASMARKET_OUT_DIR", str(tmp_path / "envout"))

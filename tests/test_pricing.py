@@ -18,8 +18,8 @@ from asmarket.pricing import (
 )
 from asmarket.scenario import Scenario, SystemParams, gb_template
 from asmarket.solve import DualSolution, solve_mip, solve_relaxed
-from asmarket.ucmodel import EndogenousMax, FixedProfile, InitialState, build_uc
-from conftest import binding_scenario, endog_scenario, free_pfr_scenario, gen, toy10_scenario
+from asmarket.ucmodel import EndogenousMax, FixedProfile, build_uc
+from conftest import binding_scenario, endog_scenario, free_pfr_scenario, gen, toy10_scenario, with_initial_state
 from oracles import audit_by_unit, breakdown_differences
 
 GB = SystemParams()
@@ -146,12 +146,12 @@ class TestDualityAudit:
         assert breakdown.identity_residual_rel <= 1e-5
 
     @pytest.mark.parametrize("case", ["storage_e0", "gen_on"])
-    def test_initial_state_is_read_from_the_duals(self, case):
-        # the identity's initial-state constants are those of the model the
-        # duals came from
+    def test_initial_state_is_read_from_the_scenario(self, case):
+        # the identity's initial-state constants are the scenario's
+        # initially_on and e_ini_mwh, which the model was built from
         if case == "storage_e0":
             sc, rule = toy10_scenario(6), EndogenousMax()
-            init = InitialState(storage_e0_mwh={s.id: s.e_ini_mwh / 2 for s in sc.storage_units})
+            sc = with_initial_state(sc, e0={s.id: s.e_ini_mwh / 2 for s in sc.storage_units})
         else:
             # g1 runs into hour 0 at a no-load cost; running it less at hour 0
             # and more at hour 1 needs a start-up at hour 0, which its
@@ -163,9 +163,8 @@ class TestDualityAudit:
                     gen("g2", 100.0, 0.0, 0.0, 0.0, 200.0),
                 ),
             )
-            rule, init = FixedProfile.constant(0.0, 2), InitialState(gen_on={"g1": 1})
-        dispatch, duals, _ = solve_relaxed(build_uc(sc, rule, relaxed=True, initial_state=init))
-        assert duals.initial_state == init
+            rule, sc = FixedProfile.constant(0.0, 2), with_initial_state(sc, on={"g1"})
+        dispatch, duals, _ = solve_relaxed(build_uc(sc, rule, relaxed=True))
         if case == "storage_e0":
             assert any(duals.psi_ini[s.id] > 0 for s in sc.storage_units)
         else:
@@ -183,20 +182,20 @@ class TestDualityAudit:
 
 
 AUDIT_CASES = {
-    "toy10-6h-endogenous": lambda: (toy10_scenario(6), EndogenousMax(), None),
-    "binding-fixed-100MW": lambda: (binding_scenario(), FixedProfile.constant(100.0, 3), None),
-    "generators-only": lambda: (free_pfr_scenario(), EndogenousMax(), None),  # no RES, no storage
-    "gb-6h-endogenous": lambda: (gb_template(6), EndogenousMax(), None),
+    "toy10-6h-endogenous": lambda: (toy10_scenario(6), EndogenousMax()),
+    "binding-fixed-100MW": lambda: (binding_scenario(), FixedProfile.constant(100.0, 3)),
+    "generators-only": lambda: (free_pfr_scenario(), EndogenousMax()),  # no RES, no storage
+    "gb-6h-endogenous": lambda: (gb_template(6), EndogenousMax()),
     # classes split by their initial state; the storage terms' order shows here
-    "gb-6h-initial-state": lambda: (gb_template(6), EndogenousMax(), InitialState(
-        gen_on={"ccgt_3": 1, "nuclear_1": 1}, storage_e0_mwh={"bess_7": 10.0, "phes_2": 1600.0})),
+    "gb-6h-initial-state": lambda: (with_initial_state(
+        gb_template(6), on={"ccgt_3", "nuclear_1"}, e0={"bess_7": 10.0, "phes_2": 1600.0}), EndogenousMax()),
 }
 
 
 @pytest.fixture(scope="module", params=list(AUDIT_CASES))
 def audited(request):
-    sc, rule, init = AUDIT_CASES[request.param]()
-    dispatch, duals, _ = solve_relaxed(build_uc(sc, rule, relaxed=True, initial_state=init))
+    sc, rule = AUDIT_CASES[request.param]()
+    dispatch, duals, _ = solve_relaxed(build_uc(sc, rule, relaxed=True))
     return sc, dispatch, duals, duality_audit(dispatch, duals, sc)
 
 

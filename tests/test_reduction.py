@@ -42,10 +42,9 @@ from asmarket.ucmodel import (
     V_YST,
     EndogenousMax,
     FixedProfile,
-    InitialState,
     build_uc,
 )
-from conftest import binding_scenario, toy10_scenario
+from conftest import binding_scenario, toy10_scenario, with_initial_state
 from oracles import as_scipy, classes_of_one
 
 
@@ -176,13 +175,12 @@ def test_omega_inside_its_brackets(pair):
 
 
 def test_initial_state_splits_a_class():
-    sc = tripled(binding_scenario())
-    init = InitialState(gen_on={"g1_1": 1})
-    model = build_uc(sc, FixedProfile.constant(100.0, 3), relaxed=True, initial_state=init)
+    sc = with_initial_state(tripled(binding_scenario()), on={"g1_1"})
+    model = build_uc(sc, FixedProfile.constant(100.0, 3), relaxed=True)
     assert model.classes["g1_1"] == ("g1_1",)
     assert model.classes["g1_3"] == ("g1_2", "g1_3")
     assert model.classes["b1_2"] == ("b1_1", "b1_2", "b1_3")
-    oracle = build_uc(classes_of_one(sc), FixedProfile.constant(100.0, 3), relaxed=True, initial_state=init)
+    oracle = build_uc(classes_of_one(sc), FixedProfile.constant(100.0, 3), relaxed=True)
     assert solve_relaxed(model)[0].objective == pytest.approx(solve_relaxed(oracle)[0].objective, rel=1e-9)
 
 
@@ -328,30 +326,29 @@ def test_members_share_one_read_only_array(lifted_solve):
 
 
 # ---------------------------------------------------------------------------
-# The class map: units equal in every field but ``id``, with equal
-# ``InitialState`` entries, and nothing else
+# The class map: units equal in every field but ``id``, and nothing else
 
 
-def reference_classes(sc, init=InitialState()):
+def reference_classes(sc):
     """Each unit's class, grouped on a copy of the unit with its id blanked."""
     classes = {}
     for units in (sc.generators, sc.res_units, sc.storage_units):
         by_key = {}
         for u in units:
-            key = (replace(u, id=""), init.gen_on.get(u.id), init.storage_e0_mwh.get(u.id))
-            by_key.setdefault(key, []).append(u.id)
+            by_key.setdefault(replace(u, id=""), []).append(u.id)
         classes.update((uid, tuple(members)) for members in by_key.values() for uid in members)
     return classes
 
 
-@pytest.mark.parametrize("init", [
-    InitialState(),
-    InitialState(gen_on={"ccgt_3": 1, "ocgt_1": 0}, storage_e0_mwh={"bess_7": 10.0, "phes_2": 1600.0}),
+# phes_2's 1600 MWh is its e_ini: it stays in its class
+@pytest.mark.parametrize("state", [
+    {},
+    {"on": {"ccgt_3"}, "e0": {"bess_7": 10.0, "phes_2": 1600.0}},
 ], ids=["cold", "initial-state"])
-def test_class_map_matches_the_reference_key(init):
-    sc = gb_template(6)
-    model = build_uc(sc, EndogenousMax(), relaxed=True, initial_state=init)
-    assert model.classes == reference_classes(sc, init)
+def test_class_map_matches_the_reference_key(state):
+    sc = with_initial_state(gb_template(6), **state)
+    model = build_uc(sc, EndogenousMax(), relaxed=True)
+    assert model.classes == reference_classes(sc)
     for uid, members in model.classes.items():
         assert members is model.classes[members[0]], uid  # one tuple per class
 

@@ -34,6 +34,23 @@ def test_malformed_document(tmp_path):
         load_scenario(path)
 
 
+def test_non_utf8_document_is_malformed(tmp_path):
+    path = tmp_path / "utf16.json"
+    path.write_bytes(json.dumps(scenario_to_dict(binding_scenario())).encode("utf-16"))  # starts ff fe
+    with pytest.raises(ScenarioError, match="^malformed scenario document: "):
+        load_scenario(path)
+
+
+def test_document_without_initially_on_loads_off():
+    sc = toy10_scenario(horizon=6)
+    doc = scenario_to_dict(sc)
+    for g in doc["generators"]:
+        del g["initially_on"]
+    assert scenario_from_dict(doc) == sc
+    doc["generators"][0]["initially_on"] = True
+    assert scenario_from_dict(doc).generators[0] == replace(sc.generators[0], initially_on=True)
+
+
 def test_validation_reports_every_violation(tmp_path):
     sc = toy10_scenario(horizon=4)
     doc = scenario_to_dict(sc)
@@ -205,6 +222,8 @@ WRONG_TYPES = {
     # a truthy string would make the unit loss-eligible
     "loss-eligible-string": (_set("generators", 0, "loss_eligible", "no"),
                              "generators[0].loss_eligible: must be true or false (got 'no')"),
+    "initially-on-int": (_set("generators", 0, "initially_on", 3),
+                         "generators[0].initially_on: must be true or false (got 3)"),
     "id-number": (_set("generators", 1, "id", 5), "generators[1].id: must be a string (got 5)"),
     "technology-number": (_set("res_units", 0, "technology", 3), "res_units[0].technology: must be a string"),
     "kind-list": (_set("storage_units", 0, "kind", ["BESS"]), "storage_units[0].kind: must be a string"),
@@ -230,6 +249,25 @@ def test_validate_rejects_non_numeric_field_types(tmp_path, capsys, case):
     path.write_text(json.dumps(wrong_type_doc(case)), encoding="utf-8")
     assert main(["validate", str(path)]) == EXIT_VALIDATION
     assert WRONG_TYPES[case][1] in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("index, e_ini", [(0, -1.0), (1, 240.5)], ids=["phes-below-e-min", "bess-above-e-max"])
+def test_initial_energy_outside_the_energy_bounds_rejected(index, e_ini):
+    doc = scenario_to_dict(toy10_scenario(horizon=6))
+    doc["storage_units"][index]["e_ini_mwh"] = e_ini
+    with pytest.raises(ScenarioValidationError) as err:
+        scenario_from_dict(doc)
+    assert err.value.diagnostics == [
+        f"storage_units[{index}].e_ini_mwh: must satisfy e_min <= e_ini <= e_max (got {e_ini})"
+    ]
+
+
+def test_initial_energy_at_the_energy_bounds_accepted():
+    sc = toy10_scenario(horizon=6)
+    phes1, bess1 = sc.storage_units
+    assert (phes1.e_min_mwh, bess1.e_max_mwh) == (0.0, 240.0)
+    at_bounds = replace(sc, storage_units=(replace(phes1, e_ini_mwh=0.0), replace(bess1, e_ini_mwh=240.0)))
+    assert at_bounds.validate() == []
 
 
 def test_integers_stay_valid_numbers():

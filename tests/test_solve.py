@@ -33,10 +33,9 @@ from asmarket.ucmodel import (
     V_YST,
     EndogenousMax,
     FixedProfile,
-    InitialState,
     build_uc,
 )
-from conftest import bess, binding_scenario, gen, single_gen_scenario, toy10_scenario
+from conftest import bess, binding_scenario, gen, hour_one_shutdown_scenario, single_gen_scenario, toy10_scenario
 from oracles import as_scipy, enumerate_commitments
 
 
@@ -474,18 +473,7 @@ class TestMip:
         assert schedule.gen_start_up["slow"][0] == 1
 
     def test_initial_state_allows_hour_one_shutdown(self):
-        sc = plain_gen_scenario(horizon=1, demand=60.0)
-        sc = Scenario(
-            params=sc.params,
-            horizon=1,
-            demand_mw=(60.0,),
-            generators=(
-                gen("g1", 100.0, 0.0, 5.0, 50.0, 40.0, 0.0, 0.0),
-                gen("g2", 100.0, 30.0, 5.0, 50.0, 300.0, 0.0, 0.0),
-            ),
-        )
-        init = InitialState(gen_on={"g2": 1})
-        m = build_uc(sc, FixedProfile.constant(0.0, 1), relaxed=False, initial_state=init)
+        m = build_uc(hour_one_shutdown_scenario(), FixedProfile.constant(0.0, 1), relaxed=False)
         schedule, _, _ = solve_mip(m)
         assert schedule.gen_on["g2"][0] == 0
         assert schedule.gen_shut_down["g2"][0] == 1

@@ -46,3 +46,9 @@ def test_verify_manifest_detects_problems(tmp_path):
     assert any("stale.csv" in p for p in problems)
     assert any("gone.csv" in p for p in problems)
     assert not any("good.csv" in p for p in problems)
+
+
+def test_verify_manifest_reports_an_empty_csv(tmp_path):
+    (tmp_path / "empty.csv").write_text("")
+    problems = verify_manifest({"run_id": "rid", "outputs": ["empty.csv"]}, tmp_path)
+    assert problems == ["empty.csv: run id mismatch ('')"]

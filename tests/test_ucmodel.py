@@ -1,5 +1,3 @@
-import re
-
 import numpy as np
 import pytest
 
@@ -32,7 +30,6 @@ from asmarket.ucmodel import (
     V_YSD,
     V_YSG,
     V_YST,
-    InitialState,
     ModelError,
     build_uc,
 )
@@ -93,25 +90,6 @@ def test_endogenous_requires_eligible_unit():
     object.__setattr__(sc.generators[0], "loss_eligible", False)
     with pytest.raises(ModelError):
         build_uc(sc, EndogenousMax(), relaxed=True)
-
-
-@pytest.mark.parametrize("init, message", [
-    (InitialState(gen_on={"coal9": 1}), "gen_on names no generator ('coal9')"),
-    (InitialState(gen_on={"wind1": 1}), "gen_on names no generator ('wind1')"),
-    (InitialState(storage_e0_mwh={"coal1": 10.0}), "storage_e0_mwh names no storage unit ('coal1')"),
-    (InitialState(gen_on={"coal1": 3}), "gen_on['coal1'] must be 0 or 1 (got 3)"),
-    (InitialState(storage_e0_mwh={"bess1": 2400.0}), "storage_e0_mwh['bess1'] must lie in [e_min, e_max]"),
-    (InitialState(storage_e0_mwh={"phes1": -1.0}), "storage_e0_mwh['phes1'] must lie in [e_min, e_max]"),
-], ids=["unknown-generator", "gen-on-for-res", "unknown-storage", "gen-on-3", "e0-above-e-max", "e0-below-e-min"])
-def test_bad_initial_state_rejected(init, message):
-    with pytest.raises(ModelError, match="initial state: " + re.escape(message)):
-        build_uc(toy10_scenario(horizon=4), EndogenousMax(), relaxed=True, initial_state=init)
-
-
-def test_initial_state_at_the_energy_bounds_accepted():
-    sc = toy10_scenario(horizon=4)
-    init = InitialState(gen_on={"coal1": 1, "ccgt1": 0}, storage_e0_mwh={"phes1": 0.0, "bess1": 240.0})
-    assert build_uc(sc, EndogenousMax(), relaxed=True, initial_state=init).initial_state is init
 
 
 def test_relaxed_flag_controls_binaries():
