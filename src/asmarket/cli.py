@@ -1,7 +1,8 @@
 """Command-line pipeline: scenario -> UC -> prices -> stand-alone markets ->
 allocations, with persistent run artifacts.
 
-Exit codes: 0 ok, 1 validation, 2 infeasible, 3 internal.
+Exit codes: 0 ok, 1 validation (of the scenario, or options that cannot build a
+model), 2 infeasible, 3 internal.
 """
 from __future__ import annotations
 
@@ -41,7 +42,7 @@ from .tables import (
     write_prices,
     write_standalone_matrix,
 )
-from .ucmodel import EndogenousMax, FixedProfile, build_uc
+from .ucmodel import EndogenousMax, FixedProfile, ModelError, build_uc
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -230,7 +231,7 @@ def cmd_run(args) -> int:
             manifest.outputs.append("manifest.json")
 
         run_stage("write", write_outputs)
-    except (ScenarioValidationError, ScenarioError) as exc:
+    except (ScenarioError, ModelError) as exc:
         print(str(exc), file=sys.stderr)
         return finish(EXIT_VALIDATION)
     except (InfeasibleError, StandaloneError) as exc:

@@ -220,6 +220,13 @@ class StorageSpec:
         return out
 
 
+def _csv_unsafe(label: str) -> bool:
+    """Whether ``label`` cannot be written into an unquoted CSV field: it
+    holds a comma, a double quote, or a line break or other unprintable
+    character."""
+    return "," in label or '"' in label or not label.isprintable()
+
+
 # the unit groups: document key and Scenario field, spec class. A unit's
 # validate(path, horizon) skips its range checks if a type check fails; a
 # horizon of None (the scenario's own type checks failed) skips series lengths.
@@ -260,15 +267,29 @@ class Scenario:
                     if v < 0:
                         out.append(f"p_loss_cap_mw[{t}]: must be >= 0 (got {v})")
         horizon = None if own else self.horizon
+        if not (self.generators or self.res_units or self.storage_units):
+            out.append("generators: the scenario has no units (generators, res_units and storage_units are all empty)")
         seen: set[str] = set()
+        technologies = set()
         for key, _ in _UNIT_GROUPS:
             for i, u in enumerate(getattr(self, key)):
                 out += u.validate(f"{key}[{i}]", horizon)
+                if isinstance(u.technology, str):
+                    technologies.add(u.technology)
                 if not isinstance(u.id, str):
                     continue  # reported by the unit's type check
                 if u.id in seen:
                     out.append(f"{key}[{i}].id: duplicate unit id {u.id!r}")
                 seen.add(u.id)
+        # the output tables are unquoted CSV: every label is scanned at once,
+        # and the units are walked for their paths only if one is unsafe
+        if _csv_unsafe("".join(seen) + "".join(technologies)):
+            for key, _ in _UNIT_GROUPS:
+                for i, u in enumerate(getattr(self, key)):
+                    for name in ("id", "technology"):
+                        v = getattr(u, name)
+                        if isinstance(v, str) and _csv_unsafe(v):
+                            out.append(f"{key}[{i}].{name}: must be printable without ',' or '\"' (got {v!r})")
         return out
 
     def __post_init__(self):

@@ -3,15 +3,17 @@ recovery, and best-first branch-and-bound for the mixed-integer form.
 
 ``build_uc`` already holds the LP in HiGHS' row-bound form (equality rows
 first, then every inequality as ``<=``), so one marginal vector covers every
-row, and per-unit series and row duals are read through the model's ``cols``
-and ``rows``, one gather each. A relaxed
+row. Every unit column and row is read as a (classes x hours) block of the
+model's ``cols`` or ``rows``, one gather per kind and group. A relaxed
 model holds one column block per class of identical units, so every member
 holds its class's values and an equal share of its class's per-unit duals;
 each is computed once per class and held in one read-only array that the
-members share. The nadir
+members share. The mixed-integer model has one class per unit, so its
+rounding, branching and schedule checks work on the same blocks. The nadir
 cone is handled by outer-approximation cutting planes over the LP core. Each
 public solve keeps one cut pool, which owns the HiGHS session and holds the
-cuts as three arrays (hour, a1, a2): cuts are appended as rows and stay,
+cuts as three arrays (hour, a1, a2): the session starts from the model's
+rows, cuts (each hour's v >= 0 facet first) are appended as rows and stay,
 bounds are changed in place, and branch-and-bound nodes restart dual simplex
 from their parent's optimal basis. Cone multipliers are reconstructed by
 aggregating the active-cut multipliers through the cut gradients, so the
@@ -28,7 +30,6 @@ from __future__ import annotations
 
 import heapq
 import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -98,6 +99,7 @@ class DualRecoveryError(SolverError):
 
 
 MAX_CUT_ROUNDS = 400       # LPs per OA loop before it gives up
+MAX_NODES = 100_000        # branch-and-bound nodes per solve_mip before it gives up
 GRACE_ROUNDS = 50          # OA rounds before a point within FEAS_TOL is accepted
 INTEGRALITY_TOL = 1e-6
 FEAS_TOL = 1e-6            # absolute, on scaled rows
@@ -197,7 +199,7 @@ class SolveStats:
     oa_rounds: int = 0               # LPs solved inside OA loops
     # "converged", "graced" (some OA loop accepted a point within FEAS_TOL
     # after its grace rounds; takes precedence) or "budget" (solve_mip ran
-    # out of nodes or time; see also budget_exhausted)
+    # out of nodes; see also budget_exhausted)
     stop_reason: str = "converged"
     final_cone_residual: float = 0.0  # largest scaled cone residual at the returned point
     lp_columns: int = 0               # columns of the LP handed to HiGHS
@@ -211,26 +213,19 @@ class _CutPool:
     """The nadir OA state of one solve: its HiGHS session and its cuts.
 
     Cut k is a1[k]*u1 + a2[k]*u2 - v <= 0 at hour t[k] and is session row
-    ``len(model.b) + k``. The pool starts from every hour's v >= 0 facet
-    (a1 = a2 = 0), which every cone point satisfies and which anchors the OA.
+    ``len(model.b) + k``. The session starts from the model's own rows, and
+    the first cuts are every hour's v >= 0 facet (a1 = a2 = 0), which every
+    cone point satisfies and which anchors the OA.
     """
 
     def __init__(self, model: UCModel):
         self.model = model
         cone = (V_H, V_PFRT, V_EFRT, V_PLOSS)  # each hour's cone columns, in column order
         self._cone_cols = np.column_stack([model.cols[(kind, None)] for kind in cone])
+        self.session = lp.LpSession(model.c, model.a, model.row_lower, model.b, model.lb, model.ub)
+        self.t, self.a1, self.a2 = np.zeros(0, dtype=int), np.zeros(0), np.zeros(0)
         T = model.scenario.horizon
-        self.t, self.a1, self.a2 = np.arange(T), np.zeros(T), np.zeros(T)
-        cuts = self.rows
-        a = lp.Csr(
-            np.concatenate([model.a.indptr, model.a.indptr[-1] + cuts.indptr[1:]]),
-            np.concatenate([model.a.indices, cuts.indices]),
-            np.concatenate([model.a.data, cuts.data]),
-            (len(model.b) + T, model.n_vars),
-        )
-        row_lower = np.concatenate([model.row_lower, np.full(T, -np.inf)])
-        b = np.concatenate([model.b, np.zeros(T)])
-        self.session = lp.LpSession(model.c, a, row_lower, b, model.lb, model.ub)
+        self.add(np.arange(T), np.zeros(T), np.zeros(T))
 
     def _entries(self, t: np.ndarray, a1: np.ndarray, a2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Each cut's four entries: its hour's cone columns, and coefficients with zeros kept."""
@@ -254,10 +249,8 @@ class _CutPool:
 
 
 def _patched_bounds(model: UCModel, patch: dict[int, tuple[float, float]] | None):
-    if not patch:
-        return model.lb, model.ub
     lb, ub = model.lb.copy(), model.ub.copy()
-    for idx, (lo, hi) in patch.items():
+    for idx, (lo, hi) in (patch or {}).items():
         lb[idx] = lo
         ub[idx] = hi
     return lb, ub
@@ -307,7 +300,6 @@ def _oa_solve(
             stats.stop_reason = "graced"
             return out
         pool.add(hot, *separating_cut(u1[hot], u2[hot]))
-        stats.cuts = len(pool.t)
     raise SolverError("nadir outer approximation did not converge")
 
 
@@ -348,22 +340,24 @@ def _diagnose_infeasible(pool: _CutPool) -> InfeasibleError:
 class _Classes:
     """The classes of one group of units (generators, RES or storage): the
     units' ``ids`` in scenario order, ``reps`` the first member of each class
-    in the order met, the class ``sizes``, and ``pos`` each unit's class
-    position in ``reps``."""
+    in the order met and ``rep_units`` their specs, the class ``sizes``, and
+    ``pos`` each unit's class position in ``reps``. A mixed-integer model
+    has one class per unit."""
 
     ids: list[str]
     reps: list[str]
+    rep_units: list
     sizes: np.ndarray
     pos: list[int]
 
     @classmethod
     def of(cls, model: UCModel, units) -> "_Classes":
-        ids = [u.id for u in units]
-        first = [model.classes[uid][0] for uid in ids]
+        by_id = {u.id: u for u in units}
+        first = [model.classes[uid][0] for uid in by_id]
         reps = list(dict.fromkeys(first))
         index = {rep: k for k, rep in enumerate(reps)}
         sizes = np.array([len(model.classes[rep]) for rep in reps], dtype=float)
-        return cls(ids, reps, sizes, list(map(index.__getitem__, first)))
+        return cls(list(by_id), reps, [by_id[rep] for rep in reps], sizes, list(map(index.__getitem__, first)))
 
     def gather(self, index: dict, kind: str) -> np.ndarray:
         """The columns or rows of ``kind`` in ``index`` (``model.cols`` or
@@ -372,9 +366,23 @@ class _Classes:
             return np.zeros((0, 1), dtype=int)
         return np.array([index[(kind, rep)] for rep in self.reps])
 
+    def column(self, attr: str, dtype=float) -> np.ndarray:
+        """Each class's ``attr`` as a column, to broadcast down a block."""
+        return np.array([getattr(u, attr) for u in self.rep_units], dtype=dtype)[:, None]
+
     def spread(self, values) -> dict:
         """``{unit: values[its class position]}``, keyed in scenario order."""
         return dict(zip(self.ids, map(values.__getitem__, self.pos)))
+
+
+def _binaries(model: UCModel) -> dict[str, tuple[_Classes, np.ndarray]]:
+    """``{kind: (its group's classes, its column block)}`` of every binary
+    kind, in the field order of ``CommitmentSchedule``: y, y_st, y_sg, y_sd,
+    then y_cha, y_dis."""
+    sc = model.scenario
+    gens, stos = _Classes.of(model, sc.generators), _Classes.of(model, sc.storage_units)
+    pairs = ((gens, V_Y), (gens, V_YST), (gens, V_YSG), (gens, V_YSD), (stos, V_YCHA), (stos, V_YDIS))
+    return {kind: (group, group.gather(model.cols, kind)) for group, kind in pairs}
 
 
 def _shared_rows(block: np.ndarray) -> list:
@@ -435,19 +443,22 @@ def _dispatch_from_x(model: UCModel, x: np.ndarray, objective: float) -> Dispatc
 
 
 def _commitment_from_x(model: UCModel, x: np.ndarray) -> CommitmentSchedule:
-    sc = model.scenario
-
-    def rounded(kind, units):
-        return {u.id: np.rint(x[model.cols[(kind, u.id)]]).astype(int) for u in units}
-
-    return CommitmentSchedule(
-        gen_on=rounded(V_Y, sc.generators),
-        gen_start_up=rounded(V_YST, sc.generators),
-        gen_start_gen=rounded(V_YSG, sc.generators),
-        gen_shut_down=rounded(V_YSD, sc.generators),
-        sto_charging=rounded(V_YCHA, sc.storage_units),
-        sto_discharging=rounded(V_YDIS, sc.storage_units),
-    )
+    """The binaries at ``x``, rounded and checked: each generator's
+    commitment follows its start-ups and shut-downs from its pre-horizon
+    state, and no storage unit charges and discharges in one hour. A
+    failure names the first unit, then its first hour."""
+    binaries = _binaries(model)
+    y, _, ysg, ysd, cha, dis = blocks = [np.rint(x[cols]).astype(int) for _, cols in binaries.values()]
+    gens, stos = binaries[V_Y][0], binaries[V_YCHA][0]
+    prev = np.hstack([gens.column("initially_on", int), y[:, :-1]])
+    for group, broken, what in (
+        (gens, y != prev + ysg - ysd, "commitment transition identity"),
+        (stos, cha + dis > 1, "charge/discharge exclusivity"),
+    ):
+        if broken.any():
+            k, t = np.argwhere(broken)[0]
+            raise SolverError(f"{what} violated for {group.ids[k]} at t={t}")
+    return CommitmentSchedule(*(group.spread(list(b)) for (group, _), b in zip(binaries.values(), blocks)))
 
 
 def _duals_from(pool: _CutPool, out: lp.LpOutcome, stats: SolveStats) -> DualSolution:
@@ -616,12 +627,9 @@ def _dangling_yst(model: UCModel) -> np.ndarray:
     # start-up indicators whose start-generating hour lies past the horizon;
     # they are unconstrained upward only and carry no cost, so they are
     # zeroed during extraction. None without a lead time.
-    T = model.scenario.horizon
-    return np.array([
-        idx
-        for g in model.scenario.generators
-        for idx in model.cols[(V_YST, g.id)][max(0, T - g.start_up_h):]
-    ], dtype=int)
+    gens, yst = _binaries(model)[V_YST]
+    T = yst.shape[1]
+    return yst[np.arange(T) >= T - gens.column("start_up_h", int)]
 
 
 def _fractional(model: UCModel, x: np.ndarray, skip: np.ndarray) -> list[int]:
@@ -635,14 +643,9 @@ def _branching(model: UCModel) -> tuple[np.ndarray, np.ndarray]:
     which are branched on first, and every binary column's tie-break weight,
     its unit's p_max (zero on the other columns)."""
     mask, weight = np.zeros(model.n_vars, dtype=bool), np.zeros(model.n_vars)
-    for g in model.scenario.generators:
-        mask[model.cols[(V_Y, g.id)]] = True
-        for kind in (V_Y, V_YST, V_YSG, V_YSD):
-            weight[model.cols[(kind, g.id)]] = g.p_max_mw
-    for s in model.scenario.storage_units:
-        for kind in (V_YCHA, V_YDIS):
-            mask[model.cols[(kind, s.id)]] = True
-            weight[model.cols[(kind, s.id)]] = s.p_max_mw
+    for kind, (group, cols) in _binaries(model).items():
+        mask[cols] = kind in (V_Y, V_YCHA, V_YDIS)
+        weight[cols] = group.column("p_max_mw")
     return mask, weight
 
 
@@ -654,40 +657,28 @@ def _pick_branch_var(x: np.ndarray, fractional: list[int], mask: np.ndarray, wei
 
 def _heuristic_fix(model: UCModel, x: np.ndarray) -> dict[int, tuple[float, float]] | None:
     """Round the relaxation up to a commitment pattern and fix all binaries."""
+    binaries = _binaries(model)
+    gens, y_cols = binaries[V_Y]
+    y = (x[y_cols] > INTEGRALITY_TOL).astype(int)
+    prev = np.hstack([gens.column("initially_on", int), y[:, :-1]])
+    ysg = np.maximum(0, y - prev)
+    # start-up indicators consistent with the lead time
+    units, hours = np.nonzero(ysg)
+    starts = hours - gens.column("start_up_h", int)[units, 0]
+    if np.any(starts < 0):
+        return None  # cannot start that early from a cold start
+    yst = np.zeros_like(y)
+    yst[units, starts] = 1
+    cha, dis = x[binaries[V_YCHA][1]], x[binaries[V_YDIS][1]]
+    cha_on, dis_on = (cha > INTEGRALITY_TOL) & (cha >= dis), (dis > INTEGRALITY_TOL) & (dis > cha)
     patch: dict[int, tuple[float, float]] = {}
-
-    def fix(kind, unit, values):
-        patch.update((int(i), (float(v), float(v))) for i, v in zip(model.cols[(kind, unit)], values))
-
-    for g in model.scenario.generators:
-        y = (x[model.cols[(V_Y, g.id)]] > INTEGRALITY_TOL).astype(int)
-        prev = np.concatenate([[int(g.initially_on)], y[:-1]])
-        ysg = np.maximum(0, y - prev)
-        # start-up indicators consistent with the lead time
-        starts = np.flatnonzero(ysg) - g.start_up_h
-        if np.any(starts < 0):
-            return None  # cannot start that early from a cold start
-        yst = np.zeros_like(y)
-        yst[starts] = 1
-        fix(V_Y, g.id, y)
-        fix(V_YSG, g.id, ysg)
-        fix(V_YSD, g.id, np.maximum(0, prev - y))
-        fix(V_YST, g.id, yst)
-    for s in model.scenario.storage_units:
-        cha = x[model.cols[(V_YCHA, s.id)]]
-        dis = x[model.cols[(V_YDIS, s.id)]]
-        fix(V_YCHA, s.id, (cha > INTEGRALITY_TOL) & (cha >= dis))
-        fix(V_YDIS, s.id, (dis > INTEGRALITY_TOL) & (dis > cha))
+    for (_, cols), block in zip(binaries.values(), (y, yst, ysg, np.maximum(0, prev - y), cha_on, dis_on)):
+        fixed = block.astype(float).ravel().tolist()
+        patch.update(zip(cols.ravel().tolist(), zip(fixed, fixed)))
     return patch
 
 
-def solve_mip(
-    model: UCModel,
-    rel_gap: float = 1e-6,
-    *,
-    max_nodes: int = 100_000,
-    time_limit_s: float | None = None,
-) -> tuple[CommitmentSchedule, DispatchSolution, SolveStats]:
+def solve_mip(model: UCModel, rel_gap: float = 1e-6) -> tuple[CommitmentSchedule, DispatchSolution, SolveStats]:
     """Best-first branch-and-bound on the commitment binaries.
 
     Branches on the most fractional binary, a y, y_cha or y_dis column if
@@ -697,13 +688,12 @@ def solve_mip(
     and one cut pool (the cuts are globally valid). A node sets its bound
     patch in place and restarts dual simplex from its parent's optimal
     basis, which bound changes leave dual feasible. Returns the incumbent
-    with stats flagged when the budget (``max_nodes`` nodes,
-    ``time_limit_s`` seconds of wall time) runs out before the gap is proven.
+    with stats flagged when the budget of ``MAX_NODES`` nodes runs out before
+    the gap is proven.
     """
     if model.relaxed:
         raise ValueError("solve_mip requires a model built with relaxed=False")
     stats = SolveStats(lp_columns=model.n_vars)
-    t0 = time.perf_counter()
     dangling = _dangling_yst(model)
     branch_mask, branch_weight = _branching(model)
     pool = _CutPool(model)
@@ -724,7 +714,6 @@ def solve_mip(
     # (bound, tie-break, bound patch, parent's optimal basis)
     heap: list[tuple[float, int, dict, object]] = [(root.objective, seq, {}, root.basis)]
     best_bound = root.objective
-    budget_exhausted = False
 
     def threshold() -> float:
         return inc_obj - rel_gap * max(1.0, abs(inc_obj))
@@ -734,10 +723,8 @@ def solve_mip(
         best_bound = bound
         if incumbent is not None and bound >= threshold():
             break
-        if stats.nodes >= max_nodes or (
-            time_limit_s is not None and time.perf_counter() - t0 > time_limit_s
-        ):
-            budget_exhausted = True
+        if stats.nodes >= MAX_NODES:
+            stats.budget_exhausted = True
             break
         stats.nodes += 1
         pool.session.restore(basis)
@@ -760,11 +747,11 @@ def solve_mip(
     else:
         best_bound = inc_obj  # search space exhausted: proven optimal
 
-    if heap and not budget_exhausted:
+    if heap and not stats.budget_exhausted:
         best_bound = min(best_bound, heap[0][0])
     if incumbent is None:
-        if budget_exhausted:
-            raise SolverError("no integral solution found within the node/time budget")
+        if stats.budget_exhausted:
+            raise SolverError("no integral solution found within the node budget")
         raise InfeasibleError("commitment logic (no integral commitment exists)")
 
     # polish: re-optimise the continuous dispatch with the binaries pinned to
@@ -782,30 +769,11 @@ def solve_mip(
     _verify_feasibility(model, x, FEAS_TOL)
     inc_obj = polished.objective
     stats.rel_mip_gap = max(0.0, (inc_obj - best_bound) / max(1.0, abs(inc_obj)))
-    stats.budget_exhausted = budget_exhausted
-    if budget_exhausted and stats.stop_reason == "converged":
+    if stats.budget_exhausted and stats.stop_reason == "converged":
         stats.stop_reason = "budget"
     stats.cuts = len(pool.t)
     stats.final_cone_residual = _final_cone_residual(model, x)
-    schedule = _commitment_from_x(model, x)
-    dispatch = _dispatch_from_x(model, x, inc_obj)
-    _check_schedule(model, schedule)
-    return schedule, dispatch, stats
-
-
-def _check_schedule(model: UCModel, sched: CommitmentSchedule) -> None:
-    for g in model.scenario.generators:
-        y = sched.gen_on[g.id]
-        ysg = sched.gen_start_gen[g.id]
-        ysd = sched.gen_shut_down[g.id]
-        prev = int(g.initially_on)
-        for t in range(model.scenario.horizon):
-            if y[t] != prev + ysg[t] - ysd[t]:
-                raise SolverError(f"commitment transition identity violated for {g.id} at t={t}")
-            prev = y[t]
-    for s in model.scenario.storage_units:
-        if np.any(sched.sto_charging[s.id] + sched.sto_discharging[s.id] > 1):
-            raise SolverError(f"charge/discharge exclusivity violated for {s.id}")
+    return _commitment_from_x(model, x), _dispatch_from_x(model, x, inc_obj), stats
 
 
 def solve_fixed_binaries(

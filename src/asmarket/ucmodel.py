@@ -200,8 +200,6 @@ def build_uc(
     which keeps one class per unit.
     """
     T = scenario.horizon
-    if not scenario.all_units:
-        raise ModelError("empty fleet: scenario has no units")
     if isinstance(loss_rule, FixedProfile) and len(loss_rule.p_mw) != T:
         raise ModelError(
             f"loss profile length {len(loss_rule.p_mw)} does not match horizon {T}"

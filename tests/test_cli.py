@@ -3,12 +3,12 @@ import json
 import pytest
 
 from asmarket.cli import EXIT_INFEASIBLE, EXIT_INTERNAL, EXIT_OK, EXIT_VALIDATION, main
-from asmarket.scenario import Scenario, gb_template, write_scenario
+from asmarket.scenario import Scenario, gb_template, scenario_to_dict, write_scenario
 from asmarket.solve import CONE_REL_TOL
 from asmarket.tables import load_manifest, verify_manifest
 from asmarket.ucmodel import EndogenousMax, build_uc
 from conftest import binding_scenario, endog_scenario, hour_one_shutdown_scenario
-from test_scenario import WRONG_TYPES, wrong_type_doc
+from test_scenario import EMPTY_FLEET, WRONG_TYPES, wrong_type_doc
 
 
 @pytest.fixture
@@ -39,7 +39,7 @@ class TestValidate:
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 2 and all(line.startswith("malformed scenario document: ") for line in lines)
 
-    @pytest.mark.parametrize("case", ["demand-string", "cf-string", "p-max-string", "horizon-float"])
+    @pytest.mark.parametrize("case", ["demand-string", "cf-string", "p-max-string", "horizon-float", "id-comma"])
     def test_wrong_type_exits_validation(self, tmp_path, capsys, case):
         path = tmp_path / "doc.json"
         path.write_text(json.dumps(wrong_type_doc(case)), encoding="utf-8")
@@ -47,6 +47,16 @@ class TestValidate:
         assert WRONG_TYPES[case][1] in capsys.readouterr().err
         assert main(["run", str(path), "--out", str(tmp_path / "out")]) == EXIT_VALIDATION
         assert WRONG_TYPES[case][1] in capsys.readouterr().err
+
+    def test_empty_fleet_exits_validation(self, tmp_path, capsys):
+        doc = scenario_to_dict(endog_scenario(horizon=2))
+        for key in ("generators", "res_units", "storage_units"):
+            doc[key] = []
+        path = tmp_path / "empty.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["validate", str(path)]) == EXIT_VALIDATION
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == EXIT_VALIDATION
+        assert capsys.readouterr().err.splitlines() == [EMPTY_FLEET, "invalid scenario:", EMPTY_FLEET]
 
 
 class TestRun:
@@ -205,6 +215,21 @@ class TestRun:
         statuses = {s["name"]: s["status"] for s in manifest["stages"]}
         assert statuses["prices"] == "ok"
         assert statuses["standalone"] == "failed"
+
+    def test_no_loss_eligible_unit_exits_validation(self, tmp_path, capsys):
+        # the default endogenous rule needs a loss-eligible unit: the model
+        # build refuses before any solve
+        doc = scenario_to_dict(endog_scenario(horizon=2))
+        for key in ("generators", "res_units", "storage_units"):
+            for unit in doc[key]:
+                unit["loss_eligible"] = False
+        path = tmp_path / "no_eligible.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        out = tmp_path / "out"
+        assert self.run(path, out) == EXIT_VALIDATION
+        assert capsys.readouterr().err == "EndogenousMax requires at least one loss-eligible unit\n"
+        statuses = {s["name"]: s["status"] for s in load_manifest(out / "manifest.json")["stages"]}
+        assert statuses == {"load": "ok", "uc_mip": "failed"}
 
     def test_hours_out_of_range(self, scenario_file, tmp_path):
         out = tmp_path / "out"

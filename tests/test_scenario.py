@@ -9,6 +9,7 @@ from asmarket.scenario import (
     Scenario,
     ScenarioError,
     ScenarioValidationError,
+    SystemParams,
     gb_template,
     load_scenario,
     scenario_from_dict,
@@ -73,6 +74,15 @@ def test_all_zero_demand_rejected():
     with pytest.raises(ScenarioValidationError) as err:
         scenario_from_dict(doc)
     assert any("demand" in d for d in err.value.diagnostics)
+
+
+EMPTY_FLEET = "generators: the scenario has no units (generators, res_units and storage_units are all empty)"
+
+
+def test_empty_fleet_rejected():
+    with pytest.raises(ScenarioValidationError) as err:
+        Scenario(params=SystemParams(), horizon=1, demand_mw=(10.0,))
+    assert err.value.diagnostics == [EMPTY_FLEET]
 
 
 def test_bess_pfr_and_phes_efr_mapping():
@@ -227,6 +237,12 @@ WRONG_TYPES = {
     "id-number": (_set("generators", 1, "id", 5), "generators[1].id: must be a string (got 5)"),
     "technology-number": (_set("res_units", 0, "technology", 3), "res_units[0].technology: must be a string"),
     "kind-list": (_set("storage_units", 0, "kind", ["BESS"]), "storage_units[0].kind: must be a string"),
+    # labels the unquoted output tables cannot hold
+    "id-comma": (_set("generators", 1, "id", "g,1"), '''generators[1].id: must be printable without ',' or '"' (got 'g,1')'''),
+    "id-newline": (_set("storage_units", 0, "id", "b\n1"), "storage_units[0].id: must be printable"),
+    "technology-quote": (_set("res_units", 1, "technology", 'PV "rooftop"'), "res_units[1].technology: must be printable"),
+    "technology-comma": (_set("generators", 0, "technology", "Gas, open cycle"),
+                         "generators[0].technology: must be printable"),
 }
 
 

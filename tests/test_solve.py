@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -8,7 +9,7 @@ from scipy.optimize import linprog
 
 from asmarket import lp, solve
 from asmarket.frequency import nadir_residual, nadir_terms
-from asmarket.scenario import Scenario, SystemParams, gb_template
+from asmarket.scenario import RESSpec, Scenario, SystemParams, gb_template
 from asmarket.solve import (
     CONE_REL_TOL,
     FEAS_TOL,
@@ -366,18 +367,20 @@ class TestMip:
         for s in sc.storage_units:
             assert np.all(schedule.sto_charging[s.id] + schedule.sto_discharging[s.id] <= 1)
 
-    def test_budget_flagging(self):
+    def test_budget_flagging(self, monkeypatch):
+        monkeypatch.setattr(solve, "MAX_NODES", 1)
         sc = binding_scenario()
         m = build_uc(sc, FixedProfile.constant(100.0, 3), relaxed=False)
-        schedule, dispatch, stats = solve_mip(m, max_nodes=1)
+        schedule, dispatch, stats = solve_mip(m)
         assert stats.budget_exhausted
         assert stats.stop_reason == "budget"
         assert dispatch.objective > 0  # heuristic incumbent returned
 
-    def test_time_limit_flagging(self):
+    def test_zero_node_budget_flagging(self, monkeypatch):
+        monkeypatch.setattr(solve, "MAX_NODES", 0)
         sc = binding_scenario()
         m = build_uc(sc, FixedProfile.constant(100.0, 3), relaxed=False)
-        _, dispatch, stats = solve_mip(m, time_limit_s=0.0)
+        _, dispatch, stats = solve_mip(m)
         assert stats.budget_exhausted
         assert stats.stop_reason == "budget"
         assert stats.nodes == 0
@@ -477,6 +480,72 @@ class TestMip:
         schedule, _, _ = solve_mip(m)
         assert schedule.gen_on["g2"][0] == 0
         assert schedule.gen_shut_down["g2"][0] == 1
+
+
+    def test_schedule_checks_name_unit_and_hour(self):
+        m = build_uc(binding_scenario(), FixedProfile.constant(100.0, 3), relaxed=False)
+        x = np.zeros(m.n_vars)
+        # g2 is on at hour 0 and g1 at hour 2, neither after a start: the
+        # first unit is named, at its first broken hour
+        x[m.vid(V_Y, "g2", 0)] = x[m.vid(V_Y, "g1", 2)] = 1.0
+        with pytest.raises(SolverError, match=r"^commitment transition identity violated for g1 at t=2$"):
+            solve._commitment_from_x(m, x)
+        x = np.zeros(m.n_vars)
+        for t in (1, 2):
+            x[m.vid(V_YCHA, "b1", t)] = x[m.vid(V_YDIS, "b1", t)] = 1.0
+        with pytest.raises(SolverError, match=r"^charge/discharge exclusivity violated for b1 at t=1$"):
+            solve._commitment_from_x(m, x)
+        # within rounding of a consistent pattern: g1 starts at hour 1 and
+        # stops at hour 2, b1 charges
+        for t in (1, 2):
+            x[m.vid(V_YDIS, "b1", t)] = 1e-9
+        for kind, t in ((V_Y, 1), (V_YSG, 1), (V_YSD, 2)):
+            x[m.vid(kind, "g1", t)] = 1.0 - 1e-9
+        schedule = solve._commitment_from_x(m, x)
+        assert schedule.gen_on["g1"].tolist() == [0, 1, 0]
+        assert schedule.gen_shut_down["g1"].tolist() == [0, 0, 1]
+        assert schedule.sto_charging["b1"].tolist() == [0, 1, 1]
+        assert schedule.sto_discharging["b1"].tolist() == [0, 0, 0]
+
+    @pytest.mark.parametrize("on, lead, min_up_down", itertools.product((False, True), (0, 1), (0, 2)))
+    def test_one_generator_matches_enumeration(self, on, lead, min_up_down):
+        # every pre-horizon state, lead time and minimum up/down time of one
+        # generator over 2 h: 8 binaries, enumerated. Solar can carry hour 1
+        # alone, so the generator shuts down there unless its minimum up
+        # time keeps it on; a cold start with a lead time is infeasible.
+        unit = gen("g1", 100.0, 30.0, 5.0, 50.0, 40.0, 0.5, 2.0, min_up_down, min_up_down, lead)
+        sc = Scenario(
+            params=SystemParams(),
+            horizon=2,
+            demand_mw=(60.0, 40.0),
+            generators=(dataclasses.replace(unit, initially_on=on),),
+            res_units=(RESSpec("solar", 100.0, (0.2, 1.0), 0.0),),
+        )
+        self.assert_matches_enumeration(build_uc(sc, FixedProfile.constant(0.0, 2), relaxed=False))
+
+    @pytest.mark.parametrize("scenario", [
+        hour_one_shutdown_scenario,
+        lambda: Scenario(  # no generators
+            params=SystemParams(),
+            horizon=2,
+            demand_mw=(50.0, 50.0),
+            res_units=(RESSpec("wind", 100.0, (0.9, 0.3), 0.0),),
+            storage_units=(bess("b1", 40.0, 80.0, 0.0, 1.0, 0.0),),
+        ),
+    ], ids=["hour-one-shutdown", "no-generators"])
+    def test_small_fleets_match_enumeration(self, scenario):
+        sc = scenario()
+        self.assert_matches_enumeration(build_uc(sc, FixedProfile.constant(0.0, sc.horizon), relaxed=False))
+
+    @staticmethod
+    def assert_matches_enumeration(m):
+        best, _ = enumerate_commitments(m)
+        if best is None:
+            with pytest.raises(InfeasibleError):
+                solve_mip(m)
+        else:
+            _, dispatch, _ = solve_mip(m)
+            assert dispatch.objective == pytest.approx(best, rel=1e-6)
 
 
 class TestStorage:

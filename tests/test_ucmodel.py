@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from asmarket.scenario import Scenario, SystemParams, gb_template
+from asmarket.scenario import Scenario, gb_template
 from asmarket.solve import _branching, solve_mip, solve_relaxed
 from asmarket.ucmodel import (
     EndogenousMax,
@@ -71,12 +71,6 @@ def test_loss_profile_horizon_mismatch():
     sc = binding_scenario()
     with pytest.raises(ModelError):
         build_uc(sc, FixedProfile.constant(10.0, 99), relaxed=True)
-
-
-def test_empty_fleet_rejected():
-    sc = Scenario(params=SystemParams(), horizon=1, demand_mw=(10.0,))
-    with pytest.raises(ModelError):
-        build_uc(sc, FixedProfile.constant(0.0, 1), relaxed=True)
 
 
 def test_endogenous_requires_eligible_unit():
