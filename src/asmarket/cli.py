@@ -191,14 +191,20 @@ def cmd_run(args) -> int:
             relaxed_dispatch, duals, stats = solve_relaxed(model)
             prices = as_prices_from_duals(duals, scenario.params)
             breakdown = duality_audit(relaxed_dispatch, duals, scenario)
-            return relaxed_dispatch, duals, prices, breakdown, stats
+            return relaxed_dispatch, duals, prices, breakdown, stats, model
 
-        relaxed_dispatch, duals, prices, breakdown, _ = run_stage(
+        relaxed_dispatch, duals, prices, breakdown, price_stats, price_model = run_stage(
             "prices", price_stage, lambda r: r[4]
         )
 
+        # the stand-alone stage takes the priced solve over for its own
+        # profile, and re-targets the priced model for every other one
         standalone = run_stage(
-            "standalone", lambda: standalone_markets(scenario, (schedule, dispatch)), lambda r: r.stats
+            "standalone",
+            lambda: standalone_markets(
+                scenario, (schedule, dispatch), priced=(price_model, duals.omega_loss, price_stats)
+            ),
+            lambda r: r.stats,
         )
 
         rules = list(RULES) if args.rule == "all" else [args.rule]

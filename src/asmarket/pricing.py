@@ -21,15 +21,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .scenario import Scenario, SystemParams
-from .solve import (
+# solve_relaxed is not called here, but perfbench/spans.py patches it
+# and build_uc by name in this module, so both names must stay bound
+from .solve import (  # noqa: F401
     CommitmentSchedule,
     DispatchSolution,
     DualSolution,
     InfeasibleError,
     SolveStats,
+    solve_omega,
     solve_relaxed,
 )
-from .ucmodel import FixedProfile, build_uc
+from .ucmodel import FixedProfile, UCModel, build_uc
 
 log = logging.getLogger(__name__)
 
@@ -304,7 +307,8 @@ class StandAloneCosts:
 
     Entries exist only at hours where the unit is dispatched (discharging,
     for storage); exact zeros mark non-players for the game logic. ``stats``
-    aggregates the distinct-profile solves: LP iterations, OA rounds and cuts
+    aggregates one solve per distinct non-zero profile, a profile taken over
+    from the price stage included: LP iterations, OA rounds and cuts
     summed, the largest final cone residual and LP column count, and
     ``"graced"`` if any solve was graced.
     """
@@ -343,62 +347,72 @@ def _aggregate(solved: list[SolveStats]) -> SolveStats:
 def standalone_markets(
     scenario: Scenario,
     block_i: tuple[CommitmentSchedule, DispatchSolution],
+    priced: tuple[UCModel, np.ndarray, SolveStats] | None = None,
 ) -> StandAloneCosts:
     """One relaxed solve per distinct dispatched loss profile, with the loss
     parameter fixed to that profile; Omega_{i,t} = p_i_t * omega_t.
 
     The stand-alone model depends on a unit only through its hourly loss
-    profile, so units with bit-equal profiles share one solve. The relaxed
-    model is built once per call; each profile re-targets its max-loss rows
-    (``UCModel.with_loss_profile``) and is solved cold on a fresh session, so
-    HiGHS sees exactly what a fresh build would hand it. Pure function of its
-    inputs. Entries at or below ``ZERO_CLAMP`` times the largest magnitude
-    are zeroed and logged at DEBUG.
+    profile, so units with bit-equal profiles share one solve, and only its
+    omega is read (``solve_omega``, every check of ``solve_relaxed`` kept).
+    Each profile re-targets the max-loss rows of one relaxed model
+    (``UCModel.with_loss_profile``) and is solved cold on a fresh session,
+    so HiGHS sees exactly what a fresh build would hand it.
+
+    ``priced`` is the price stage's ``(model, omega_loss, stats)``, its
+    model relaxed under a ``FixedProfile``. A profile bit-equal to that
+    model's loss profile takes its omega and stats, since its LP is the
+    priced LP array for array and a cold solve of it is deterministic;
+    every other profile re-targets that model, so no model is built.
+    Without ``priced`` one model is built per call.
+
+    Pure function of its inputs. Entries at or below ``ZERO_CLAMP`` times
+    the largest magnitude are zeroed and logged at DEBUG, unit by unit, hour
+    by hour. Every unit's arrays are rows of one matrix and do not overlap.
     """
     _, dispatch = block_i
     T = scenario.horizon
     tech = scenario.technology_of()
+    ids = [unit.id for unit in scenario.all_units if unit.loss_eligible]
 
-    profiles: dict[str, np.ndarray] = {}
-    for unit in scenario.all_units:
-        if not unit.loss_eligible:
-            continue
-        prof = np.maximum(dispatch.dispatch_of(unit.id), 0.0)
-        prof[prof <= DISPATCH_TOL] = 0.0
-        profiles[unit.id] = prof
+    # loss-eligible units x hours
+    prof = np.maximum(np.array([dispatch.dispatch_of(uid) for uid in ids], dtype=float).reshape(len(ids), T), 0.0)
+    prof[prof <= DISPATCH_TOL] = 0.0
+    # the distinct profiles; each non-zero one is solved at its first unit,
+    # in scenario order
+    _, first, group = np.unique(prof.view(np.uint64), axis=0, return_index=True, return_inverse=True)
+    live = [u for u in np.argsort(first) if prof[first[u]].any()]
 
-    # first unit (in scenario order) of each distinct non-zero profile
-    representative: dict[bytes, str] = {}
-    for uid, prof in profiles.items():
-        if prof.any():
-            representative.setdefault(prof.tobytes(), uid)
-    base = build_uc(scenario, FixedProfile.constant(0.0, T), relaxed=True) if representative else None
-    omega_of: dict[bytes, np.ndarray] = {}
+    priced_key = None
+    if priced is not None:
+        base, priced_omega, priced_stats = priced
+        priced_key = np.array(base.loss_rule.p_mw, dtype=float).tobytes()
+    elif live:
+        base = build_uc(scenario, FixedProfile.constant(0.0, T), relaxed=True)
+    omega = np.zeros((len(first), T))
     solved: list[SolveStats] = []
-    for key, uid in representative.items():
-        model = base.with_loss_profile(FixedProfile(tuple(profiles[uid])))
-        try:
-            _, duals, stats = solve_relaxed(model)
-        except InfeasibleError as exc:
-            raise StandaloneError(uid, exc) from exc
-        omega_of[key] = duals.omega_loss
+    for u in live:
+        i = first[u]
+        if prof[i].tobytes() == priced_key:
+            omega[u], stats = priced_omega, priced_stats
+        else:
+            try:
+                omega[u], stats = solve_omega(base.with_loss_profile(FixedProfile(tuple(prof[i]))))
+            except InfeasibleError as exc:
+                raise StandaloneError(ids[i], exc) from exc
         solved.append(stats)
 
-    omegas = {
-        uid: prof * omega_of[prof.tobytes()] if prof.any() else np.zeros(T)
-        for uid, prof in profiles.items()
-    }
-    scale = max(1.0, max((float(np.max(np.abs(v))) for v in omegas.values()), default=1.0))
-    for uid, v in omegas.items():
-        clamp = np.abs(v) <= ZERO_CLAMP * scale
-        for t in np.flatnonzero(clamp & (v != 0.0)):
-            log.debug("stand-alone zero-clamp: unit %s hour %d value %r", uid, t, float(v[t]))
-        v[clamp] = 0.0
-    dispatched = {uid: prof > 0.0 for uid, prof in profiles.items()}
+    # a zero profile's row of omega stays zero, as its product does
+    omegas = prof * omega[group.ravel()]
+    scale = float(np.abs(omegas).max(initial=1.0))
+    clamp = np.abs(omegas) <= ZERO_CLAMP * scale
+    for k, t in np.argwhere(clamp & (omegas != 0.0)):
+        log.debug("stand-alone zero-clamp: unit %s hour %d value %r", ids[k], t, float(omegas[k, t]))
+    omegas[clamp] = 0.0
     return StandAloneCosts(
         horizon=T,
-        omegas=omegas,
-        dispatched=dispatched,
-        technology={uid: tech[uid] for uid in profiles},
+        omegas=dict(zip(ids, omegas)),
+        dispatched=dict(zip(ids, prof > 0.0)),
+        technology={uid: tech[uid] for uid in ids},
         stats=_aggregate(solved),
     )

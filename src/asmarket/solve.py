@@ -20,6 +20,8 @@ aggregating the active-cut multipliers through the cut gradients, so the
 pricing layer sees exactly the (mu_1, mu_2, mu_3) triple of the conic
 formulation. An infeasible LP is diagnosed by an irreducible infeasible
 subset (IIS) of its rows from HiGHS, counted per constraint class.
+``solve_relaxed`` and ``solve_omega`` share one checked relaxed solve;
+``solve_omega`` reads only omega from it and lifts nothing to the units.
 
 Every accuracy target is a module constant: ``FEAS_TOL`` (scaled row
 feasibility, and the OA grace acceptance), ``DUALITY_TOL`` (relative duality
@@ -461,7 +463,22 @@ def _commitment_from_x(model: UCModel, x: np.ndarray) -> CommitmentSchedule:
     return CommitmentSchedule(*(group.spread(list(b)) for (group, _), b in zip(binaries.values(), blocks)))
 
 
-def _duals_from(pool: _CutPool, out: lp.LpOutcome, stats: SolveStats) -> DualSolution:
+def _omega(model: UCModel, mu: np.ndarray) -> np.ndarray:
+    """Each hour's max-loss multipliers added in row order (one row under a
+    FixedProfile; under EndogenousMax one per class: generators, RES,
+    storage) to +0.0, so a -0.0 multiplier reads +0.0 as it always has.
+    ``mu`` holds the base rows' multipliers."""
+    keys = [(K_MAXLOSS, None)]
+    if not isinstance(model.loss_rule, FixedProfile):
+        keys = [(K_MAXLOSS, rep) for rep in dict.fromkeys(model.classes[u.id][0] for u in model.scenario.all_units)]
+    omega = np.zeros(model.scenario.horizon)
+    for key in keys:
+        if key in model.rows:
+            omega += mu[model.rows[key]]
+    return omega
+
+
+def _duals_from(pool: _CutPool, out: lp.LpOutcome, dual_objective: float) -> DualSolution:
     model = pool.model
     sc = model.scenario
     rows, b = model.rows, model.b
@@ -473,13 +490,6 @@ def _duals_from(pool: _CutPool, out: lp.LpOutcome, stats: SolveStats) -> DualSol
     mu = -m
     gens, res, stos = (_Classes.of(model, units) for units in (sc.generators, sc.res_units, sc.storage_units))
 
-    # omega adds each hour's max-loss multipliers in row order (under
-    # EndogenousMax: generators, RES, storage) to +0.0, so a -0.0 multiplier
-    # reads +0.0 as it always has
-    omega = np.zeros(T)
-    for key in [(K_MAXLOSS, None)] + [(K_MAXLOSS, rep) for group in (gens, res, stos) for rep in group.reps]:
-        if key in rows:
-            omega += mu[rows[key]]
     as_payment_rhs = 0.0
     if isinstance(model.loss_rule, FixedProfile):
         for p, mu_t in zip(model.loss_rule.p_mw, mu[rows[(K_MAXLOSS, None)]]):
@@ -509,7 +519,7 @@ def _duals_from(pool: _CutPool, out: lp.LpOutcome, stats: SolveStats) -> DualSol
     def bound_series(kind, group, psi=psi_ub):
         return lifted(group, psi[group.gather(model.cols, kind)])
 
-    duals = DualSolution(
+    return DualSolution(
         lambda_e=m[rows[(K_BALANCE, None)]],
         lambda_h=mu[rows[(K_HDEF, None)]],
         lambda_pfr=mu[rows[(K_PFRDEF, None)]],
@@ -519,7 +529,7 @@ def _duals_from(pool: _CutPool, out: lp.LpOutcome, stats: SolveStats) -> DualSol
         mu_nadir_2=mu2,
         mu_nadir_3=mu3,
         mu_qss=mu[rows[(K_QSS, None)]],
-        omega_loss=omega,
+        omega_loss=_omega(model, mu),
         psi_max_y=bound_series(V_Y, gens),
         psi_max_yst=bound_series(V_YST, gens),
         psi_max_ysg=bound_series(V_YSG, gens),
@@ -535,15 +545,8 @@ def _duals_from(pool: _CutPool, out: lp.LpOutcome, stats: SolveStats) -> DualSol
         psi_end=lifted(stos, mu[stos.gather(rows, K_EEND)][:, 0]),
         initial_rhs_term=initial_rhs_term,
         as_payment_rhs=as_payment_rhs,
-        dual_objective=_dual_objective(model, out),
+        dual_objective=dual_objective,
     )
-    stats.max_cs_residual = _max_cs_residual(pool, out)
-    scale = max(1.0, abs(out.objective))
-    if stats.max_cs_residual > DUALITY_TOL * scale:
-        raise DualRecoveryError(
-            f"complementary-slackness residual {stats.max_cs_residual:.3e} exceeds tolerance"
-        )
-    return duals
 
 
 def _dual_objective(model: UCModel, out: lp.LpOutcome) -> float:
@@ -589,6 +592,34 @@ def _verify_feasibility(model: UCModel, x: np.ndarray, tol: float) -> None:
 # Public solves
 
 
+def _solve_checked(model: UCModel) -> tuple[_CutPool, lp.LpOutcome, SolveStats, float]:
+    """The OA solve of a relaxed model on a fresh session, with every check
+    of a relaxed solve in order: scaled row feasibility within ``FEAS_TOL``,
+    then the complementary-slackness residual and the relative duality gap
+    within ``DUALITY_TOL``. Returns the cut pool, the LP outcome, the stats
+    (cuts, final cone residual and ``stop_reason`` set) and the dual
+    objective."""
+    if not model.relaxed:
+        raise ValueError("a relaxed solve requires a model built with relaxed=True")
+    stats = SolveStats(lp_columns=model.n_vars)
+    pool = _CutPool(model)
+    out = _solve_root(pool, stats)
+    _verify_feasibility(model, out.x, FEAS_TOL)
+    stats.max_cs_residual = _max_cs_residual(pool, out)
+    if stats.max_cs_residual > DUALITY_TOL * max(1.0, abs(out.objective)):
+        raise DualRecoveryError(
+            f"complementary-slackness residual {stats.max_cs_residual:.3e} exceeds tolerance"
+        )
+    dual_objective = _dual_objective(model, out)
+    gap = abs(out.objective - dual_objective) / max(1.0, abs(out.objective))
+    stats.rel_duality_gap = gap
+    stats.cuts = len(pool.t)
+    stats.final_cone_residual = _final_cone_residual(model, out.x)
+    if gap > DUALITY_TOL:
+        raise DualRecoveryError(f"relative duality gap {gap:.3e} exceeds tolerance")
+    return pool, out, stats, dual_objective
+
+
 def solve_relaxed(model: UCModel) -> tuple[DispatchSolution, DualSolution, SolveStats]:
     """Solve the convex relaxation and recover the full dual vector.
 
@@ -606,21 +637,20 @@ def solve_relaxed(model: UCModel) -> tuple[DispatchSolution, DualSolution, Solve
     row's residual is n times its lifted residual, so the check is never
     looser than on the per-unit LP.
     """
-    if not model.relaxed:
-        raise ValueError("solve_relaxed requires a model built with relaxed=True")
-    stats = SolveStats(lp_columns=model.n_vars)
-    pool = _CutPool(model)
-    out = _solve_root(pool, stats)
-    _verify_feasibility(model, out.x, FEAS_TOL)
-    dispatch = _dispatch_from_x(model, out.x, out.objective)
-    duals = _duals_from(pool, out, stats)
-    gap = abs(out.objective - duals.dual_objective) / max(1.0, abs(out.objective))
-    stats.rel_duality_gap = gap
-    stats.cuts = len(pool.t)
-    stats.final_cone_residual = _final_cone_residual(model, out.x)
-    if gap > DUALITY_TOL:
-        raise DualRecoveryError(f"relative duality gap {gap:.3e} exceeds tolerance")
-    return dispatch, duals, stats
+    pool, out, stats, dual_objective = _solve_checked(model)
+    return _dispatch_from_x(model, out.x, out.objective), _duals_from(pool, out, dual_objective), stats
+
+
+def solve_omega(model: UCModel) -> tuple[np.ndarray, SolveStats]:
+    """``omega_loss`` and the stats of ``solve_relaxed(model)``, bit for bit,
+    without the per-unit dispatch and duals.
+
+    The same solve runs the same checks in the same order and raises the
+    same errors; only the lift to every unit is left out, which is what a
+    caller that reads nothing but omega pays for in ``solve_relaxed``.
+    """
+    _, out, stats, _ = _solve_checked(model)
+    return _omega(model, -out.row_marginals[: len(model.b)]), stats
 
 
 def _dangling_yst(model: UCModel) -> np.ndarray:

@@ -2,7 +2,9 @@
 
 Every table starts with a ``# run: <id>`` line followed by a one-line header
 and rows in a fixed column order. Values are written with full round-trip
-precision so reruns with identical inputs are byte-identical.
+precision so reruns with identical inputs are byte-identical: a float as
+``repr(float(v))``, an integer or a bool as ``str(int(v))``, anything else as
+``str(v)``. Each cell's formatter is looked up by its exact type.
 """
 from __future__ import annotations
 
@@ -14,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 
-def _fmt(v) -> str:
+def _fmt_any(v) -> str:
     if isinstance(v, (bool, np.bool_)):
         return str(int(v))
     if isinstance(v, (int, np.integer)):
@@ -24,10 +26,31 @@ def _fmt(v) -> str:
     return str(v)
 
 
+def _int_str(v) -> str:
+    return str(int(v))
+
+
+# a cell's formatter by its exact type, each returning what _fmt_any does:
+# np.float64 is a float subclass, and int.__repr__ writes a bool as 1 or 0
+_FORMATS = {
+    float: float.__repr__,
+    np.float64: float.__repr__,
+    int: int.__repr__,
+    bool: int.__repr__,
+    np.int64: _int_str,
+    np.bool_: _int_str,
+    str: str.__str__,
+}
+
+
+def _fmt(v) -> str:
+    fmt = _FORMATS.get(type(v))
+    return _fmt_any(v) if fmt is None else fmt(v)
+
+
 def write_table(path: Path, run_id: str, header: list[str], rows) -> None:
     lines = [f"# run: {run_id}", ",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
+    lines += [",".join([_fmt(v) for v in row]) for row in rows]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from asmarket.cli import EXIT_INFEASIBLE, EXIT_INTERNAL, EXIT_OK, EXIT_VALIDATION, main
@@ -134,6 +135,25 @@ class TestRun:
             for s in m["stages"]:
                 s.pop("wall_s")
         assert m1 == m2
+
+    def test_headline_row_is_priced_omega(self, scenario_file, tmp_path):
+        # a unit dispatched at the hourly maximum in every hour has the
+        # priced loss profile; its stand-alone row is p * omega of the price
+        # stage, cell for cell, with omega the max-loss row multiplier of
+        # duals.csv (prices.csv holds the stationarity formula's value)
+        out = tmp_path / "out"
+        assert self.run(scenario_file, out) == EXIT_OK
+        table = lambda name: [line.split(",") for line in (out / name).read_text().splitlines()[2:]]
+        p = {}
+        for hour, uid, _, p_mw, _, discharge, *_ in table("dispatch.csv"):
+            p.setdefault(uid, []).append(float(p_mw) + float(discharge))
+        omega = [float(v) for _, uid, name, v in table("duals.csv") if (uid, name) == ("system", "omega_loss")]
+        worst = np.max(list(p.values()), axis=0)
+        headline = [uid for uid, inj in p.items() if np.array_equal(inj, worst)]
+        assert headline and worst.all()
+        rows = {row[0]: row[2:] for row in table("standalone_omega.csv")}
+        for uid in headline:
+            assert rows[uid] == [repr(pt * wt) for pt, wt in zip(p[uid], omega)], uid
 
     def test_a_run_validates_once(self, scenario_file, tmp_path, monkeypatch):
         # the MIP, the relaxed pricing and the stand-alone builds reuse the

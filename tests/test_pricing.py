@@ -1,10 +1,12 @@
 import dataclasses
 import logging
+import math
 
 import numpy as np
 import pytest
 
-from asmarket import pricing
+from asmarket import pricing, solve
+from asmarket.cli import _realized_loss_profile
 from asmarket.pricing import (
     AUDIT_TOL,
     DISPATCH_TOL,
@@ -17,7 +19,7 @@ from asmarket.pricing import (
     system_costs,
 )
 from asmarket.scenario import Scenario, SystemParams, gb_template
-from asmarket.solve import DualSolution, solve_mip, solve_relaxed
+from asmarket.solve import DualRecoveryError, DualSolution, SolverError, solve_mip, solve_omega, solve_relaxed
 from asmarket.ucmodel import EndogenousMax, FixedProfile, build_uc
 from conftest import binding_scenario, endog_scenario, free_pfr_scenario, gen, toy10_scenario, with_initial_state
 from oracles import audit_by_unit, breakdown_differences
@@ -304,9 +306,9 @@ class TestStandalone:
 
         def counting(model, *args, **kwargs):
             calls.append(model.loss_rule.p_mw)
-            return solve_relaxed(model, *args, **kwargs)
+            return solve_omega(model, *args, **kwargs)
 
-        monkeypatch.setattr(pricing, "solve_relaxed", counting)
+        monkeypatch.setattr(pricing, "solve_omega", counting)
         sa = standalone_markets(sc, block)
         profiles = self.loss_profiles(sc, dispatch)
         # g1, g2 and g3 are dispatched identically
@@ -343,6 +345,43 @@ class TestStandalone:
         assert len(distinct) > 1
         assert len(builds) == 1
         assert sa.stats.oa_rounds >= len(distinct)
+
+    @staticmethod
+    def priced(sc, profile):
+        """The price stage's ``(model, omega_loss, stats)`` at ``profile``."""
+        model = build_uc(sc, FixedProfile(tuple(profile)), relaxed=True)
+        _, duals, stats = solve_relaxed(model)
+        return model, duals.omega_loss, stats
+
+    @pytest.mark.parametrize("headline", [True, False], ids=["headline", "no-unit-profile"])
+    def test_priced_solve_reused(self, monkeypatch, headline):
+        # the headline profile takes the price stage's solve; every other
+        # profile re-targets the priced model, and nothing is built
+        sc = endog_scenario()
+        block = self.block_i(sc)
+        plain = standalone_markets(sc, block)
+        profile = _realized_loss_profile(sc, block[1]) if headline else (100.0,) * sc.horizon
+        priced = self.priced(sc, profile)
+        key = np.array(profile).tobytes()
+        distinct = {p.tobytes() for p in self.loss_profiles(sc, block[1]).values() if p.any()}
+        assert (key in distinct) is headline
+        calls, builds = [], []
+
+        def counting(model):
+            calls.append(model.loss_rule.p_mw)
+            return solve_omega(model)
+
+        monkeypatch.setattr(pricing, "solve_omega", counting)
+        monkeypatch.setattr(pricing, "build_uc", lambda *a, **k: builds.append(a) or build_uc(*a, **k))
+        sa = standalone_markets(sc, block, priced=priced)
+        assert builds == []
+        assert len(calls) == len(distinct) - headline
+        assert key not in {np.array(p).tobytes() for p in calls}
+        assert list(sa.omegas) == list(plain.omegas)
+        for uid, omega in sa.omegas.items():
+            assert omega.tobytes() == plain.omegas[uid].tobytes(), uid
+            assert sa.dispatched[uid].tobytes() == plain.dispatched[uid].tobytes(), uid
+        assert sa.stats == plain.stats
 
     def test_gb_shared_model_matches_fresh_builds(self):
         # every distinct GB profile re-targets one model, so a write to the
@@ -382,3 +421,53 @@ class TestStandalone:
         sa = standalone_markets(sc, block)
         assert sa.technology["b1"] == "BESS"
         assert sa.technology["g1"] == "thermal"
+
+
+class TestSolveOmega:
+    """``solve_omega`` is ``solve_relaxed`` without the per-unit lift."""
+
+    @staticmethod
+    @pytest.fixture(scope="class", params=["toy10-6h", "gb-1h"])
+    def instance(request):
+        sc = toy10_scenario(6) if request.param == "toy10-6h" else gb_template(1)
+        schedule, dispatch, _ = solve_mip(build_uc(sc, EndogenousMax(), relaxed=False), rel_gap=1e-2)
+        profiles = {p.tobytes(): p for p in TestStandalone.loss_profiles(sc, dispatch).values() if p.any()}
+        return sc, (schedule, dispatch), list(profiles.values())
+
+    def test_matches_solve_relaxed_on_every_profile(self, instance):
+        sc, _, profiles = instance
+        assert len(profiles) > 1
+        base = build_uc(sc, FixedProfile.constant(0.0, sc.horizon), relaxed=True)
+        for prof in profiles:
+            model = base.with_loss_profile(FixedProfile(tuple(prof)))
+            omega, stats = solve_omega(model)
+            _, duals, relaxed_stats = solve_relaxed(model)
+            assert omega.tobytes() == duals.omega_loss.tobytes()
+            assert stats == relaxed_stats
+
+    FAILED_CHECKS = {
+        # every row counts as violated
+        "feasibility": ("_verify_feasibility", lambda real: lambda model, x, tol: real(model, x, -1.0),
+                        SolverError, "violated"),
+        "complementary-slackness": ("_max_cs_residual", lambda real: lambda pool, out: math.inf,
+                                    DualRecoveryError, "complementary-slackness"),
+        "duality-gap": ("_dual_objective",
+                        lambda real: lambda model, out: real(model, out) + 1.0 + abs(out.objective),
+                        DualRecoveryError, "duality gap"),
+    }
+
+    @pytest.mark.parametrize("check", list(FAILED_CHECKS))
+    def test_failed_check_raises(self, monkeypatch, check):
+        name, patched, error, match = self.FAILED_CHECKS[check]
+        sc = endog_scenario()
+        block = TestStandalone().block_i(sc)
+        prof = TestStandalone.loss_profiles(sc, block[1])["g1"]
+        model = build_uc(sc, FixedProfile(tuple(prof)), relaxed=True)
+        priced = TestStandalone.priced(sc, _realized_loss_profile(sc, block[1]))
+        monkeypatch.setattr(solve, name, patched(getattr(solve, name)))
+        with pytest.raises(error, match=match):
+            solve_omega(model)
+        with pytest.raises(error, match=match):
+            standalone_markets(sc, block)
+        with pytest.raises(error, match=match):
+            standalone_markets(sc, block, priced=priced)

@@ -264,7 +264,7 @@ class TestCutPool:
         model = build_uc(gb_template(6), EndogenousMax(), relaxed=True)
         pool, stats = solve._CutPool(model), solve.SolveStats()
         out = solve._solve_root(pool, stats)
-        duals = solve._duals_from(pool, out, stats)
+        duals = solve._duals_from(pool, out, solve._dual_objective(model, out))
         assert len(pool.t) > model.scenario.horizon
         mu = np.zeros((3, model.scenario.horizon))
         for t, a1, a2, m in zip(pool.t, pool.a1, pool.a2, out.row_marginals[len(model.b):]):

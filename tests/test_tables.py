@@ -3,6 +3,7 @@ import pytest
 
 from asmarket.pricing import AsPrices
 from asmarket.tables import (
+    _fmt,
     make_run_id,
     verify_manifest,
     write_prices,
@@ -18,6 +19,27 @@ def test_table_format(tmp_path):
     assert lines[1] == "a,b"
     assert lines[2] == "1,2.5"
     assert lines[3] == "x,1e-09"
+
+
+def isinstance_chain(v) -> str:
+    """The cell formatting the type lookup replaced, kept as its oracle."""
+    if isinstance(v, (bool, np.bool_)):
+        return str(int(v))
+    if isinstance(v, (int, np.integer)):
+        return str(int(v))
+    if isinstance(v, (float, np.floating)):
+        return repr(float(v))
+    return str(v)
+
+
+@pytest.mark.parametrize("value", [
+    True, np.True_, 3, np.int64(3), np.int32(3),
+    0.1 + 0.2, -0.0, 1e-300, np.float64(1 / 3), np.float32(0.1),
+    "g1",
+], ids=repr)
+def test_cell_format_matches_isinstance_chain(value):
+    assert _fmt(value) == isinstance_chain(value)
+    assert type(_fmt(value)) is str
 
 
 def test_prices_header_frozen(tmp_path):
