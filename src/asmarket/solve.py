@@ -15,7 +15,9 @@ public solve keeps one cut pool, which owns the HiGHS session and holds the
 cuts as three arrays (hour, a1, a2): the session starts from the model's
 rows, cuts (each hour's v >= 0 facet first) are appended as rows and stay,
 bounds are changed in place, and branch-and-bound nodes restart dual simplex
-from their parent's optimal basis. Cone multipliers are reconstructed by
+from their parent's optimal basis. A node solves its LP once and is branched
+on if its point is fractional; only an integral node point runs the OA loop
+(LP/NLP-based branch and bound). Cone multipliers are reconstructed by
 aggregating the active-cut multipliers through the cut gradients, so the
 pricing layer sees exactly the (mu_1, mu_2, mu_3) triple of the conic
 formulation. An infeasible LP is diagnosed by an irreducible infeasible
@@ -198,7 +200,7 @@ class SolveStats:
     rel_duality_gap: float = 0.0
     max_cs_residual: float = 0.0
     budget_exhausted: bool = False
-    oa_rounds: int = 0               # LPs solved inside OA loops
+    oa_rounds: int = 0               # LPs solved inside OA loops; a B&B node's single LP counts as one
     # "converged", "graced" (some OA loop accepted a point within FEAS_TOL
     # after its grace rounds; takes precedence) or "budget" (solve_mip ran
     # out of nodes; see also budget_exhausted)
@@ -272,29 +274,31 @@ def _final_cone_residual(model: UCModel, x: np.ndarray) -> float:
     return float(np.max(_cone_violations(model, x)[2], initial=0.0))
 
 
-def _oa_solve(
-    pool: _CutPool, patch: dict[int, tuple[float, float]] | None, stats: SolveStats
-) -> lp.LpOutcome:
-    """Solve the LP, adding nadir cuts until the cone holds at the optimum.
+def _lp_round(pool: _CutPool, stats: SolveStats) -> lp.LpOutcome:
+    """Solve the session's LP as it stands and count it as one OA round."""
+    out = lp.solve_lp(pool.session)
+    stats.lp_iterations += out.iterations
+    stats.oa_rounds += 1
+    return out
 
-    The patched bounds are set in place in the pool's session and the LP is
-    solved from whatever basis the session holds. Each round's new cuts, one
-    per violated hour in hour order, are added to the pool and the LP is
-    re-solved warm from the previous optimal basis, which cut rows leave dual
-    feasible. Targets the tight cone tolerance; on flat optimal faces the
-    vertex can wander among near-feasible corners, so after a grace number of
-    rounds any point inside the scaled feasibility tolerance is accepted and
-    ``stats.stop_reason`` becomes ``"graced"``.
+
+def _oa_loop(pool: _CutPool, out: lp.LpOutcome, stats: SolveStats) -> lp.LpOutcome:
+    """Add nadir cuts from the outcome ``out`` of the session's LP, which
+    counts as the first round, until the cone holds at the optimum.
+
+    Each round's new cuts, one per violated hour in hour order, are added to
+    the pool and the LP is re-solved warm from the previous optimal basis,
+    which cut rows leave dual feasible. Targets the tight cone tolerance; on
+    flat optimal faces the vertex can wander among near-feasible corners, so
+    after a grace number of rounds any point inside the scaled feasibility
+    tolerance is accepted and ``stats.stop_reason`` becomes ``"graced"``.
     """
-    model = pool.model
-    pool.session.set_bounds(*_patched_bounds(model, patch))
     for round_no in range(MAX_CUT_ROUNDS):
-        out = lp.solve_lp(pool.session)
-        stats.lp_iterations += out.iterations
-        stats.oa_rounds += 1
+        if round_no:
+            out = _lp_round(pool, stats)
         if out.status != lp.OPTIMAL:
             return out
-        u1, u2, scaled = _cone_violations(model, out.x)
+        u1, u2, scaled = _cone_violations(pool.model, out.x)
         hot = np.flatnonzero(scaled > CONE_REL_TOL)
         if not len(hot):
             return out
@@ -303,6 +307,19 @@ def _oa_solve(
             return out
         pool.add(hot, *separating_cut(u1[hot], u2[hot]))
     raise SolverError("nadir outer approximation did not converge")
+
+
+def _oa_solve(
+    pool: _CutPool, patch: dict[int, tuple[float, float]] | None, stats: SolveStats
+) -> lp.LpOutcome:
+    """Solve the LP under the bound patch, adding nadir cuts until the cone
+    holds at the optimum (``_oa_loop``).
+
+    The patched bounds are set in place in the pool's session and the first
+    LP is solved from whatever basis the session holds.
+    """
+    pool.session.set_bounds(*_patched_bounds(pool.model, patch))
+    return _oa_loop(pool, _lp_round(pool, stats), stats)
 
 
 def _solve_root(pool: _CutPool, stats: SolveStats) -> lp.LpOutcome:
@@ -716,13 +733,21 @@ def solve_mip(model: UCModel, rel_gap: float = 1e-6) -> tuple[CommitmentSchedule
     derives this policy from the model's columns. The root, the rounding
     heuristic, every node and the fixed-binary polish share one LP session
     and one cut pool (the cuts are globally valid). A node sets its bound
-    patch in place and restarts dual simplex from its parent's optimal
-    basis, which bound changes leave dual feasible. Returns the incumbent
-    with stats flagged when the budget of ``MAX_NODES`` nodes runs out before
-    the gap is proven.
+    patch in place, restarts dual simplex from its parent's optimal basis,
+    which bound changes leave dual feasible, and solves its LP once. Only an
+    integral point is cut off the cone, by the OA loop run from that
+    outcome (LP/NLP-based branch and bound, Quesada & Grossmann 1992); a
+    fractional point is branched on at once. The cut pool outer-approximates
+    the cone, so either LP objective is a valid bound for the node's
+    children. The root, the heuristic and the polish run the full OA loop.
+    Returns the incumbent with stats flagged when the budget of
+    ``MAX_NODES`` nodes runs out before the relative gap ``rel_gap``
+    (finite and non-negative) is proven.
     """
     if model.relaxed:
         raise ValueError("solve_mip requires a model built with relaxed=False")
+    if not (math.isfinite(rel_gap) and rel_gap >= 0):
+        raise ValueError(f"rel_gap must be finite and non-negative (got {rel_gap})")
     stats = SolveStats(lp_columns=model.n_vars)
     dangling = _dangling_yst(model)
     branch_mask, branch_weight = _branching(model)
@@ -748,6 +773,9 @@ def solve_mip(model: UCModel, rel_gap: float = 1e-6) -> tuple[CommitmentSchedule
     def threshold() -> float:
         return inc_obj - rel_gap * max(1.0, abs(inc_obj))
 
+    def pruned(out: lp.LpOutcome) -> bool:
+        return out.status != lp.OPTIMAL or (incumbent is not None and out.objective >= threshold())
+
     while heap:
         bound, _, patch, basis = heapq.heappop(heap)
         best_bound = bound
@@ -758,12 +786,18 @@ def solve_mip(model: UCModel, rel_gap: float = 1e-6) -> tuple[CommitmentSchedule
             break
         stats.nodes += 1
         pool.session.restore(basis)
-        out = _oa_solve(pool, patch, stats)
-        if out.status != lp.OPTIMAL:
-            continue
-        if incumbent is not None and out.objective >= threshold():
+        pool.session.set_bounds(*_patched_bounds(model, patch))
+        out = _lp_round(pool, stats)
+        if pruned(out):
             continue
         frac = _fractional(model, out.x, dangling)
+        if not frac:
+            # only an integral point is cut off the cone; the converged
+            # point may be fractional again, and is then branched on
+            out = _oa_loop(pool, out, stats)
+            if pruned(out):
+                continue
+            frac = _fractional(model, out.x, dangling)
         if not frac:
             if out.objective < inc_obj:
                 incumbent, inc_obj = out.x.copy(), out.objective

@@ -458,6 +458,86 @@ class TestMip:
         with pytest.raises(SolverError, match=r"row max_loss\[0\] violated"):
             solve_mip(m)
 
+    @pytest.mark.parametrize("rel_gap", [math.nan, math.inf, -math.inf, -1.0, -1e-12])
+    def test_invalid_rel_gap_raises(self, rel_gap):
+        m = build_uc(binding_scenario(), FixedProfile.constant(100.0, 3), relaxed=False)
+        with pytest.raises(ValueError, match="rel_gap must be finite and non-negative"):
+            solve_mip(m, rel_gap=rel_gap)
+
+    @staticmethod
+    def node_first_lps(monkeypatch, model):
+        """``solve_mip(model)`` with every branch-and-bound node's first LP
+        recorded as (its outcome, whether a cut row follows it before any
+        other LP). Nodes are the only callers of ``LpSession.restore``."""
+        log = []
+        real_restore, real_solve, real_add = lp.LpSession.restore, lp.solve_lp, solve._CutPool.add
+
+        def restore(session, basis):
+            log.append(("node", None))
+            real_restore(session, basis)
+
+        def solve_lp(session):
+            out = real_solve(session)
+            log.append(("lp", out))
+            return out
+
+        def add(pool, *cuts):
+            log.append(("cut", None))
+            real_add(pool, *cuts)
+
+        monkeypatch.setattr(lp.LpSession, "restore", restore)
+        monkeypatch.setattr(lp, "solve_lp", solve_lp)
+        monkeypatch.setattr(solve._CutPool, "add", add)
+        result = solve_mip(model)
+        firsts = [
+            (log[i + 1][1], i + 2 < len(log) and log[i + 2][0] == "cut")
+            for i, (event, _) in enumerate(log) if event == "node"
+        ]
+        return result, firsts
+
+    @staticmethod
+    def is_fractional(model, out):
+        return bool(solve._fractional(model, out.x, solve._dangling_yst(model)))
+
+    @pytest.mark.parametrize("scenario, loss", [
+        (binding_scenario, lambda: FixedProfile.constant(100.0, 3)),
+        (lambda: toy10_scenario(6), EndogenousMax),
+    ], ids=["binding", "toy10-6h"])
+    def test_fractional_node_adds_no_cut(self, monkeypatch, scenario, loss):
+        # a node whose first LP point is fractional is branched on at once:
+        # the node loop adds no cut row after that LP
+        m = build_uc(scenario(), loss(), relaxed=False)
+        _, firsts = self.node_first_lps(monkeypatch, m)
+        cut_after_fractional = [
+            cut for out, cut in firsts if out.status == lp.OPTIMAL and self.is_fractional(m, out)
+        ]
+        assert cut_after_fractional, "no node with a fractional first point"
+        assert not any(cut_after_fractional)
+
+    def test_integral_node_outside_cone_matches_enumeration(self, monkeypatch):
+        # toy10's first hour with only ocgt1, the PHES and the RES at 75 MW:
+        # one node's first LP point is integral but outside the nadir cone
+        sc = toy10_scenario(1)
+        sc = dataclasses.replace(
+            sc, demand_mw=(75.0,), generators=sc.generators[4:5], storage_units=sc.storage_units[:1]
+        )
+        m = build_uc(sc, EndogenousMax(), relaxed=False)
+        (_, dispatch, stats), firsts = self.node_first_lps(monkeypatch, m)
+        assert any(cut and not self.is_fractional(m, out) for out, cut in firsts if out.status == lp.OPTIMAL)
+        best, _ = enumerate_commitments(m)
+        assert dispatch.objective == pytest.approx(best, rel=1e-6)
+        assert stats.rel_mip_gap <= 1e-6
+        assert stats.final_cone_residual <= CONE_REL_TOL
+
+    def test_gb_one_hour_stops_at_the_root(self):
+        # at gap 1e-2 the rounding heuristic's incumbent closes the gap
+        # before the first node
+        m = build_uc(gb_template(1), EndogenousMax(), relaxed=False)
+        _, _, stats = solve_mip(m, rel_gap=1e-2)
+        assert stats.nodes == 0
+        assert stats.stop_reason == "converged"
+        assert stats.rel_mip_gap <= 1e-2
+
     def test_start_up_lead_time(self):
         sc = Scenario(
             params=SystemParams(),
