@@ -14,8 +14,6 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .allocation import (
     RULES,
@@ -25,7 +23,7 @@ from .allocation import (
     nucleolus_lp_oracle,
     shapley_bruteforce,
 )
-from .pricing import StandaloneError, as_prices_from_duals, duality_audit, standalone_markets
+from .pricing import StandaloneError, as_prices_from_duals, duality_audit, loss_profiles, standalone_markets
 from .scenario import Scenario, ScenarioError, ScenarioValidationError, load_scenario
 from .solve import InfeasibleError, solve_mip, solve_relaxed
 from .tables import (
@@ -85,16 +83,6 @@ def _loss_rule(spec: str, scenario: Scenario):
     if not math.isfinite(value) or value < 0:
         raise ScenarioError(f"--loss-rule must be a finite, non-negative MW value (got {spec!r})")
     return FixedProfile.constant(value, scenario.horizon)
-
-
-def _realized_loss_profile(scenario: Scenario, dispatch) -> tuple[float, ...]:
-    # largest dispatched loss-eligible injection per hour
-    T = scenario.horizon
-    worst = np.zeros(T)
-    for u in scenario.all_units:
-        if u.loss_eligible:
-            worst = np.maximum(worst, dispatch.dispatch_of(u.id))
-    return tuple(float(v) for v in worst)
 
 
 # SolveStats fields written to the manifest; wall times are left out so that
@@ -182,11 +170,11 @@ def cmd_run(args) -> int:
 
         def price_stage():
             # fixed designs price at their own loss parameter; the endogenous
-            # rule prices at the realized largest dispatched unit
+            # rule prices at the realized largest dispatched loss profile
             if isinstance(loss_rule, FixedProfile):
                 profile = loss_rule.p_mw
             else:
-                profile = _realized_loss_profile(scenario, dispatch)
+                profile = tuple(loss_profiles(scenario, dispatch)[1].max(axis=0, initial=0.0).tolist())
             model = build_uc(scenario, FixedProfile(profile), relaxed=True)
             relaxed_dispatch, duals, stats = solve_relaxed(model)
             prices = as_prices_from_duals(duals, scenario.params)

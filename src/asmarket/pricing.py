@@ -307,8 +307,9 @@ class StandAloneCosts:
 
     Entries exist only at hours where the unit is dispatched (discharging,
     for storage); exact zeros mark non-players for the game logic. ``stats``
-    aggregates one solve per distinct non-zero profile, a profile taken over
-    from the price stage included: LP iterations, OA rounds and cuts
+    aggregates one solve per non-zero profile distinct on the
+    ``DISPATCH_TOL`` grid, the group that takes the price stage's solve
+    included: LP iterations, OA rounds and cuts
     summed, the largest final cone residual and LP column count, and
     ``"graced"`` if any solve was graced.
     """
@@ -344,27 +345,41 @@ def _aggregate(solved: list[SolveStats]) -> SolveStats:
     )
 
 
+def loss_profiles(scenario: Scenario, dispatch: DispatchSolution) -> tuple[list[str], np.ndarray]:
+    """The loss-eligible units' ids in scenario order, and their hourly loss
+    profiles as one (units x hours) matrix: each unit's ``dispatch_of``
+    clipped at zero, with values at or below ``DISPATCH_TOL`` zeroed."""
+    ids = [unit.id for unit in scenario.all_units if unit.loss_eligible]
+    prof = np.maximum(
+        np.array([dispatch.dispatch_of(uid) for uid in ids], dtype=float).reshape(len(ids), scenario.horizon), 0.0
+    )
+    prof[prof <= DISPATCH_TOL] = 0.0
+    return ids, prof
+
+
 def standalone_markets(
     scenario: Scenario,
     block_i: tuple[CommitmentSchedule, DispatchSolution],
     priced: tuple[UCModel, np.ndarray, SolveStats] | None = None,
 ) -> StandAloneCosts:
-    """One relaxed solve per distinct dispatched loss profile, with the loss
-    parameter fixed to that profile; Omega_{i,t} = p_i_t * omega_t.
+    """One relaxed solve per distinct dispatched loss profile
+    (``loss_profiles``), with the loss parameter fixed to that profile;
+    Omega_{i,t} = p_i_t * omega_t.
 
     The stand-alone model depends on a unit only through its hourly loss
-    profile, so units with bit-equal profiles share one solve, and only its
-    omega is read (``solve_omega``, every check of ``solve_relaxed`` kept).
-    Each profile re-targets the max-loss rows of one relaxed model
-    (``UCModel.with_loss_profile``) and is solved cold on a fresh session,
-    so HiGHS sees exactly what a fresh build would hand it.
+    profile, so units whose profiles are equal on the ``DISPATCH_TOL`` grid
+    (``np.rint(p / DISPATCH_TOL)``) share one solve, at the exact profile of
+    the group's first unit in scenario order, and only its omega is read
+    (``solve_omega``, every check of ``solve_relaxed`` kept); each unit
+    keeps its own p. Each profile re-targets the max-loss rows of one
+    relaxed model (``UCModel.with_loss_profile``) and is solved cold on a
+    fresh session, so HiGHS sees exactly what a fresh build would hand it.
 
     ``priced`` is the price stage's ``(model, omega_loss, stats)``, its
-    model relaxed under a ``FixedProfile``. A profile bit-equal to that
-    model's loss profile takes its omega and stats, since its LP is the
-    priced LP array for array and a cold solve of it is deterministic;
-    every other profile re-targets that model, so no model is built.
-    Without ``priced`` one model is built per call.
+    model relaxed under a ``FixedProfile``. The group equal to that model's
+    loss profile on the grid takes its omega and stats instead of a solve;
+    every other group re-targets that model, so no model is built. Without
+    ``priced`` one model is built per call.
 
     Pure function of its inputs. Entries at or below ``ZERO_CLAMP`` times
     the largest magnitude are zeroed and logged at DEBUG, unit by unit, hour
@@ -373,27 +388,23 @@ def standalone_markets(
     _, dispatch = block_i
     T = scenario.horizon
     tech = scenario.technology_of()
-    ids = [unit.id for unit in scenario.all_units if unit.loss_eligible]
-
-    # loss-eligible units x hours
-    prof = np.maximum(np.array([dispatch.dispatch_of(uid) for uid in ids], dtype=float).reshape(len(ids), T), 0.0)
-    prof[prof <= DISPATCH_TOL] = 0.0
-    # the distinct profiles; each non-zero one is solved at its first unit,
-    # in scenario order
-    _, first, group = np.unique(prof.view(np.uint64), axis=0, return_index=True, return_inverse=True)
-    live = [u for u in np.argsort(first) if prof[first[u]].any()]
+    ids, prof = loss_profiles(scenario, dispatch)
+    # the distinct profiles on the grid, a zero profile's key all zero; each
+    # live one is solved at its first unit, in scenario order
+    keys, first, group = np.unique(np.rint(prof / DISPATCH_TOL), axis=0, return_index=True, return_inverse=True)
+    live = [u for u in np.argsort(first) if keys[u].any()]
 
     priced_key = None
     if priced is not None:
         base, priced_omega, priced_stats = priced
-        priced_key = np.array(base.loss_rule.p_mw, dtype=float).tobytes()
+        priced_key = np.rint(np.array(base.loss_rule.p_mw, dtype=float) / DISPATCH_TOL)
     elif live:
         base = build_uc(scenario, FixedProfile.constant(0.0, T), relaxed=True)
     omega = np.zeros((len(first), T))
     solved: list[SolveStats] = []
     for u in live:
         i = first[u]
-        if prof[i].tobytes() == priced_key:
+        if priced_key is not None and np.array_equal(keys[u], priced_key):
             omega[u], stats = priced_omega, priced_stats
         else:
             try:

@@ -188,7 +188,6 @@ class DualSolution:
     psi_end: dict[str, float]
     initial_rhs_term: float
     as_payment_rhs: float  # sum of loss-row rhs * omega; zero under EndogenousMax
-    dual_objective: float
 
 
 @dataclass
@@ -495,7 +494,7 @@ def _omega(model: UCModel, mu: np.ndarray) -> np.ndarray:
     return omega
 
 
-def _duals_from(pool: _CutPool, out: lp.LpOutcome, dual_objective: float) -> DualSolution:
+def _duals_from(pool: _CutPool, out: lp.LpOutcome) -> DualSolution:
     model = pool.model
     sc = model.scenario
     rows, b = model.rows, model.b
@@ -562,7 +561,6 @@ def _duals_from(pool: _CutPool, out: lp.LpOutcome, dual_objective: float) -> Dua
         psi_end=lifted(stos, mu[stos.gather(rows, K_EEND)][:, 0]),
         initial_rhs_term=initial_rhs_term,
         as_payment_rhs=as_payment_rhs,
-        dual_objective=dual_objective,
     )
 
 
@@ -597,7 +595,7 @@ def _verify_feasibility(model: UCModel, x: np.ndarray, tol: float) -> None:
     if viol.max() > tol:
         i = int(np.argmax(viol))
         # named kind[t], kind[unit,t] or, for a unit's one row of a kind,
-        # kind[unit]; a class's own key comes before its members'
+        # kind[unit]
         (kind, unit), idx = next((key, idx) for key, idx in model.rows.items() if i in idx)
         where = [] if unit is None else [unit]
         if kind not in (K_E0CAP, K_EEND):
@@ -609,13 +607,12 @@ def _verify_feasibility(model: UCModel, x: np.ndarray, tol: float) -> None:
 # Public solves
 
 
-def _solve_checked(model: UCModel) -> tuple[_CutPool, lp.LpOutcome, SolveStats, float]:
+def _solve_checked(model: UCModel) -> tuple[_CutPool, lp.LpOutcome, SolveStats]:
     """The OA solve of a relaxed model on a fresh session, with every check
     of a relaxed solve in order: scaled row feasibility within ``FEAS_TOL``,
     then the complementary-slackness residual and the relative duality gap
-    within ``DUALITY_TOL``. Returns the cut pool, the LP outcome, the stats
-    (cuts, final cone residual and ``stop_reason`` set) and the dual
-    objective."""
+    within ``DUALITY_TOL``. Returns the cut pool, the LP outcome and the
+    stats (cuts, final cone residual and ``stop_reason`` set)."""
     if not model.relaxed:
         raise ValueError("a relaxed solve requires a model built with relaxed=True")
     stats = SolveStats(lp_columns=model.n_vars)
@@ -627,14 +624,13 @@ def _solve_checked(model: UCModel) -> tuple[_CutPool, lp.LpOutcome, SolveStats, 
         raise DualRecoveryError(
             f"complementary-slackness residual {stats.max_cs_residual:.3e} exceeds tolerance"
         )
-    dual_objective = _dual_objective(model, out)
-    gap = abs(out.objective - dual_objective) / max(1.0, abs(out.objective))
+    gap = abs(out.objective - _dual_objective(model, out)) / max(1.0, abs(out.objective))
     stats.rel_duality_gap = gap
     stats.cuts = len(pool.t)
     stats.final_cone_residual = _final_cone_residual(model, out.x)
     if gap > DUALITY_TOL:
         raise DualRecoveryError(f"relative duality gap {gap:.3e} exceeds tolerance")
-    return pool, out, stats, dual_objective
+    return pool, out, stats
 
 
 def solve_relaxed(model: UCModel) -> tuple[DispatchSolution, DualSolution, SolveStats]:
@@ -654,8 +650,8 @@ def solve_relaxed(model: UCModel) -> tuple[DispatchSolution, DualSolution, Solve
     row's residual is n times its lifted residual, so the check is never
     looser than on the per-unit LP.
     """
-    pool, out, stats, dual_objective = _solve_checked(model)
-    return _dispatch_from_x(model, out.x, out.objective), _duals_from(pool, out, dual_objective), stats
+    pool, out, stats = _solve_checked(model)
+    return _dispatch_from_x(model, out.x, out.objective), _duals_from(pool, out), stats
 
 
 def solve_omega(model: UCModel) -> tuple[np.ndarray, SolveStats]:
@@ -666,7 +662,7 @@ def solve_omega(model: UCModel) -> tuple[np.ndarray, SolveStats]:
     same errors; only the lift to every unit is left out, which is what a
     caller that reads nothing but omega pays for in ``solve_relaxed``.
     """
-    _, out, stats, _ = _solve_checked(model)
+    _, out, stats = _solve_checked(model)
     return _omega(model, -out.row_marginals[: len(model.b)]), stats
 
 

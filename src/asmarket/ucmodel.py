@@ -16,7 +16,8 @@ The relaxation is built on classes of identical units: units equal in every
 field but ``id`` share one column block and one set of per-unit rows
 holding one member's values, and the class's costs and its coefficients in
 the balance and aggregation rows are scaled by its size. ``cols`` and
-``rows`` map every member to its class's columns and rows. The relaxation
+``rows`` key a class's columns and rows by its first member, and
+``classes`` maps every member to its class. The relaxation
 is convex and invariant under permuting a class, so a symmetric optimum
 exists and this is its exact restriction; the mixed-integer build keeps one
 block per unit.
@@ -124,9 +125,10 @@ class ModelError(Exception):
 class UCModel:
     """min c@x s.t. row_lower <= a@x <= b, lb <= x <= ub, x[binary] integral.
 
-    ``cols`` and ``rows`` map (kind, unit) (unit None for the system) to its
-    columns and its rows of ``a`` in hour order; ``e0``,
-    ``storage_initial_energy`` and ``storage_final_energy`` have one each."""
+    ``cols`` and ``rows`` map (kind, unit) (unit None for the system, else a
+    class's first member) to its columns and its rows of ``a`` in hour
+    order, each index a partition; ``e0``, ``storage_initial_energy`` and
+    ``storage_final_energy`` have one each."""
 
     scenario: Scenario
     loss_rule: LossRule
@@ -191,9 +193,9 @@ def build_uc(
     equal): the block and its per-unit rows hold one member's values, its
     costs and its coefficients in the balance and aggregation rows are
     multiplied by the class size n, and under
-    ``EndogenousMax`` its max-loss row stays ``p <= p_loss``. Every member's
-    ``cols`` and ``rows`` entries are its class's arrays, and every member's
-    ``classes`` entry is one tuple shared by the class. The class key is
+    ``EndogenousMax`` its max-loss row stays ``p <= p_loss``. ``cols`` and
+    ``rows`` key the class's arrays by its first member only, and every
+    member's ``classes`` entry is one tuple shared by the class. The class key is
     computed without building a copy of the unit: the unit's type and its
     compared fields other than ``id``.
     Units of classes of one are built exactly as in the mixed-integer form,
@@ -441,12 +443,6 @@ def build_uc(
         classes.update(dict.fromkeys(ids, ids))
     cols = {key: np.array(idx) for key, idx in cols.items()}
     rows = {key: position[idx] for key, idx in rows.items()}
-    # every member reads its class's columns and rows
-    for index in (cols, rows):
-        for (kind, unit), idx in list(index.items()):
-            if unit is not None:
-                for uid in classes[unit][1:]:
-                    index[(kind, uid)] = idx
     return UCModel(
         scenario=scenario,
         loss_rule=loss_rule,

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from asmarket import pricing, solve
-from asmarket.cli import _realized_loss_profile
 from asmarket.pricing import (
     AUDIT_TOL,
     DISPATCH_TOL,
@@ -15,6 +14,7 @@ from asmarket.pricing import (
     StationarityError,
     as_prices_from_duals,
     duality_audit,
+    loss_profiles,
     standalone_markets,
     system_costs,
 )
@@ -27,6 +27,16 @@ from oracles import audit_by_unit, breakdown_differences
 GB = SystemParams()
 
 
+def grid(profile) -> bytes:
+    """The key standalone_markets groups a loss profile by."""
+    return np.rint(np.asarray(profile, dtype=float) / DISPATCH_TOL).tobytes()
+
+
+def headline(sc, dispatch) -> tuple[float, ...]:
+    """The profile the endogenous price stage prices at."""
+    return tuple(loss_profiles(sc, dispatch)[1].max(axis=0, initial=0.0).tolist())
+
+
 def zero_duals(T: int) -> DualSolution:
     z = lambda: np.zeros(T)
     return DualSolution(
@@ -36,7 +46,7 @@ def zero_duals(T: int) -> DualSolution:
         psi_max_y={}, psi_max_yst={}, psi_max_ysg={}, psi_max_ysd={}, psi_mdt={},
         psi_cf={}, psi_e_min={}, psi_e_max={}, psi_max_ycha={}, psi_max_ydis={},
         psi_mutex={}, psi_ini={}, psi_end={},
-        initial_rhs_term=0.0, as_payment_rhs=0.0, dual_objective=0.0,
+        initial_rhs_term=0.0, as_payment_rhs=0.0,
     )
 
 
@@ -287,17 +297,6 @@ class TestStandalone:
             standalone_markets(sc, block)
         assert err.value.unit_id == "g1"
 
-    @staticmethod
-    def loss_profiles(sc, dispatch):
-        """The loss profiles standalone_markets solves for, by unit."""
-        profiles = {}
-        for unit in sc.all_units:
-            if unit.loss_eligible:
-                prof = np.maximum(dispatch.dispatch_of(unit.id), 0.0)
-                prof[prof <= DISPATCH_TOL] = 0.0
-                profiles[unit.id] = prof
-        return profiles
-
     def test_equal_profiles_share_one_solve(self, monkeypatch):
         sc = endog_scenario()
         block = self.block_i(sc)
@@ -310,11 +309,11 @@ class TestStandalone:
 
         monkeypatch.setattr(pricing, "solve_omega", counting)
         sa = standalone_markets(sc, block)
-        profiles = self.loss_profiles(sc, dispatch)
+        profiles = dict(zip(*loss_profiles(sc, dispatch)))
         # g1, g2 and g3 are dispatched identically
         assert profiles["g1"].any()
         assert profiles["g1"].tobytes() == profiles["g2"].tobytes() == profiles["g3"].tobytes()
-        distinct = {p.tobytes() for p in profiles.values() if p.any()}
+        distinct = {grid(p) for p in profiles.values() if p.any()}
         assert len(calls) == len(distinct)
         assert len(set(calls)) == len(calls)
         # each unit matches its own stand-alone solve exactly
@@ -341,7 +340,7 @@ class TestStandalone:
 
         monkeypatch.setattr(pricing, "build_uc", counting)
         sa = standalone_markets(sc, block)
-        distinct = {p.tobytes() for p in self.loss_profiles(sc, block[1]).values() if p.any()}
+        distinct = {grid(p) for p in loss_profiles(sc, block[1])[1] if p.any()}
         assert len(distinct) > 1
         assert len(builds) == 1
         assert sa.stats.oa_rounds >= len(distinct)
@@ -353,18 +352,18 @@ class TestStandalone:
         _, duals, stats = solve_relaxed(model)
         return model, duals.omega_loss, stats
 
-    @pytest.mark.parametrize("headline", [True, False], ids=["headline", "no-unit-profile"])
-    def test_priced_solve_reused(self, monkeypatch, headline):
+    @pytest.mark.parametrize("at_headline", [True, False], ids=["headline", "no-unit-profile"])
+    def test_priced_solve_reused(self, monkeypatch, at_headline):
         # the headline profile takes the price stage's solve; every other
         # profile re-targets the priced model, and nothing is built
         sc = endog_scenario()
         block = self.block_i(sc)
         plain = standalone_markets(sc, block)
-        profile = _realized_loss_profile(sc, block[1]) if headline else (100.0,) * sc.horizon
+        profile = headline(sc, block[1]) if at_headline else (100.0,) * sc.horizon
         priced = self.priced(sc, profile)
-        key = np.array(profile).tobytes()
-        distinct = {p.tobytes() for p in self.loss_profiles(sc, block[1]).values() if p.any()}
-        assert (key in distinct) is headline
+        key = grid(profile)
+        distinct = {grid(p) for p in loss_profiles(sc, block[1])[1] if p.any()}
+        assert (key in distinct) is at_headline
         calls, builds = [], []
 
         def counting(model):
@@ -375,13 +374,55 @@ class TestStandalone:
         monkeypatch.setattr(pricing, "build_uc", lambda *a, **k: builds.append(a) or build_uc(*a, **k))
         sa = standalone_markets(sc, block, priced=priced)
         assert builds == []
-        assert len(calls) == len(distinct) - headline
-        assert key not in {np.array(p).tobytes() for p in calls}
+        assert len(calls) == len(distinct) - at_headline
+        assert key not in {grid(p) for p in calls}
         assert list(sa.omegas) == list(plain.omegas)
         for uid, omega in sa.omegas.items():
             assert omega.tobytes() == plain.omegas[uid].tobytes(), uid
             assert sa.dispatched[uid].tobytes() == plain.dispatched[uid].tobytes(), uid
         assert sa.stats == plain.stats
+
+    @staticmethod
+    def nudged(dispatch, uid):
+        """``dispatch`` with ``uid``'s hour-0 output one ulp higher."""
+        p = dispatch.gen_p[uid].copy()
+        p[0] = np.nextafter(p[0], np.inf)
+        return dataclasses.replace(dispatch, gen_p={**dispatch.gen_p, uid: p})
+
+    def test_one_ulp_apart_shares_one_solve(self, monkeypatch):
+        # solver round-off in a dispatch does not split a market: profiles
+        # equal on the DISPATCH_TOL grid share the solve of the first unit
+        sc = endog_scenario()
+        schedule, dispatch = self.block_i(sc)
+        nudged = self.nudged(dispatch, "g2")
+        calls = []
+        monkeypatch.setattr(pricing, "solve_omega", lambda m: calls.append(m) or solve_omega(m))
+        standalone_markets(sc, (schedule, dispatch))
+        n = len(calls)
+        sa = standalone_markets(sc, (schedule, nudged))
+        assert len(calls) == 2 * n
+        profiles = dict(zip(*loss_profiles(sc, nudged)))
+        assert profiles["g2"].tobytes() != profiles["g1"].tobytes()
+        on = sa.dispatched["g1"]
+        assert on.tobytes() == sa.dispatched["g2"].tobytes()
+        omega = {uid: sa.omegas[uid][on] / profiles[uid][on] for uid in ("g1", "g2")}
+        assert omega["g1"].tobytes() == omega["g2"].tobytes()
+
+    def test_one_ulp_off_the_priced_profile_takes_the_priced_omega(self, monkeypatch):
+        # g1 heads the group at the headline profile, one ulp off it in hour 0
+        sc = endog_scenario()
+        schedule, dispatch = self.block_i(sc)
+        model, priced_omega, _ = priced = self.priced(sc, headline(sc, dispatch))
+        nudged = self.nudged(dispatch, "g1")
+        ids, prof = loss_profiles(sc, nudged)
+        assert prof[ids.index("g1")].tobytes() != np.array(model.loss_rule.p_mw).tobytes()
+        calls = []
+        monkeypatch.setattr(pricing, "solve_omega", lambda m: calls.append(m.loss_rule.p_mw) or solve_omega(m))
+        sa = standalone_markets(sc, (schedule, nudged), priced=priced)
+        assert len(calls) == len({grid(p) for p in prof if p.any()}) - 1
+        assert grid(model.loss_rule.p_mw) not in {grid(p) for p in calls}
+        for uid in ("g1", "g2", "g3"):
+            assert sa.omegas[uid].tobytes() == (prof[ids.index(uid)] * priced_omega).tobytes(), uid
 
     def test_gb_shared_model_matches_fresh_builds(self):
         # every distinct GB profile re-targets one model, so a write to the
@@ -390,15 +431,15 @@ class TestStandalone:
         schedule, dispatch, _ = solve_mip(build_uc(sc, EndogenousMax(), relaxed=False), rel_gap=1e-2)
         sa = standalone_markets(sc, (schedule, dispatch))
         omega_of, solved = {}, []
-        for uid, prof in self.loss_profiles(sc, dispatch).items():
+        for uid, prof in zip(*loss_profiles(sc, dispatch)):
             if not prof.any():
                 assert not sa.omegas[uid].any()
                 continue
-            if prof.tobytes() not in omega_of:
+            if grid(prof) not in omega_of:
                 _, duals, stats = solve_relaxed(build_uc(sc, FixedProfile(tuple(prof)), relaxed=True))
-                omega_of[prof.tobytes()] = duals.omega_loss
+                omega_of[grid(prof)] = duals.omega_loss
                 solved.append(stats)
-            np.testing.assert_array_equal(sa.omegas[uid], prof * omega_of[prof.tobytes()])
+            np.testing.assert_array_equal(sa.omegas[uid], prof * omega_of[grid(prof)])
         assert len(omega_of) > 1
         for counter in ("lp_iterations", "oa_rounds", "cuts"):
             assert getattr(sa.stats, counter) == sum(getattr(s, counter) for s in solved)
@@ -431,7 +472,10 @@ class TestSolveOmega:
     def instance(request):
         sc = toy10_scenario(6) if request.param == "toy10-6h" else gb_template(1)
         schedule, dispatch, _ = solve_mip(build_uc(sc, EndogenousMax(), relaxed=False), rel_gap=1e-2)
-        profiles = {p.tobytes(): p for p in TestStandalone.loss_profiles(sc, dispatch).values() if p.any()}
+        profiles = {}
+        for p in loss_profiles(sc, dispatch)[1]:
+            if p.any():
+                profiles.setdefault(grid(p), p)
         return sc, (schedule, dispatch), list(profiles.values())
 
     def test_matches_solve_relaxed_on_every_profile(self, instance):
@@ -461,9 +505,9 @@ class TestSolveOmega:
         name, patched, error, match = self.FAILED_CHECKS[check]
         sc = endog_scenario()
         block = TestStandalone().block_i(sc)
-        prof = TestStandalone.loss_profiles(sc, block[1])["g1"]
+        prof = dict(zip(*loss_profiles(sc, block[1])))["g1"]
         model = build_uc(sc, FixedProfile(tuple(prof)), relaxed=True)
-        priced = TestStandalone.priced(sc, _realized_loss_profile(sc, block[1]))
+        priced = TestStandalone.priced(sc, headline(sc, block[1]))
         monkeypatch.setattr(solve, name, patched(getattr(solve, name)))
         with pytest.raises(error, match=match):
             solve_omega(model)

@@ -74,16 +74,17 @@ def lift(model, oracle, out):
     every member takes its class's values, and its class's per-unit row and
     bound duals divided by the class size."""
     size = lambda unit: 1 if unit is None else len(model.classes[unit])
+    rep = lambda unit: None if unit is None else model.classes[unit][0]
     x = np.empty(oracle.n_vars)
     lower, upper = np.empty(oracle.n_vars), np.empty(oracle.n_vars)
     for (kind, unit), idx in oracle.cols.items():
-        src = model.cols[(kind, unit)]
+        src = model.cols[(kind, rep(unit))]
         x[idx] = out.x[src]
         lower[idx] = out.lower_marginals[src] / size(unit)
         upper[idx] = out.upper_marginals[src] / size(unit)
     rows = np.empty(len(oracle.b))
     for (kind, unit), idx in oracle.rows.items():
-        rows[idx] = out.row_marginals[model.rows[(kind, unit)]] / size(unit)
+        rows[idx] = out.row_marginals[model.rows[(kind, rep(unit))]] / size(unit)
     return SimpleNamespace(
         x=x,
         row_marginals=np.concatenate([rows, out.row_marginals[len(model.b):]]),
@@ -95,8 +96,7 @@ def lift(model, oracle, out):
 def shifted_loss(model, t, eps):
     """``model`` with every max-loss row of hour ``t`` asking ``eps`` MW more."""
     b = model.b.copy()
-    # each row once: a class's members alias its rows
-    hour_t = sorted({int(idx[t]) for (kind, _), idx in model.rows.items() if kind == K_MAXLOSS})
+    hour_t = [int(idx[t]) for (kind, _), idx in model.rows.items() if kind == K_MAXLOSS]
     b[hour_t] -= eps  # p_loss >= L + eps and p <= p_loss - eps, both held as <=
     return replace(model, b=b)
 

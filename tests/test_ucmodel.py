@@ -100,11 +100,6 @@ def rows_as_lists(m) -> dict:
     return {key: idx.tolist() for key, idx in m.rows.items()}
 
 
-def own_keys(index: dict, m) -> list:
-    """The keys of ``index`` that are not a class member's alias."""
-    return [(kind, unit) for kind, unit in index if unit is None or m.classes[unit][0] == unit]
-
-
 @pytest.fixture(scope="module")
 def toy10_builds():
     sc = toy10_scenario(6)
@@ -177,19 +172,19 @@ def test_rows_partition_the_rows(toy10_builds, rule):
     gb = build_uc(gb_template(6), rule, relaxed=True)
     for m in (*toy10_builds, gb):
         T = m.scenario.horizon
-        own = own_keys(m.rows, m)
-        assert sorted(np.concatenate([m.rows[key] for key in own])) == list(range(len(m.b)))
+        assert sorted(np.concatenate(list(m.rows.values()))) == list(range(len(m.b)))
+        for index in (m.cols, m.rows):
+            # a unit key is its class's first member
+            assert all(unit is None or m.classes[unit][0] == unit for _, unit in index)
         for (kind, unit), idx in m.rows.items():
             # T rows in hour order (one block of a, so in build order), or one
             assert len(idx) == (1 if kind in (K_E0CAP, K_EEND) else T), (kind, unit)
             assert np.all(np.diff(idx) > 0)
-            if unit is not None:
-                assert idx is m.rows[(kind, m.classes[unit][0])]
         # row t of a system kind is hour t's: it holds p_loss at hour t
         for kind in (K_ROCOF, K_QSS):
             rows = as_scipy(m.a)[m.rows[(kind, None)]][:, m.cols[(V_PLOSS, None)]].toarray()
             assert np.array_equal(rows != 0, np.eye(T, dtype=bool))
-    assert len(own_keys(gb.rows, gb)) < len(gb.rows)  # the GB classes alias their members
+    assert len(set(gb.classes.values())) < len(gb.classes)  # the GB model has classes
 
 
 @pytest.mark.parametrize(
