@@ -84,7 +84,7 @@ def _finalize(rule: str, total: float, phi: dict[str, float]) -> Allocation:
     for uid, v in phi.items():
         if v < -1e-9 * max(1.0, total):
             raise AllocationError(f"{rule}: negative charge {v} for {uid!r}")
-        clean[uid] = max(float(v), 0.0)
+        clean[uid] = float(v) if v > 0 else 0.0  # never -0.0
     return Allocation(rule=rule, phi=clean)
 
 

@@ -301,9 +301,6 @@ class Scenario:
     def all_units(self) -> tuple:
         return self.generators + self.res_units + self.storage_units
 
-    def unit_ids(self) -> list[str]:
-        return [u.id for u in self.all_units]
-
     def technology_of(self) -> dict[str, str]:
         return {u.id: u.technology for u in self.all_units}
 

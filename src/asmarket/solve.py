@@ -4,7 +4,8 @@ recovery, and best-first branch-and-bound for the mixed-integer form.
 ``build_uc`` already holds the LP in HiGHS' row-bound form (equality rows
 first, then every inequality as ``<=``), so one marginal vector covers every
 row. Every unit column and row is read as a (classes x hours) block of the
-model's ``cols`` or ``rows``, one gather per kind and group. A relaxed
+model's ``cols`` or ``rows``, one gather per kind and group through the
+group's ``ClassTable``, which ``build_uc`` records on the model. A relaxed
 model holds one column block per class of identical units, so every member
 holds its class's values and an equal share of its class's per-unit duals;
 each is computed once per class and held in one read-only array that the
@@ -42,6 +43,7 @@ from . import lp
 from .frequency import cone_norm, cut_coefficients, nadir_terms, separating_cut
 from .ucmodel import (
     INFEASIBILITY_LABELS,
+    ClassTable,
     K_BALANCE,
     K_COMMIT,
     K_E0CAP,
@@ -354,51 +356,11 @@ def _diagnose_infeasible(pool: _CutPool) -> InfeasibleError:
 # Extraction
 
 
-@dataclass
-class _Classes:
-    """The classes of one group of units (generators, RES or storage): the
-    units' ``ids`` in scenario order, ``reps`` the first member of each class
-    in the order met and ``rep_units`` their specs, the class ``sizes``, and
-    ``pos`` each unit's class position in ``reps``. A mixed-integer model
-    has one class per unit."""
-
-    ids: list[str]
-    reps: list[str]
-    rep_units: list
-    sizes: np.ndarray
-    pos: list[int]
-
-    @classmethod
-    def of(cls, model: UCModel, units) -> "_Classes":
-        by_id = {u.id: u for u in units}
-        first = [model.classes[uid][0] for uid in by_id]
-        reps = list(dict.fromkeys(first))
-        index = {rep: k for k, rep in enumerate(reps)}
-        sizes = np.array([len(model.classes[rep]) for rep in reps], dtype=float)
-        return cls(list(by_id), reps, [by_id[rep] for rep in reps], sizes, list(map(index.__getitem__, first)))
-
-    def gather(self, index: dict, kind: str) -> np.ndarray:
-        """The columns or rows of ``kind`` in ``index`` (``model.cols`` or
-        ``model.rows``), one row per class."""
-        if not self.reps:
-            return np.zeros((0, 1), dtype=int)
-        return np.array([index[(kind, rep)] for rep in self.reps])
-
-    def column(self, attr: str, dtype=float) -> np.ndarray:
-        """Each class's ``attr`` as a column, to broadcast down a block."""
-        return np.array([getattr(u, attr) for u in self.rep_units], dtype=dtype)[:, None]
-
-    def spread(self, values) -> dict:
-        """``{unit: values[its class position]}``, keyed in scenario order."""
-        return dict(zip(self.ids, map(values.__getitem__, self.pos)))
-
-
-def _binaries(model: UCModel) -> dict[str, tuple[_Classes, np.ndarray]]:
+def _binaries(model: UCModel) -> dict[str, tuple[ClassTable, np.ndarray]]:
     """``{kind: (its group's classes, its column block)}`` of every binary
     kind, in the field order of ``CommitmentSchedule``: y, y_st, y_sg, y_sd,
     then y_cha, y_dis."""
-    sc = model.scenario
-    gens, stos = _Classes.of(model, sc.generators), _Classes.of(model, sc.storage_units)
+    gens, _, stos = model.class_tables
     pairs = ((gens, V_Y), (gens, V_YST), (gens, V_YSG), (gens, V_YSD), (stos, V_YCHA), (stos, V_YDIS))
     return {kind: (group, group.gather(model.cols, kind)) for group, kind in pairs}
 
@@ -414,7 +376,7 @@ def _shared_rows(block: np.ndarray) -> list:
 def _dispatch_from_x(model: UCModel, x: np.ndarray, objective: float) -> DispatchSolution:
     sc = model.scenario
     T = sc.horizon
-    gens, res, stos = (_Classes.of(model, units) for units in (sc.generators, sc.res_units, sc.storage_units))
+    gens, res, stos = model.class_tables
     series = lambda kind, group: group.spread(_shared_rows(x[group.gather(model.cols, kind)]))
     gen_p = series(V_P, gens)
     gen_pfr = series(V_PFRG, gens)
@@ -486,7 +448,7 @@ def _omega(model: UCModel, mu: np.ndarray) -> np.ndarray:
     ``mu`` holds the base rows' multipliers."""
     keys = [(K_MAXLOSS, None)]
     if not isinstance(model.loss_rule, FixedProfile):
-        keys = [(K_MAXLOSS, rep) for rep in dict.fromkeys(model.classes[u.id][0] for u in model.scenario.all_units)]
+        keys = [(K_MAXLOSS, u.id) for group in model.class_tables for u in group.specs]
     omega = np.zeros(model.scenario.horizon)
     for key in keys:
         if key in model.rows:
@@ -496,15 +458,14 @@ def _omega(model: UCModel, mu: np.ndarray) -> np.ndarray:
 
 def _duals_from(pool: _CutPool, out: lp.LpOutcome) -> DualSolution:
     model = pool.model
-    sc = model.scenario
     rows, b = model.rows, model.b
     n_base = len(b)
-    T = sc.horizon
+    T = model.scenario.horizon
     # equality rows report their marginal m (the aggregation rows -m);
     # inequality rows hold their <= form, so their multiplier is mu = -m >= 0
     m = out.row_marginals[:n_base]
     mu = -m
-    gens, res, stos = (_Classes.of(model, units) for units in (sc.generators, sc.res_units, sc.storage_units))
+    gens, res, stos = model.class_tables
 
     as_payment_rhs = 0.0
     if isinstance(model.loss_rule, FixedProfile):

@@ -16,8 +16,9 @@ The relaxation is built on classes of identical units: units equal in every
 field but ``id`` share one column block and one set of per-unit rows
 holding one member's values, and the class's costs and its coefficients in
 the balance and aggregation rows are scaled by its size. ``cols`` and
-``rows`` key a class's columns and rows by its first member, and
-``classes`` maps every member to its class. The relaxation
+``rows`` key a class's columns and rows by its first member, and the
+model's :class:`ClassTable` of each unit group (generators, RES, storage)
+is its only record of which units form a class. The relaxation
 is convex and invariant under permuting a class, so a symmetric optimum
 exists and this is its exact restriction; the mixed-integer build keeps one
 block per unit.
@@ -121,6 +122,36 @@ class ModelError(Exception):
     pass
 
 
+@dataclass(frozen=True, eq=False)
+class ClassTable:
+    """The classes of one group of units (generators, RES or storage): the
+    units' ``ids`` in scenario order, each class's ``members`` in the order
+    met with ``specs`` its first member's spec, the class ``sizes``, and
+    ``pos`` each unit's class position. A mixed-integer model has one class
+    per unit."""
+
+    ids: tuple[str, ...]
+    members: tuple[tuple[str, ...], ...]
+    specs: tuple
+    sizes: np.ndarray
+    pos: tuple[int, ...]
+
+    def gather(self, index: dict, kind: str) -> np.ndarray:
+        """The columns or rows of ``kind`` in ``index`` (``model.cols`` or
+        ``model.rows``), one row per class."""
+        if not self.members:
+            return np.zeros((0, 1), dtype=int)
+        return np.array([index[(kind, u.id)] for u in self.specs])
+
+    def column(self, attr: str, dtype=float) -> np.ndarray:
+        """Each class's ``attr`` as a column, to broadcast down a block."""
+        return np.array([getattr(u, attr) for u in self.specs], dtype=dtype)[:, None]
+
+    def spread(self, values) -> dict:
+        """``{unit: values[its class position]}``, keyed in scenario order."""
+        return dict(zip(self.ids, map(values.__getitem__, self.pos)))
+
+
 @dataclass
 class UCModel:
     """min c@x s.t. row_lower <= a@x <= b, lb <= x <= ub, x[binary] integral.
@@ -128,7 +159,9 @@ class UCModel:
     ``cols`` and ``rows`` map (kind, unit) (unit None for the system, else a
     class's first member) to its columns and its rows of ``a`` in hour
     order, each index a partition; ``e0``, ``storage_initial_energy`` and
-    ``storage_final_energy`` have one each."""
+    ``storage_final_energy`` have one each. ``class_tables`` holds the
+    generators', RES units' and storage units' classes, whose blocks these
+    are."""
 
     scenario: Scenario
     loss_rule: LossRule
@@ -138,7 +171,7 @@ class UCModel:
     ub: np.ndarray
     binary: np.ndarray            # mask; all False in the relaxed build
     cols: dict[tuple[str, str | None], np.ndarray]  # (kind, unit) -> columns in hour order
-    classes: dict[str, tuple[str, ...]]  # unit -> its class's members, the first holding the columns
+    class_tables: tuple[ClassTable, ClassTable, ClassTable]  # generators, RES, storage
     a: Csr
     b: np.ndarray
     row_lower: np.ndarray         # b on the leading equality rows, -inf after
@@ -159,7 +192,7 @@ class UCModel:
     def with_loss_profile(self, rule: FixedProfile) -> "UCModel":
         """This model with its T max-loss rows re-targeted to ``rule``: equal,
         array for array, to ``build_uc`` under ``rule``. Only ``b`` is new;
-        every other array is shared with this model."""
+        every other array and the class tables are shared with this model."""
         T = self.scenario.horizon
         if not isinstance(self.loss_rule, FixedProfile):
             raise ModelError("only a model built with a FixedProfile can be re-targeted")
@@ -194,8 +227,8 @@ def build_uc(
     costs and its coefficients in the balance and aggregation rows are
     multiplied by the class size n, and under
     ``EndogenousMax`` its max-loss row stays ``p <= p_loss``. ``cols`` and
-    ``rows`` key the class's arrays by its first member only, and every
-    member's ``classes`` entry is one tuple shared by the class. The class key is
+    ``rows`` key the class's arrays by its first member only, and the
+    group's ``ClassTable`` records the class. The class key is
     computed without building a copy of the unit: the unit's type and its
     compared fields other than ``id``.
     Units of classes of one are built exactly as in the mixed-integer form,
@@ -211,21 +244,23 @@ def build_uc(
     ):
         raise ModelError("EndogenousMax requires at least one loss-eligible unit")
 
-    def grouped(units) -> list[tuple]:
-        if not relaxed:
-            return [(u,) for u in units]
+    def grouped(units) -> ClassTable:
         by_key: dict = {}
         for u in units:
-            key = (type(u), _class_fields(type(u))(u))
+            key = (type(u), _class_fields(type(u))(u)) if relaxed else u.id
             by_key.setdefault(key, []).append(u)
-        return [tuple(members) for members in by_key.values()]
+        classes = list(by_key.values())
+        pos = {u.id: k for k, members in enumerate(classes) for u in members}
+        return ClassTable(
+            ids=tuple(u.id for u in units),
+            members=tuple(tuple(u.id for u in members) for members in classes),
+            specs=tuple(members[0] for members in classes),
+            sizes=np.array([len(members) for members in classes], dtype=float),
+            pos=tuple(pos[u.id] for u in units),
+        )
 
-    gen_classes = grouped(scenario.generators)
-    res_classes = grouped(scenario.res_units)
-    sto_classes = grouped(scenario.storage_units)
-    gens = [(members[0], len(members)) for members in gen_classes]
-    res_units = [(members[0], len(members)) for members in res_classes]
-    stos = [(members[0], len(members)) for members in sto_classes]
+    sized = lambda table: zip(table.specs, table.sizes.tolist())  # each class's first member and size
+    gens, res_units, stos = map(grouped, (scenario.generators, scenario.res_units, scenario.storage_units))
 
     c, lb, ub, binary = [], [], [], []
     cols: dict[tuple[str, str | None], list[int]] = {}
@@ -238,7 +273,7 @@ def build_uc(
         binary.append(is_binary and not relaxed)
 
     inf = float("inf")
-    for g, n in gens:
+    for g, n in sized(gens):
         lam_y = g.inertia_offer_gbp_per_mws * g.p_max_mw * g.inertia_s
         for t in range(T):
             add_var(V_P, g.id, 0.0, inf, n * g.energy_offer_gbp_per_mwh)
@@ -247,10 +282,10 @@ def build_uc(
             add_var(V_YSG, g.id, 0.0, 1.0, 0.0, True)
             add_var(V_YSD, g.id, 0.0, 1.0, 0.0, True)
             add_var(V_PFRG, g.id, 0.0, inf if g.pfr_max_mw > 0 else 0.0, n * g.pfr_offer_gbp_per_mw)
-    for r, n in res_units:
+    for r, n in sized(res_units):
         for t in range(T):
             add_var(V_PRES, r.id, 0.0, r.cf[t] * r.p_max_mw, n * r.energy_offer_gbp_per_mwh)
-    for s, n in stos:
+    for s, n in sized(stos):
         lam_ys = s.inertia_offer_gbp_per_mws * s.p_max_mw * s.inertia_s
         for t in range(T):
             add_var(V_PCHA, s.id, 0.0, inf)
@@ -281,7 +316,7 @@ def build_uc(
     vid = lambda k, u, t: cols[(k, u)][t]
 
     # --- thermal private constraints
-    for g, _ in gens:
+    for g in gens.specs:
         y0 = int(g.initially_on)
         for t in range(T):
             y = vid(V_Y, g.id, t)
@@ -341,7 +376,7 @@ def build_uc(
                 add_row(K_PFRMARGIN, g.id, "<=", 0.0, [(pfr, 1.0), (p, 1.0), (y, -g.p_max_mw)])
 
     # --- storage private constraints
-    for s, _ in stos:
+    for s in stos.specs:
         e0 = vid(V_E0, s.id, 0)
         for t in range(T):
             pcha = vid(V_PCHA, s.id, t)
@@ -387,19 +422,19 @@ def build_uc(
         efrt = vid(V_EFRT, None, t)
         ploss = vid(V_PLOSS, None, t)
 
-        bal = [(vid(V_P, g.id, t), n) for g, n in gens]
-        bal += [(vid(V_PRES, r.id, t), n) for r, n in res_units]
-        for s, n in stos:
+        bal = [(vid(V_P, g.id, t), n) for g, n in sized(gens)]
+        bal += [(vid(V_PRES, r.id, t), n) for r, n in sized(res_units)]
+        for s, n in sized(stos):
             bal += [(vid(V_PDIS, s.id, t), n), (vid(V_PCHA, s.id, t), -n)]
         add_row(K_BALANCE, None, "=", scenario.demand_mw[t], bal)
 
         hdef = [(h, 1.0)]
         hdef += [
             (vid(V_Y, g.id, t), -g.inertia_s * g.p_max_mw * n)
-            for g, n in gens
+            for g, n in sized(gens)
             if g.inertia_s > 0
         ]
-        for s, n in stos:
+        for s, n in sized(stos):
             if s.inertia_s > 0:
                 hdef += [
                     (vid(V_YCHA, s.id, t), -s.inertia_s * s.p_max_mw * n),
@@ -408,19 +443,19 @@ def build_uc(
         add_row(K_HDEF, None, "=", 0.0, hdef)
 
         pdef = [(pfrt, 1.0)]
-        pdef += [(vid(V_PFRG, g.id, t), -n) for g, n in gens if g.pfr_max_mw > 0]
-        pdef += [(vid(V_PFRS, s.id, t), -n) for s, n in stos if s.pfr_max_mw > 0]
+        pdef += [(vid(V_PFRG, g.id, t), -n) for g, n in sized(gens) if g.pfr_max_mw > 0]
+        pdef += [(vid(V_PFRS, s.id, t), -n) for s, n in sized(stos) if s.pfr_max_mw > 0]
         add_row(K_PFRDEF, None, "=", 0.0, pdef)
 
         edef = [(efrt, 1.0)]
-        edef += [(vid(V_EFRS, s.id, t), -n) for s, n in stos if s.efr_max_mw > 0]
+        edef += [(vid(V_EFRS, s.id, t), -n) for s, n in sized(stos) if s.efr_max_mw > 0]
         add_row(K_EFRDEF, None, "=", 0.0, edef)
 
         if isinstance(loss_rule, FixedProfile):
             add_row(K_MAXLOSS, None, ">=", loss_rule.p_mw[t], [(ploss, 1.0)])
         else:
             for units, kind in ((gens, V_P), (res_units, V_PRES), (stos, V_PDIS)):
-                for u, _ in units:
+                for u in units.specs:
                     if u.loss_eligible:
                         add_row(K_MAXLOSS, u.id, "<=", 0.0, [(vid(kind, u.id, t), 1.0), (ploss, -1.0)])
 
@@ -437,10 +472,6 @@ def build_uc(
     r_idx = np.array(r_idx, dtype=int)
     a = Csr.from_triplets(position[r_idx], c_idx, flip[r_idx] * np.array(data), (len(sense), len(c)))
     b = (flip * rhs_of)[order]
-    classes = {}
-    for members in gen_classes + res_classes + sto_classes:
-        ids = tuple(m.id for m in members)
-        classes.update(dict.fromkeys(ids, ids))
     cols = {key: np.array(idx) for key, idx in cols.items()}
     rows = {key: position[idx] for key, idx in rows.items()}
     return UCModel(
@@ -452,7 +483,7 @@ def build_uc(
         ub=np.array(ub),
         binary=np.array(binary, dtype=bool),
         cols=cols,
-        classes=classes,
+        class_tables=(gens, res_units, stos),
         a=a,
         b=b,
         row_lower=np.where(eq[order], b, -np.inf),

@@ -53,6 +53,15 @@ def classes_of_one(scenario: Scenario) -> Scenario:
     )
 
 
+def class_map(model: UCModel) -> dict[str, tuple[str, ...]]:
+    """Every unit of ``model`` mapped to its class's members, read from the
+    model's class tables; the members of a class share one tuple."""
+    classes = {}
+    for table in model.class_tables:
+        classes.update(table.spread(table.members))
+    return classes
+
+
 def as_scipy(a: Csr) -> sparse.csr_matrix:
     """``a`` as scipy's CSR matrix, sharing its three arrays."""
     return sparse.csr_matrix((a.data, a.indices, a.indptr), shape=a.shape)

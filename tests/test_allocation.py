@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from asmarket.allocation import (
+    RULES,
     AirportGame,
     AllocationError,
     allocate_hourly,
@@ -245,6 +246,13 @@ def test_non_finite_cost_rejected(bad):
 def test_duplicate_player_id_rejected():
     with pytest.raises(AllocationError, match="duplicate player id 'a'"):
         AirportGame.from_costs([("a", 1.0), ("b", 2.0), ("a", 0.5)])
+
+
+@pytest.mark.parametrize("rule", list(RULES))
+def test_negative_zero_cost_is_charged_plus_zero(rule):
+    alloc = RULES[rule](AirportGame.from_costs([("a", -0.0), ("b", 2.0)]))
+    assert alloc.phi == {"a": 0.0, "b": 2.0}
+    assert math.copysign(1.0, alloc.phi["a"]) == 1.0  # printed as 0.0, not -0.0
 
 
 def test_directional_ordering_constructed_hour():

@@ -267,8 +267,8 @@ class TestStandalone:
         _, dispatch = block
         sa = standalone_markets(sc, block)
         worst = np.zeros(sc.horizon)
-        for uid in sc.unit_ids():
-            worst = np.maximum(worst, dispatch.dispatch_of(uid))
+        for u in sc.all_units:
+            worst = np.maximum(worst, dispatch.dispatch_of(u.id))
         top = max(sa.omegas, key=lambda uid: sa.omegas[uid].sum())
         assert dispatch.dispatch_of(top) == pytest.approx(worst, abs=1e-6)
         # headline: relaxed solve at the realized worst-unit loss profile

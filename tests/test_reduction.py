@@ -45,7 +45,7 @@ from asmarket.ucmodel import (
     build_uc,
 )
 from conftest import binding_scenario, toy10_scenario, with_initial_state
-from oracles import as_scipy, classes_of_one
+from oracles import as_scipy, class_map, classes_of_one
 
 
 def tripled(sc):
@@ -73,8 +73,9 @@ def lift(model, oracle, out):
     """The class solution ``out`` of ``model`` on the per-unit ``oracle``:
     every member takes its class's values, and its class's per-unit row and
     bound duals divided by the class size."""
-    size = lambda unit: 1 if unit is None else len(model.classes[unit])
-    rep = lambda unit: None if unit is None else model.classes[unit][0]
+    classes = class_map(model)
+    size = lambda unit: 1 if unit is None else len(classes[unit])
+    rep = lambda unit: None if unit is None else classes[unit][0]
     x = np.empty(oracle.n_vars)
     lower, upper = np.empty(oracle.n_vars), np.empty(oracle.n_vars)
     for (kind, unit), idx in oracle.cols.items():
@@ -150,7 +151,7 @@ def test_lifted_duals_pass_the_audit(pair):
     model = pair.model
     dispatch, duals, _ = pair.solved
     assert duality_audit(dispatch, duals, pair.sc).identity_residual_rel <= AUDIT_TOL
-    for members in set(model.classes.values()):
+    for members in set(class_map(model).values()):
         for table in (duals.psi_max_y, duals.psi_mdt, duals.psi_cf, duals.psi_max_ydis, duals.psi_ini):
             if members[0] in table:
                 assert all(np.array_equal(table[uid], table[members[0]]) for uid in members)
@@ -177,9 +178,10 @@ def test_omega_inside_its_brackets(pair):
 def test_initial_state_splits_a_class():
     sc = with_initial_state(tripled(binding_scenario()), on={"g1_1"})
     model = build_uc(sc, FixedProfile.constant(100.0, 3), relaxed=True)
-    assert model.classes["g1_1"] == ("g1_1",)
-    assert model.classes["g1_3"] == ("g1_2", "g1_3")
-    assert model.classes["b1_2"] == ("b1_1", "b1_2", "b1_3")
+    classes = class_map(model)
+    assert classes["g1_1"] == ("g1_1",)
+    assert classes["g1_3"] == ("g1_2", "g1_3")
+    assert classes["b1_2"] == ("b1_1", "b1_2", "b1_3")
     oracle = build_uc(classes_of_one(sc), FixedProfile.constant(100.0, 3), relaxed=True)
     assert solve_relaxed(model)[0].objective == pytest.approx(solve_relaxed(oracle)[0].objective, rel=1e-9)
 
@@ -188,7 +190,7 @@ def test_gb6_class_model_size():
     sc = gb_template(6)
     model = build_uc(sc, EndogenousMax(), relaxed=True)
     assert model.n_vars == 344
-    assert len(set(model.classes.values())) == 11
+    assert len(set(class_map(model).values())) == 11
     # the mixed-integer form keeps one block per unit
     assert build_uc(sc, EndogenousMax(), relaxed=False).n_vars == 12_272
 
@@ -269,8 +271,10 @@ def test_lift_reads_every_member_by_the_rule(lifted_solve):
         "lb": np.where(np.isfinite(model.lb), out.lower_marginals, 0.0),
     }
 
+    classes = class_map(model)
+
     def rule(name, uid):
-        rep, n = model.classes[uid][0], len(model.classes[uid])
+        rep, n = classes[uid][0], len(classes[uid])
         if name == "sto_e0":
             return float(out.x[model.vid(V_E0, rep, 0)])
         if name in DISPATCH_KINDS:
@@ -308,11 +312,11 @@ def test_aggregates_are_unit_by_unit_sums(lifted_solve):
 
 
 def test_members_share_one_read_only_array(lifted_solve):
-    model = lifted_solve.model
+    classes = class_map(lifted_solve.model)
     shared = 0
     for name, table in per_unit_tables(lifted_solve).items():
         for uid, value in table.items():
-            members = model.classes[uid]
+            members = classes[uid]
             assert value is table[members[0]], (name, uid)
             if isinstance(value, np.ndarray):
                 assert not value.flags.writeable, (name, uid)
@@ -347,10 +351,10 @@ def reference_classes(sc):
 ], ids=["cold", "initial-state"])
 def test_class_map_matches_the_reference_key(state):
     sc = with_initial_state(gb_template(6), **state)
-    model = build_uc(sc, EndogenousMax(), relaxed=True)
-    assert model.classes == reference_classes(sc)
-    for uid, members in model.classes.items():
-        assert members is model.classes[members[0]], uid  # one tuple per class
+    classes = class_map(build_uc(sc, EndogenousMax(), relaxed=True))
+    assert classes == reference_classes(sc)
+    for uid, members in classes.items():
+        assert members is classes[members[0]], uid  # one tuple per class
 
 
 def test_one_changed_field_splits_a_member_off():
@@ -359,7 +363,28 @@ def test_one_changed_field_splits_a_member_off():
     k = next(i for i, u in enumerate(storage) if u.id == "bess_17")
     storage[k] = replace(storage[k], efr_max_mw=storage[k].efr_max_mw / 2)
     sc = replace(sc, storage_units=tuple(storage))
+    classes = class_map(build_uc(sc, FixedProfile.constant(1000.0, 1), relaxed=True))
+    assert classes == reference_classes(sc)
+    assert classes["bess_17"] == ("bess_17",)
+    assert len(classes["bess_1"]) == 199 and "bess_17" not in classes["bess_1"]
+
+
+def test_class_tables_are_the_models_record():
+    # the mixed-integer build: classes of one, in scenario order
+    sc = gb_template(1)
+    mip = build_uc(sc, EndogenousMax(), relaxed=False)
+    groups = (sc.generators, sc.res_units, sc.storage_units)
+    for table, units in zip(mip.class_tables, groups):
+        ids = tuple(u.id for u in units)
+        assert table.ids == ids and table.specs == units
+        assert table.members == tuple((uid,) for uid in ids)
+        assert table.sizes.tolist() == [1.0] * len(ids) and table.pos == tuple(range(len(ids)))
+    # the relaxed build: the reference classes, each headed by its spec
     model = build_uc(sc, FixedProfile.constant(1000.0, 1), relaxed=True)
-    assert model.classes == reference_classes(sc)
-    assert model.classes["bess_17"] == ("bess_17",)
-    assert len(model.classes["bess_1"]) == 199 and "bess_17" not in model.classes["bess_1"]
+    assert class_map(model) == reference_classes(sc)
+    for table in model.class_tables:
+        assert [u.id for u in table.specs] == [members[0] for members in table.members]
+        assert table.sizes.tolist() == [len(members) for members in table.members]
+    # a re-targeted model shares its tables
+    retargeted = model.with_loss_profile(FixedProfile.constant(1800.0, 1))
+    assert retargeted.class_tables is model.class_tables

@@ -34,7 +34,7 @@ from asmarket.ucmodel import (
     build_uc,
 )
 from conftest import binding_scenario, endog_scenario, gen, single_gen_scenario, toy10_scenario
-from oracles import as_scipy
+from oracles import as_scipy, class_map
 
 
 def test_row_census_single_gen_single_hour():
@@ -62,8 +62,8 @@ def test_endogenous_max_dominates_dispatch():
     sc = endog_scenario()
     m = build_uc(sc, EndogenousMax(), relaxed=True)
     dispatch, _, _ = solve_relaxed(m)
-    for uid in sc.unit_ids():
-        assert np.all(dispatch.p_loss_mw >= dispatch.dispatch_of(uid) - 1e-6)
+    for u in sc.all_units:
+        assert np.all(dispatch.p_loss_mw >= dispatch.dispatch_of(u.id) - 1e-6)
     assert np.all(dispatch.p_loss_mw > 1.0)  # something is dispatched
 
 
@@ -173,9 +173,10 @@ def test_rows_partition_the_rows(toy10_builds, rule):
     for m in (*toy10_builds, gb):
         T = m.scenario.horizon
         assert sorted(np.concatenate(list(m.rows.values()))) == list(range(len(m.b)))
+        classes = class_map(m)
         for index in (m.cols, m.rows):
             # a unit key is its class's first member
-            assert all(unit is None or m.classes[unit][0] == unit for _, unit in index)
+            assert all(unit is None or classes[unit][0] == unit for _, unit in index)
         for (kind, unit), idx in m.rows.items():
             # T rows in hour order (one block of a, so in build order), or one
             assert len(idx) == (1 if kind in (K_E0CAP, K_EEND) else T), (kind, unit)
@@ -184,7 +185,8 @@ def test_rows_partition_the_rows(toy10_builds, rule):
         for kind in (K_ROCOF, K_QSS):
             rows = as_scipy(m.a)[m.rows[(kind, None)]][:, m.cols[(V_PLOSS, None)]].toarray()
             assert np.array_equal(rows != 0, np.eye(T, dtype=bool))
-    assert len(set(gb.classes.values())) < len(gb.classes)  # the GB model has classes
+    classes = class_map(gb)
+    assert len(set(classes.values())) < len(classes)  # the GB model has classes
 
 
 @pytest.mark.parametrize(
