@@ -35,7 +35,6 @@ from .solve import (  # noqa: F401
     InfeasibleError,
     SolveStats,
     SolverError,
-    solve_fixed_binaries,
     solve_mip,
     solve_relaxed,
 )

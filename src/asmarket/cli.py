@@ -24,7 +24,7 @@ from .allocation import (
     shapley_bruteforce,
 )
 from .pricing import StandaloneError, as_prices_from_duals, duality_audit, loss_profiles, standalone_markets
-from .scenario import Scenario, ScenarioError, ScenarioValidationError, load_scenario
+from .scenario import LABEL_RULE, Scenario, ScenarioError, ScenarioValidationError, load_scenario, unsafe_label
 from .solve import InfeasibleError, solve_mip, solve_relaxed
 from .tables import (
     RunManifest,
@@ -241,8 +241,9 @@ def cmd_run(args) -> int:
 
 def _read_costs_file(path: Path) -> list[tuple[str, float]]:
     """Rows ``id,omega``, after an optional first line ``unit_id,omega_gbp``;
-    blank lines and ``#`` comments are skipped."""
-    lines = [line.strip() for line in Path(path).read_text(encoding="utf-8").splitlines()]
+    blank lines and ``#`` comments are skipped, and so is a byte-order mark.
+    Each id keeps the scenario's label rule."""
+    lines = [line.strip() for line in Path(path).read_text(encoding="utf-8-sig").splitlines()]
     lines = [line for line in lines if line and not line.startswith("#")]
     if lines and lines[0] == "unit_id,omega_gbp":
         lines = lines[1:]
@@ -255,6 +256,8 @@ def _read_costs_file(path: Path) -> list[tuple[str, float]]:
             value = float(parts[1])
         except ValueError:
             raise ScenarioError(f"bad omega value in line: {line!r}")
+        if unsafe_label(parts[0]):
+            raise ScenarioError(f"costs file id {LABEL_RULE}: {line!r}")
         rows.append((parts[0], value))
     if not rows:
         raise ScenarioError("costs file has no data rows")

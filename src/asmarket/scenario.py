@@ -220,11 +220,15 @@ class StorageSpec:
         return out
 
 
-def _csv_unsafe(label: str) -> bool:
-    """Whether ``label`` cannot be written into an unquoted CSV field: it
-    holds a comma, a double quote, or a line break or other unprintable
-    character."""
-    return "," in label or '"' in label or not label.isprintable()
+LABEL_RULE = "must be non-empty and printable, without ',' or '\"'"
+
+
+def unsafe_label(label: str) -> bool:
+    """Whether ``label`` breaks ``LABEL_RULE``, which every unit id and
+    technology and every costs-file id keeps so that it fills one unquoted
+    CSV field: it is empty, or it holds a comma, a double quote, or a line
+    break or other unprintable character."""
+    return not label or "," in label or '"' in label or not label.isprintable()
 
 
 # the unit groups: document key and Scenario field, spec class. A unit's
@@ -281,15 +285,17 @@ class Scenario:
                 if u.id in seen:
                     out.append(f"{key}[{i}].id: duplicate unit id {u.id!r}")
                 seen.add(u.id)
-        # the output tables are unquoted CSV: every label is scanned at once,
-        # and the units are walked for their paths only if one is unsafe
-        if _csv_unsafe("".join(seen) + "".join(technologies)):
+        # the output tables are unquoted CSV: every label is scanned at once
+        # (joined, an empty one would not show, so it is looked up), and the
+        # units are walked for their paths only if one is unsafe
+        labels = seen | technologies
+        if "" in labels or unsafe_label("".join(labels)):
             for key, _ in _UNIT_GROUPS:
                 for i, u in enumerate(getattr(self, key)):
                     for name in ("id", "technology"):
                         v = getattr(u, name)
-                        if isinstance(v, str) and _csv_unsafe(v):
-                            out.append(f"{key}[{i}].{name}: must be printable without ',' or '\"' (got {v!r})")
+                        if isinstance(v, str) and unsafe_label(v):
+                            out.append(f"{key}[{i}].{name}: {LABEL_RULE} (got {v!r})")
         return out
 
     def __post_init__(self):

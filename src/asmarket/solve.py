@@ -10,13 +10,14 @@ model holds one column block per class of identical units, so every member
 holds its class's values and an equal share of its class's per-unit duals;
 each is computed once per class and held in one read-only array that the
 members share. The mixed-integer model has one class per unit, so its
-rounding, branching and schedule checks work on the same blocks. The nadir
-cone is handled by outer-approximation cutting planes over the LP core. Each
-public solve keeps one cut pool, which owns the HiGHS session and holds the
-cuts as three arrays (hour, a1, a2): the session starts from the model's
-rows, cuts (each hour's v >= 0 facet first) are appended as rows and stay,
-bounds are changed in place, and branch-and-bound nodes restart dual simplex
-from their parent's optimal basis. A node solves its LP once and is branched
+rounding, branching and schedule checks work on the same blocks, gathered
+once per solve. The nadir cone is handled by outer-approximation cutting
+planes over the LP core. Each public solve keeps one cut pool, which owns
+the HiGHS session and holds the cuts as three arrays (hour, a1, a2): the
+session starts from the model's rows, cuts (each hour's v >= 0 facet first)
+are appended as rows and stay, bounds are changed in place, and
+branch-and-bound nodes restart dual simplex from their parent's optimal
+basis. A node solves its LP once and is branched
 on if its point is fractional; only an integral node point runs the OA loop
 (LP/NLP-based branch and bound). Cone multipliers are reconstructed by
 aggregating the active-cut multipliers through the cut gradients, so the
@@ -422,12 +423,12 @@ def _dispatch_from_x(model: UCModel, x: np.ndarray, objective: float) -> Dispatc
     )
 
 
-def _commitment_from_x(model: UCModel, x: np.ndarray) -> CommitmentSchedule:
+def _commitment_from_x(binaries: dict, x: np.ndarray) -> CommitmentSchedule:
     """The binaries at ``x``, rounded and checked: each generator's
     commitment follows its start-ups and shut-downs from its pre-horizon
     state, and no storage unit charges and discharges in one hour. A
-    failure names the first unit, then its first hour."""
-    binaries = _binaries(model)
+    failure names the first unit, then its first hour. ``binaries`` is
+    ``_binaries(model)``."""
     y, _, ysg, ysd, cha, dis = blocks = [np.rint(x[cols]).astype(int) for _, cols in binaries.values()]
     gens, stos = binaries[V_Y][0], binaries[V_YCHA][0]
     prev = np.hstack([gens.column("initially_on", int), y[:, :-1]])
@@ -627,11 +628,11 @@ def solve_omega(model: UCModel) -> tuple[np.ndarray, SolveStats]:
     return _omega(model, -out.row_marginals[: len(model.b)]), stats
 
 
-def _dangling_yst(model: UCModel) -> np.ndarray:
+def _dangling_yst(binaries: dict) -> np.ndarray:
     # start-up indicators whose start-generating hour lies past the horizon;
     # they are unconstrained upward only and carry no cost, so they are
-    # zeroed during extraction. None without a lead time.
-    gens, yst = _binaries(model)[V_YST]
+    # zeroed before the polish. None without a lead time.
+    gens, yst = binaries[V_YST]
     T = yst.shape[1]
     return yst[np.arange(T) >= T - gens.column("start_up_h", int)]
 
@@ -642,12 +643,12 @@ def _fractional(model: UCModel, x: np.ndarray, skip: np.ndarray) -> list[int]:
     return np.flatnonzero(bad).tolist()
 
 
-def _branching(model: UCModel) -> tuple[np.ndarray, np.ndarray]:
-    """The branching policy: the mask of the y, y_cha and y_dis columns,
-    which are branched on first, and every binary column's tie-break weight,
-    its unit's p_max (zero on the other columns)."""
-    mask, weight = np.zeros(model.n_vars, dtype=bool), np.zeros(model.n_vars)
-    for kind, (group, cols) in _binaries(model).items():
+def _branching(binaries: dict, n_vars: int) -> tuple[np.ndarray, np.ndarray]:
+    """The branching policy over the ``n_vars`` columns: the mask of the y,
+    y_cha and y_dis columns, which are branched on first, and every binary
+    column's tie-break weight, its unit's p_max (zero on the other columns)."""
+    mask, weight = np.zeros(n_vars, dtype=bool), np.zeros(n_vars)
+    for kind, (group, cols) in binaries.items():
         mask[cols] = kind in (V_Y, V_YCHA, V_YDIS)
         weight[cols] = group.column("p_max_mw")
     return mask, weight
@@ -659,9 +660,15 @@ def _pick_branch_var(x: np.ndarray, fractional: list[int], mask: np.ndarray, wei
     return min(pool, key=lambda i: (abs(x[i] - 0.5), -weight[i], i))
 
 
-def _heuristic_fix(model: UCModel, x: np.ndarray) -> dict[int, tuple[float, float]] | None:
-    """Round the relaxation up to a commitment pattern and fix all binaries."""
-    binaries = _binaries(model)
+def _pinned(cols: np.ndarray, values: np.ndarray) -> dict[int, tuple[float, float]]:
+    """The bound patch that pins each column of ``cols`` to its 0/1 value,
+    the same-shaped integer or boolean ``values``."""
+    fixed = np.ravel(values).astype(float).tolist()
+    return dict(zip(np.ravel(cols).tolist(), zip(fixed, fixed)))
+
+
+def _heuristic_fix(binaries: dict, x: np.ndarray) -> dict[int, tuple[float, float]] | None:
+    """Round the relaxation up to a commitment pattern and pin all binaries."""
     gens, y_cols = binaries[V_Y]
     y = (x[y_cols] > INTEGRALITY_TOL).astype(int)
     prev = np.hstack([gens.column("initially_on", int), y[:, :-1]])
@@ -675,11 +682,9 @@ def _heuristic_fix(model: UCModel, x: np.ndarray) -> dict[int, tuple[float, floa
     yst[units, starts] = 1
     cha, dis = x[binaries[V_YCHA][1]], x[binaries[V_YDIS][1]]
     cha_on, dis_on = (cha > INTEGRALITY_TOL) & (cha >= dis), (dis > INTEGRALITY_TOL) & (dis > cha)
-    patch: dict[int, tuple[float, float]] = {}
-    for (_, cols), block in zip(binaries.values(), (y, yst, ysg, np.maximum(0, prev - y), cha_on, dis_on)):
-        fixed = block.astype(float).ravel().tolist()
-        patch.update(zip(cols.ravel().tolist(), zip(fixed, fixed)))
-    return patch
+    blocks = (y, yst, ysg, np.maximum(0, prev - y), cha_on, dis_on)
+    return _pinned(np.concatenate([cols.ravel() for _, cols in binaries.values()]),
+                   np.concatenate([block.ravel() for block in blocks]))
 
 
 def solve_mip(model: UCModel, rel_gap: float = 1e-6) -> tuple[CommitmentSchedule, DispatchSolution, SolveStats]:
@@ -706,14 +711,15 @@ def solve_mip(model: UCModel, rel_gap: float = 1e-6) -> tuple[CommitmentSchedule
     if not (math.isfinite(rel_gap) and rel_gap >= 0):
         raise ValueError(f"rel_gap must be finite and non-negative (got {rel_gap})")
     stats = SolveStats(lp_columns=model.n_vars)
-    dangling = _dangling_yst(model)
-    branch_mask, branch_weight = _branching(model)
+    binaries = _binaries(model)
+    dangling = _dangling_yst(binaries)
+    branch_mask, branch_weight = _branching(binaries, model.n_vars)
     pool = _CutPool(model)
     root = _solve_root(pool, stats)
 
     incumbent: np.ndarray | None = None
     inc_obj = math.inf
-    patch0 = _heuristic_fix(model, root.x)
+    patch0 = _heuristic_fix(binaries, root.x)
     if patch0 is not None:
         try:
             h_out = _oa_solve(pool, patch0, stats)
@@ -768,8 +774,6 @@ def solve_mip(model: UCModel, rel_gap: float = 1e-6) -> tuple[CommitmentSchedule
     else:
         best_bound = inc_obj  # search space exhausted: proven optimal
 
-    if heap and not stats.budget_exhausted:
-        best_bound = min(best_bound, heap[0][0])
     if incumbent is None:
         if stats.budget_exhausted:
             raise SolverError("no integral solution found within the node budget")
@@ -779,8 +783,8 @@ def solve_mip(model: UCModel, rel_gap: float = 1e-6) -> tuple[CommitmentSchedule
     # their rounded values, so the returned point is cleanly feasible
     x = incumbent.copy()
     x[dangling] = 0.0
-    fixed = {idx: (round(x[idx]), round(x[idx])) for idx in model.binary_indices}
-    polished = _oa_solve(pool, fixed, stats)
+    cols = np.flatnonzero(model.binary)
+    polished = _oa_solve(pool, _pinned(cols, np.rint(x[cols]).astype(int)), stats)
     if polished.status != lp.OPTIMAL:
         raise SolverError(
             f"fixed-binary polish of the incumbent failed (LP status {polished.status}: "
@@ -794,22 +798,4 @@ def solve_mip(model: UCModel, rel_gap: float = 1e-6) -> tuple[CommitmentSchedule
         stats.stop_reason = "budget"
     stats.cuts = len(pool.t)
     stats.final_cone_residual = _final_cone_residual(model, x)
-    return _commitment_from_x(model, x), _dispatch_from_x(model, x, inc_obj), stats
-
-
-def solve_fixed_binaries(
-    model: UCModel, values: dict[int, int]
-) -> tuple[float, DispatchSolution] | None:
-    """Optimise the continuous dispatch for a fully fixed binary pattern.
-
-    Returns None when the pattern is infeasible. Solves on a fresh session,
-    cold, independent of the branch and bound's warm one; the tests' exhaustive
-    enumeration oracle uses it. The nadir cone is enforced.
-    """
-    patch = {idx: (float(v), float(v)) for idx, v in values.items()}
-    out = _oa_solve(_CutPool(model), patch, SolveStats())
-    if out.status == lp.INFEASIBLE:
-        return None
-    if out.status != lp.OPTIMAL:
-        raise SolverError(f"LP backend failure: {out.message}")
-    return out.objective, _dispatch_from_x(model, out.x, out.objective)
+    return _commitment_from_x(binaries, x), _dispatch_from_x(model, x, inc_obj), stats

@@ -185,10 +185,6 @@ class UCModel:
         """Column of ``kind`` for ``unit`` at hour ``t`` (``e0`` has only t = 0)."""
         return int(self.cols[(kind, unit)][t])
 
-    @property
-    def binary_indices(self) -> list[int]:
-        return np.flatnonzero(self.binary).tolist()
-
     def with_loss_profile(self, rule: FixedProfile) -> "UCModel":
         """This model with its T max-loss rows re-targeted to ``rule``: equal,
         array for array, to ``build_uc`` under ``rule``. Only ``b`` is new;

@@ -1,10 +1,9 @@
 """Independent oracles used by the tests: exhaustive enumeration over binary
 commitment patterns (the LP evaluator is shared with the solver, the search
-is not: each pattern gets its own cold LP session through
-``solve_fixed_binaries``, independent of the branch-and-bound's warm one), and
-the per-unit relaxation that the class-column relaxation reduces, scipy's
-CSR matrix of a model's ``lp.Csr``, and the payment audit as plain per-unit
-loops."""
+is not: ``fixed_binary_objective`` solves each pattern cold on its own cut
+pool, independent of the branch-and-bound's warm session), and the per-unit
+relaxation that the class-column relaxation reduces, scipy's CSR matrix of a
+model's ``lp.Csr``, and the payment audit as plain per-unit loops."""
 from __future__ import annotations
 
 from dataclasses import fields, replace
@@ -13,11 +12,31 @@ from itertools import product
 import numpy as np
 from scipy import sparse
 
+from asmarket import lp, solve
 from asmarket.lp import Csr
 from asmarket.pricing import MarketBreakdown, as_prices_from_duals
 from asmarket.scenario import Scenario
-from asmarket.solve import DispatchSolution, DualSolution, solve_fixed_binaries
+from asmarket.solve import DispatchSolution, DualSolution
 from asmarket.ucmodel import UCModel
+
+
+def binary_columns(model: UCModel) -> list[int]:
+    """The model's binary columns, in column order."""
+    return np.flatnonzero(model.binary).tolist()
+
+
+def fixed_binary_objective(model: UCModel, values: dict[int, int]) -> float | None:
+    """The least cost of the continuous dispatch with each binary column
+    pinned to its 0/1 value in ``values``, or None when that pattern is
+    infeasible. Solved cold on a fresh cut pool, so the nadir cone is
+    enforced."""
+    patch = solve._pinned(list(values), list(values.values()))
+    out = solve._oa_solve(solve._CutPool(model), patch, solve.SolveStats())
+    if out.status == lp.INFEASIBLE:
+        return None
+    if out.status != lp.OPTIMAL:
+        raise solve.SolverError(f"LP backend failure: {out.message}")
+    return out.objective
 
 
 def enumerate_commitments(model: UCModel, max_binaries: int = 12):
@@ -26,16 +45,15 @@ def enumerate_commitments(model: UCModel, max_binaries: int = 12):
     Returns (best objective, best assignment dict) or (None, None) when every
     pattern is infeasible.
     """
-    idxs = model.binary_indices
+    idxs = binary_columns(model)
     if len(idxs) > max_binaries:
         raise ValueError(f"{len(idxs)} binaries exceeds the enumeration cap {max_binaries}")
     best_obj, best_pattern = None, None
     for bits in product((0, 1), repeat=len(idxs)):
         values = dict(zip(idxs, bits))
-        result = solve_fixed_binaries(model, values)
-        if result is None:
+        obj = fixed_binary_objective(model, values)
+        if obj is None:
             continue
-        obj, _ = result
         if best_obj is None or obj < best_obj:
             best_obj, best_pattern = obj, values
     return best_obj, best_pattern

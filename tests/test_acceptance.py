@@ -26,7 +26,7 @@ from asmarket.scenario import Scenario, SystemParams
 from asmarket.solve import solve_mip, solve_relaxed
 from asmarket.ucmodel import EndogenousMax, FixedProfile, build_uc
 from conftest import bess, gen, single_gen_scenario, toy10_scenario
-from oracles import enumerate_commitments
+from oracles import binary_columns, enumerate_commitments
 
 GB = SystemParams()
 
@@ -208,7 +208,7 @@ def test_criterion_mip_enumeration():
 
     worst = 0.0
     for model in instances:
-        assert len(model.binary_indices) <= 10
+        assert len(binary_columns(model)) <= 10
         _, dispatch, stats = solve_mip(model)
         best, _ = enumerate_commitments(model)
         rel = abs(dispatch.objective - best) / max(1.0, abs(best))

@@ -1,14 +1,17 @@
+import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
 
 from asmarket.cli import EXIT_INFEASIBLE, EXIT_INTERNAL, EXIT_OK, EXIT_VALIDATION, main
-from asmarket.scenario import Scenario, gb_template, scenario_to_dict, write_scenario
+from asmarket import solve
+from asmarket.scenario import LABEL_RULE, Scenario, gb_template, scenario_to_dict, write_scenario
 from asmarket.solve import CONE_REL_TOL
 from asmarket.tables import load_manifest, verify_manifest
 from asmarket.ucmodel import EndogenousMax, build_uc
-from conftest import binding_scenario, endog_scenario, hour_one_shutdown_scenario
+from conftest import binding_scenario, endog_scenario, hour_one_shutdown_scenario, toy10_scenario
 from test_scenario import EMPTY_FLEET, WRONG_TYPES, wrong_type_doc
 
 
@@ -40,7 +43,7 @@ class TestValidate:
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 2 and all(line.startswith("malformed scenario document: ") for line in lines)
 
-    @pytest.mark.parametrize("case", ["demand-string", "cf-string", "p-max-string", "horizon-float", "id-comma"])
+    @pytest.mark.parametrize("case", ["demand-string", "cf-string", "p-max-string", "horizon-float", "id-comma", "id-empty"])
     def test_wrong_type_exits_validation(self, tmp_path, capsys, case):
         path = tmp_path / "doc.json"
         path.write_text(json.dumps(wrong_type_doc(case)), encoding="utf-8")
@@ -251,6 +254,41 @@ class TestRun:
         statuses = {s["name"]: s["status"] for s in load_manifest(out / "manifest.json")["stages"]}
         assert statuses == {"load": "ok", "uc_mip": "failed"}
 
+    def test_profile_loss_rule_reads_the_scenario_cap(self, tmp_path):
+        # a cap of 100 MW in every hour gives the outputs of --loss-rule 100,
+        # line for line after each file's run id
+        path = tmp_path / "cap.json"
+        write_scenario(dataclasses.replace(endog_scenario(horizon=2), p_loss_cap_mw=(100.0, 100.0)), path)
+        profile, constant = tmp_path / "profile", tmp_path / "constant"
+        assert self.run(path, profile, ["--loss-rule", "profile", "--rule", "nucleolus"]) == EXIT_OK
+        assert self.run(path, constant, ["--loss-rule", "100", "--rule", "nucleolus"]) == EXIT_OK
+        for name in load_manifest(profile / "manifest.json")["outputs"][:-1]:
+            assert (profile / name).read_text().splitlines()[1:] == (constant / name).read_text().splitlines()[1:], name
+
+    def test_profile_loss_rule_without_cap(self, scenario_file, tmp_path, capsys):
+        assert self.run(scenario_file, tmp_path / "out", ["--loss-rule", "profile"]) == EXIT_VALIDATION
+        assert capsys.readouterr().err == "--loss-rule profile requires p_loss_cap_mw in the scenario\n"
+
+    def test_non_numeric_loss_rule(self, scenario_file, tmp_path, capsys):
+        assert self.run(scenario_file, tmp_path / "out", ["--loss-rule", "largest"]) == EXIT_VALIDATION
+        assert capsys.readouterr().err == (
+            "--loss-rule must be 'endogenous', 'profile' or a MW value (got 'largest')\n"
+        )
+
+    def test_mip_budget_warning(self, tmp_path, capsys, monkeypatch):
+        # with no node allowed the root's rounding incumbent is kept, short
+        # of the default gap, and the run goes on from it
+        monkeypatch.setattr(solve, "MAX_NODES", 0)
+        path = tmp_path / "toy2.json"
+        write_scenario(toy10_scenario(2), path)
+        out = tmp_path / "out"
+        assert self.run(path, out, ["--rule", "proportional"]) == EXIT_OK
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"warning: MIP budget exhausted at gap \S+; results use the incumbent\n", err), err
+        stages = {s["name"]: s for s in load_manifest(out / "manifest.json")["stages"]}
+        assert stages["uc_mip"]["solver"]["stop_reason"] == "budget"
+        assert stages["uc_mip"]["solver"]["budget_exhausted"] is True
+
     def test_hours_out_of_range(self, scenario_file, tmp_path):
         out = tmp_path / "out"
         assert self.run(scenario_file, out, ["--hours", "99"]) == EXIT_VALIDATION
@@ -384,6 +422,33 @@ class TestGame:
         captured = capsys.readouterr()
         assert "'a,1.0,junk'" in captured.err
         assert "phi_gbp" not in captured.out
+
+    @pytest.mark.parametrize("text, line", [
+        (",1.0\nb,2.0\n", ",1.0"),
+        ('a"b,1\nc,2\n', 'a"b,1'),
+        ("a\0b,1\nc,2\n", "a\0b,1"),
+    ], ids=["empty-id", "quote-in-id", "nul-in-id"])
+    def test_unsafe_id_rejected(self, tmp_path, capsys, text, line):
+        # a costs-file id keeps the scenario's label rule
+        path = tmp_path / "costs.csv"
+        path.write_text(text, encoding="utf-8")
+        assert main(["game", str(path)]) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.err == f"costs file id {LABEL_RULE}: {line!r}\n"
+        assert captured.out == ""
+
+    def test_byte_order_mark_accepted(self, tmp_path, capsys):
+        path = tmp_path / "costs.csv"
+        path.write_text("unit_id,omega_gbp\na,1.0\nb,3.0\n", encoding="utf-8-sig")
+        assert path.read_bytes().startswith(b"\xef\xbb\xbf")
+        assert main(["game", str(path), "--rule", "proportional"]) == EXIT_OK
+        assert capsys.readouterr().out == "unit_id,phi_gbp\na,0.75\nb,2.25\n"
+
+    def test_comments_only_file_rejected(self, tmp_path, capsys):
+        path = tmp_path / "costs.csv"
+        path.write_text("# no rows\n\n# yet\n", encoding="utf-8")
+        assert main(["game", str(path)]) == EXIT_VALIDATION
+        assert capsys.readouterr().err == "costs file has no data rows\n"
 
     def test_missing_costs_file(self, tmp_path):
         assert main(["game", str(tmp_path / "none.csv"), "--rule", "shapley"]) == EXIT_INTERNAL

@@ -19,7 +19,7 @@ from asmarket.scenario import RESSpec, Scenario, SystemParams
 from asmarket.solve import InfeasibleError, solve_mip, solve_relaxed
 from asmarket.ucmodel import EndogenousMax, FixedProfile, build_uc
 from conftest import bess, gen, phes
-from oracles import classes_of_one, enumerate_commitments
+from oracles import binary_columns, classes_of_one, enumerate_commitments
 
 
 def random_scenario(rng) -> tuple[Scenario, float]:
@@ -161,7 +161,7 @@ def test_mip_matches_enumeration_random_instances():
     agreements = 0
     for _ in range(12):
         model = small_mip_instance(rng)
-        assert len(model.binary_indices) <= 10
+        assert len(binary_columns(model)) <= 10
         best, _ = enumerate_commitments(model)
         try:
             _, dispatch, _ = solve_mip(model)

@@ -238,11 +238,18 @@ WRONG_TYPES = {
     "technology-number": (_set("res_units", 0, "technology", 3), "res_units[0].technology: must be a string"),
     "kind-list": (_set("storage_units", 0, "kind", ["BESS"]), "storage_units[0].kind: must be a string"),
     # labels the unquoted output tables cannot hold
-    "id-comma": (_set("generators", 1, "id", "g,1"), '''generators[1].id: must be printable without ',' or '"' (got 'g,1')'''),
-    "id-newline": (_set("storage_units", 0, "id", "b\n1"), "storage_units[0].id: must be printable"),
-    "technology-quote": (_set("res_units", 1, "technology", 'PV "rooftop"'), "res_units[1].technology: must be printable"),
+    "id-comma": (_set("generators", 1, "id", "g,1"),
+                 '''generators[1].id: must be non-empty and printable, without ',' or '"' (got 'g,1')'''),
+    "id-newline": (_set("storage_units", 0, "id", "b\n1"), "storage_units[0].id: must be non-empty and printable"),
+    "technology-quote": (_set("res_units", 1, "technology", 'PV "rooftop"'),
+                         "res_units[1].technology: must be non-empty and printable"),
     "technology-comma": (_set("generators", 0, "technology", "Gas, open cycle"),
-                         "generators[0].technology: must be printable"),
+                         "generators[0].technology: must be non-empty and printable"),
+    # an empty label does not show in the joined scan of every label
+    "id-empty": (_set("generators", 0, "id", ""),
+                 '''generators[0].id: must be non-empty and printable, without ',' or '"' (got '')'''),
+    "technology-empty": (_set("storage_units", 1, "technology", ""),
+                         "storage_units[1].technology: must be non-empty and printable"),
 }
 
 
@@ -349,3 +356,59 @@ def test_misspelt_unit_group_rejected():
     with pytest.raises(ScenarioValidationError) as err:
         scenario_from_dict(doc)
     assert err.value.diagnostics == ["generatorz: unknown field"]
+
+
+# edit of the toy10 6 h scenario (document key path, value) -> its exact diagnostics
+RANGE_ERRORS = {
+    "duplicate-id": (("generators", 1, "id"), "coal1", ["generators[1].id: duplicate unit id 'coal1'"]),
+    "phes-efr": (("storage_units", 0, "efr_max_mw"), 10.0,
+                 ["storage_units[0].efr_max_mw: PHES units must have efr_max = 0 (got 10.0)"]),
+    "storage-kind": (("storage_units", 1, "kind"), "flywheel",
+                     ["storage_units[1].kind: must be 'PHES' or 'BESS' (got 'flywheel')"]),
+    "horizon-zero": (("horizon_hours",), 0, [
+        "horizon: must be >= 1 (got 0)",
+        "demand_mw: length 6 does not match horizon 0",
+        "res_units[0].cf: length 6 does not match horizon 0",
+        "res_units[1].cf: length 6 does not match horizon 0",
+    ]),
+    "demand-length": (("demand_mw",), [1000.0] * 5, ["demand_mw: length 5 does not match horizon 6"]),
+    "cap-length": (("p_loss_cap_mw",), [100.0] * 5, ["p_loss_cap_mw: length 5 does not match horizon 6"]),
+    "cap-negative": (("p_loss_cap_mw",), [100.0] * 5 + [-1.0], ["p_loss_cap_mw[5]: must be >= 0 (got -1.0)"]),
+    "cf-length": (("res_units", 0, "cf"), [0.5] * 7, ["res_units[0].cf: length 7 does not match horizon 6"]),
+    "cf-range": (("res_units", 1, "cf", 2), 1.5, ["res_units[1].cf[2]: must lie in [0, 1] (got 1.5)"]),
+    "efr-not-before-pfr": (("system", "t_efr_s"), 10.0, ["system.t_efr_s: must be < t_pfr_s (got 10.0 >= 10.0)"]),
+    "deviation-not-below-f0": (("system", "delta_f_max_hz"), 50.0,
+                               ["system.delta_f_max_hz: must be < f0_hz (got 50.0 >= 50.0)"]),
+    "min-up-negative": (("generators", 2, "min_up_h"), -1,
+                        ["generators[2].min_up_h: must be a non-negative integer (got -1)"]),
+    "start-up-negative": (("generators", 3, "start_up_h"), -2,
+                          ["generators[3].start_up_h: must be a non-negative integer (got -2)"]),
+    "rocof-zero": (("system", "rocof_max_hz_per_s"), 0.0, ["system.rocof_max_hz_per_s: must be strictly positive (got 0.0)"]),
+    "p-max-negative": (("generators", 4, "p_max_mw"), -1.0, [
+        "generators[4].p_msg_mw: must satisfy 0 <= p_msg <= p_max (got 0.0, p_max -1.0)",
+        "generators[4].p_max_mw: must be > 0 (got -1.0)",
+        "generators[4].pfr_max_mw: must satisfy 0 <= pfr_max <= p_max (got 75.0)",
+    ]),
+    "efr-above-p-max": (("storage_units", 1, "efr_max_mw"), 500.0,
+                        ["storage_units[1].efr_max_mw: must satisfy 0 <= efr_max <= p_max (got 500.0)"]),
+}
+
+
+@pytest.mark.parametrize("case", list(RANGE_ERRORS))
+def test_range_diagnostics(case):
+    keys, value, diagnostics = RANGE_ERRORS[case]
+    with pytest.raises(ScenarioValidationError) as err:
+        _replaced(toy10_scenario(horizon=6), keys, value)
+    assert err.value.diagnostics == diagnostics
+
+
+@pytest.mark.parametrize("hours", [0, 7])
+def test_truncated_out_of_range(hours):
+    with pytest.raises(ValueError, match=r"^hours must be in \[1, 6\]"):
+        toy10_scenario(horizon=6).truncated(hours)
+
+
+@pytest.mark.parametrize("doc", [[], "scenario", None])
+def test_document_not_an_object(doc):
+    with pytest.raises(ScenarioError, match="^scenario document must be a JSON object$"):
+        scenario_from_dict(doc)

@@ -15,11 +15,12 @@ from asmarket.solve import (
     FEAS_TOL,
     InfeasibleError,
     SolverError,
-    solve_fixed_binaries,
     solve_mip,
     solve_relaxed,
 )
 from asmarket.ucmodel import (
+    K_CHALO,
+    K_DISLO,
     V_E0,
     V_EFRT,
     V_H,
@@ -37,7 +38,7 @@ from asmarket.ucmodel import (
     build_uc,
 )
 from conftest import bess, binding_scenario, gen, hour_one_shutdown_scenario, single_gen_scenario, toy10_scenario
-from oracles import as_scipy, enumerate_commitments
+from oracles import as_scipy, binary_columns, enumerate_commitments, fixed_binary_objective
 
 
 def plain_gen_scenario(horizon=2, demand=60.0):
@@ -404,8 +405,8 @@ class TestMip:
             for unit, bits in series.items():
                 for t, bit in enumerate(bits):
                     values[m.vid(kind, unit, t)] = int(bit)
-        assert set(values) == set(m.binary_indices)
-        cold, _ = solve_fixed_binaries(m, values)
+        assert set(values) == set(binary_columns(m))
+        cold = fixed_binary_objective(m, values)
         assert dispatch.objective == pytest.approx(cold, rel=1e-9)
         assert stats.rel_mip_gap <= 1e-6
         relaxed, _, _ = solve_relaxed(build_uc(sc, EndogenousMax(), relaxed=True))
@@ -424,7 +425,7 @@ class TestMip:
         monkeypatch.setattr(solve, "_oa_solve", counting)
         solve_mip(m)
         polish_call = len(calls)  # the polish is the last OA solve
-        assert set(calls[-1]) == set(m.binary_indices)
+        assert set(calls[-1]) == set(binary_columns(m))
 
         def failing_polish(*args):
             calls.append(args[1])
@@ -449,7 +450,7 @@ class TestMip:
 
         def shifted_polish(pool, patch, stats):
             out = real(pool, patch, stats)
-            if patch is not None and set(patch) == set(m.binary_indices):
+            if patch is not None and set(patch) == set(binary_columns(m)):
                 out.x = out.x.copy()
                 out.x[m.vid(V_PLOSS, None, 0)] -= 1.0
             return out
@@ -497,7 +498,7 @@ class TestMip:
 
     @staticmethod
     def is_fractional(model, out):
-        return bool(solve._fractional(model, out.x, solve._dangling_yst(model)))
+        return bool(solve._fractional(model, out.x, solve._dangling_yst(solve._binaries(model))))
 
     @pytest.mark.parametrize("scenario, loss", [
         (binding_scenario, lambda: FixedProfile.constant(100.0, 3)),
@@ -528,6 +529,25 @@ class TestMip:
         assert dispatch.objective == pytest.approx(best, rel=1e-6)
         assert stats.rel_mip_gap <= 1e-6
         assert stats.final_cone_residual <= CONE_REL_TOL
+
+    @pytest.mark.parametrize("scenario, rel_gap", [
+        (lambda: toy10_scenario(6), 1e-6),
+        (lambda: gb_template(1), 1e-2),
+    ], ids=["toy10-6h", "gb-1h"])
+    def test_binary_blocks_read_once(self, monkeypatch, scenario, rel_gap):
+        # the dangling start-ups, the branching policy, the rounding
+        # heuristic and the schedule check all read one gather of the blocks
+        calls = []
+        real = solve._binaries
+
+        def counting(model):
+            calls.append(model)
+            return real(model)
+
+        monkeypatch.setattr(solve, "_binaries", counting)
+        m = build_uc(scenario(), EndogenousMax(), relaxed=False)
+        solve_mip(m, rel_gap=rel_gap)
+        assert calls == [m]
 
     def test_gb_one_hour_stops_at_the_root(self):
         # at gap 1e-2 the rounding heuristic's incumbent closes the gap
@@ -569,19 +589,19 @@ class TestMip:
         # first unit is named, at its first broken hour
         x[m.vid(V_Y, "g2", 0)] = x[m.vid(V_Y, "g1", 2)] = 1.0
         with pytest.raises(SolverError, match=r"^commitment transition identity violated for g1 at t=2$"):
-            solve._commitment_from_x(m, x)
+            solve._commitment_from_x(solve._binaries(m), x)
         x = np.zeros(m.n_vars)
         for t in (1, 2):
             x[m.vid(V_YCHA, "b1", t)] = x[m.vid(V_YDIS, "b1", t)] = 1.0
         with pytest.raises(SolverError, match=r"^charge/discharge exclusivity violated for b1 at t=1$"):
-            solve._commitment_from_x(m, x)
+            solve._commitment_from_x(solve._binaries(m), x)
         # within rounding of a consistent pattern: g1 starts at hour 1 and
         # stops at hour 2, b1 charges
         for t in (1, 2):
             x[m.vid(V_YDIS, "b1", t)] = 1e-9
         for kind, t in ((V_Y, 1), (V_YSG, 1), (V_YSD, 2)):
             x[m.vid(kind, "g1", t)] = 1.0 - 1e-9
-        schedule = solve._commitment_from_x(m, x)
+        schedule = solve._commitment_from_x(solve._binaries(m), x)
         assert schedule.gen_on["g1"].tolist() == [0, 1, 0]
         assert schedule.gen_shut_down["g1"].tolist() == [0, 0, 1]
         assert schedule.sto_charging["b1"].tolist() == [0, 1, 1]
@@ -701,9 +721,35 @@ class TestStorage:
                 assert charge[t] >= 40.0 - 1e-6
 
 
+    def test_phes_minimum_output_matches_enumeration(self):
+        # a PHES with a 30 MW minimum output in either mode: wind covers hour
+        # 0 and leaves 40 MW to pump; hour 1 is 20 MW short, so the PHES
+        # discharges its minimum, 30 MW, and pumps at least 30 MW in hour 0
+        # to end the day where it began
+        from conftest import phes
+
+        ph = dataclasses.replace(phes("ph", 100.0, 200.0, 0.0, 10.0, 0.0, 0.0), p_msg_mw=30.0)
+        sc = Scenario(
+            params=SystemParams(),
+            horizon=2,
+            demand_mw=(50.0, 50.0),
+            res_units=(RESSpec("wind", 100.0, (0.9, 0.3), 0.0),),
+            storage_units=(ph,),
+        )
+        m = build_uc(sc, FixedProfile.constant(0.0, 2), relaxed=False)
+        assert len(m.rows[(K_CHALO, "ph")]) == len(m.rows[(K_DISLO, "ph")]) == 2
+        schedule, dispatch, _ = solve_mip(m)
+        best, _ = enumerate_commitments(m)
+        assert dispatch.objective == pytest.approx(best, rel=1e-6)
+        assert schedule.sto_charging["ph"].tolist() == [1, 0]
+        assert schedule.sto_discharging["ph"].tolist() == [0, 1]
+        assert dispatch.sto_discharge["ph"][1] == pytest.approx(30.0, abs=1e-6)
+        assert dispatch.sto_charge["ph"][0] >= 30.0 - 1e-6
+
+
 class TestFixedBinaries:
     def test_infeasible_pattern_returns_none(self):
         sc = single_gen_scenario(horizon=1, demand=60.0)
         m = build_uc(sc, FixedProfile.constant(0.0, 1), relaxed=False)
-        all_off = {idx: 0 for idx in m.binary_indices}
-        assert solve_fixed_binaries(m, all_off) is None
+        all_off = {idx: 0 for idx in binary_columns(m)}
+        assert fixed_binary_objective(m, all_off) is None

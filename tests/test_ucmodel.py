@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from asmarket.scenario import Scenario, gb_template
-from asmarket.solve import _branching, solve_mip, solve_relaxed
+from asmarket.solve import _binaries, _branching, solve_mip, solve_relaxed
 from asmarket.ucmodel import (
     EndogenousMax,
     FixedProfile,
@@ -34,7 +34,7 @@ from asmarket.ucmodel import (
     build_uc,
 )
 from conftest import binding_scenario, endog_scenario, gen, single_gen_scenario, toy10_scenario
-from oracles import as_scipy, class_map
+from oracles import as_scipy, binary_columns, class_map
 
 
 def test_row_census_single_gen_single_hour():
@@ -90,8 +90,8 @@ def test_relaxed_flag_controls_binaries():
     sc = binding_scenario()
     relaxed = build_uc(sc, EndogenousMax(), relaxed=True)
     mip = build_uc(sc, EndogenousMax(), relaxed=False)
-    assert not relaxed.binary_indices
-    assert mip.binary_indices
+    assert not binary_columns(relaxed)
+    assert binary_columns(mip)
     # identical row structure either way
     assert rows_as_lists(relaxed) == rows_as_lists(mip)
 
@@ -120,10 +120,10 @@ def test_binary_and_branch_columns(toy10_builds):
         return sorted(int(i) for (kind, _), idx in mip.cols.items() if kind in kinds for i in idx)
 
     binary = cols_of({V_Y, V_YST, V_YSG, V_YSD, V_YCHA, V_YDIS})
-    assert mip.binary_indices == binary
+    assert binary_columns(mip) == binary
     # solve_mip's branching policy, derived from the columns: the y, y_cha
     # and y_dis columns first, ties broken by the unit's p_max
-    mask, weight = _branching(mip)
+    mask, weight = _branching(_binaries(mip), mip.n_vars)
     assert np.flatnonzero(mask).tolist() == cols_of({V_Y, V_YCHA, V_YDIS})
     p_max = {u.id: u.p_max_mw for u in mip.scenario.all_units}
     want = np.zeros(mip.n_vars)
@@ -132,7 +132,7 @@ def test_binary_and_branch_columns(toy10_builds):
             want[idx] = p_max[unit]
     assert weight.tobytes() == want.tobytes()
     assert np.flatnonzero(weight).tolist() == binary
-    assert not relaxed.binary_indices
+    assert not binary_columns(relaxed)
     with pytest.raises(ValueError):
         solve_mip(relaxed)  # a relaxed model is never branched on
 
