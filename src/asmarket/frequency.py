@@ -19,7 +19,8 @@ equivalent algebraic form used as the independent check:
 together with v >= 0.
 
 The outer approximation cuts with rows a1*u1 + a2*u2 - v <= 0, ||(a1, a2)|| <= 1,
-held as arrays: ``separating_cut`` and ``cut_coefficients`` work elementwise.
+held as arrays: ``separating_cut``, ``fan_cuts`` and ``cut_coefficients`` work
+elementwise.
 """
 from __future__ import annotations
 
@@ -107,3 +108,12 @@ def separating_cut(u1: np.ndarray, u2: np.ndarray) -> tuple[np.ndarray, np.ndarr
     live = nrm != 0.0
     return (np.divide(u1, nrm, out=np.zeros_like(nrm), where=live),
             np.divide(u2, nrm, out=np.zeros_like(nrm), where=live))
+
+
+def fan_cuts(mu1: np.ndarray, mu2: np.ndarray, spacing: float) -> tuple[np.ndarray, np.ndarray]:
+    """Three unit cut directions per entry, at the angles theta - spacing,
+    theta and theta + spacing about theta = atan2(mu2, mu1), entry by entry:
+    the tangents about the direction of an hour's aggregated cut multiplier
+    (mu1, mu2), which points at the cone's optimal tangent."""
+    theta = np.arctan2(mu2, mu1)[:, None] + np.array([-spacing, 0.0, spacing])
+    return np.cos(theta).ravel(), np.sin(theta).ravel()

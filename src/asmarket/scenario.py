@@ -258,7 +258,7 @@ class Scenario:
         out += own
         if not own:
             if self.horizon <= 0:
-                out.append(f"horizon: must be >= 1 (got {self.horizon})")
+                out.append(f"horizon_hours: must be >= 1 (got {self.horizon})")
             if len(self.demand_mw) != self.horizon:
                 out.append(f"demand_mw: length {len(self.demand_mw)} does not match horizon {self.horizon}")
             for t, d in enumerate(self.demand_mw):

@@ -12,7 +12,11 @@ each is computed once per class and held in one read-only array that the
 members share. The mixed-integer model has one class per unit, so its
 rounding, branching and schedule checks work on the same blocks, gathered
 once per solve. The nadir cone is handled by outer-approximation cutting
-planes over the LP core. Each public solve keeps one cut pool, which owns
+planes over the LP core: each round cuts every violated hour at the tangent
+through its point (Kelley), and an hour whose point sits on a vertex of its
+cuts also at a fan of three tangents about the direction of its aggregated
+cut multiplier, which ends Kelley's bisection of the bracket around the
+optimal tangent. Each public solve keeps one cut pool, which owns
 the HiGHS session and holds the cuts as three arrays (hour, a1, a2): the
 session starts from the model's rows, cuts (each hour's v >= 0 facet first)
 are appended as rows and stay, bounds are changed in place, and
@@ -41,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lp
-from .frequency import cone_norm, cut_coefficients, nadir_terms, separating_cut
+from .frequency import cone_norm, cut_coefficients, fan_cuts, nadir_terms, separating_cut
 from .ucmodel import (
     INFEASIBILITY_LABELS,
     ClassTable,
@@ -112,6 +116,9 @@ INTEGRALITY_TOL = 1e-6
 FEAS_TOL = 1e-6            # absolute, on scaled rows
 DUALITY_TOL = 1e-6         # relative duality gap / CS residual
 CONE_REL_TOL = 1e-9        # cone residual relative to point scale
+# angle between neighbouring fan tangents: the vertex of two unit tangents
+# this far apart has relative cone residual 1 - cos(FAN_ANGLE/2) = CONE_REL_TOL/2
+FAN_ANGLE = 2.0 * math.acos(1.0 - CONE_REL_TOL / 2.0)
 
 
 @dataclass
@@ -202,7 +209,9 @@ class SolveStats:
     rel_duality_gap: float = 0.0
     max_cs_residual: float = 0.0
     budget_exhausted: bool = False
-    oa_rounds: int = 0               # LPs solved inside OA loops; a B&B node's single LP counts as one
+    # LPs solved inside OA loops, each followed by its round's Kelley and fan
+    # cuts unless the cone holds; a B&B node's single LP counts as one
+    oa_rounds: int = 0
     # "converged", "graced" (some OA loop accepted a point within FEAS_TOL
     # after its grace rounds; takes precedence) or "budget" (solve_mip ran
     # out of nodes; see also budget_exhausted)
@@ -253,6 +262,21 @@ class _CutPool:
         self.a1 = np.concatenate([self.a1, a1])
         self.a2 = np.concatenate([self.a2, a2])
 
+    def multipliers(self, out: lp.LpOutcome) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Each hour's cone multipliers (mu_1, mu_2, mu_3) at ``out``, a
+        solve of the session with every cut of the pool: the cut multipliers
+        nu >= 0 added through the cut gradients (a1, a2, 1) in cut order. Also
+        each hour's count of direction cuts (not the v >= 0 facet) with
+        nu > 0, the tangents its point lies on."""
+        T = self.model.scenario.horizon
+        mu1, mu2, mu3 = np.zeros(T), np.zeros(T), np.zeros(T)
+        nu = -out.row_marginals[len(self.model.b):]
+        np.add.at(mu1, self.t, nu * self.a1)
+        np.add.at(mu2, self.t, nu * self.a2)
+        np.add.at(mu3, self.t, nu)
+        on = (nu > 0.0) & ((self.a1 != 0.0) | (self.a2 != 0.0))
+        return mu1, mu2, mu3, np.bincount(self.t[on], minlength=T)
+
 
 def _patched_bounds(model: UCModel, patch: dict[int, tuple[float, float]] | None):
     lb, ub = model.lb.copy(), model.ub.copy()
@@ -288,12 +312,19 @@ def _oa_loop(pool: _CutPool, out: lp.LpOutcome, stats: SolveStats) -> lp.LpOutco
     """Add nadir cuts from the outcome ``out`` of the session's LP, which
     counts as the first round, until the cone holds at the optimum.
 
-    Each round's new cuts, one per violated hour in hour order, are added to
-    the pool and the LP is re-solved warm from the previous optimal basis,
-    which cut rows leave dual feasible. Targets the tight cone tolerance; on
-    flat optimal faces the vertex can wander among near-feasible corners, so
-    after a grace number of rounds any point inside the scaled feasibility
-    tolerance is accepted and ``stats.stop_reason`` becomes ``"graced"``.
+    Each round adds one Kelley cut per violated hour, in hour order: the
+    tangent at the hour's point. A violated hour whose point lies on two or
+    more of its direction cuts sits on a vertex of the cut polygon, where
+    Kelley cuts only bisect the bracket of the optimal tangent; its
+    aggregated cut multiplier (mu_1, mu_2) already points near that
+    tangent, so the round also adds the fan of tangents at that direction
+    and ``FAN_ANGLE`` either side of it (``fan_cuts``), after the Kelley
+    cuts and in hour order. The LP is then re-solved warm from the previous
+    optimal basis, which cut rows leave dual feasible. Targets the tight
+    cone tolerance; on flat optimal faces the vertex can wander among
+    near-feasible corners, so after a grace number of rounds any point
+    inside the scaled feasibility tolerance is accepted and
+    ``stats.stop_reason`` becomes ``"graced"``.
     """
     for round_no in range(MAX_CUT_ROUNDS):
         if round_no:
@@ -307,15 +338,20 @@ def _oa_loop(pool: _CutPool, out: lp.LpOutcome, stats: SolveStats) -> lp.LpOutco
         if round_no >= GRACE_ROUNDS and scaled[hot].max() <= FEAS_TOL:
             stats.stop_reason = "graced"
             return out
-        pool.add(hot, *separating_cut(u1[hot], u2[hot]))
+        a1, a2 = separating_cut(u1[hot], u2[hot])
+        mu1, mu2, _, on = pool.multipliers(out)
+        fan = hot[on[hot] >= 2]
+        f1, f2 = fan_cuts(mu1[fan], mu2[fan], FAN_ANGLE)
+        pool.add(np.concatenate([hot, np.repeat(fan, 3)]), np.concatenate([a1, f1]), np.concatenate([a2, f2]))
     raise SolverError("nadir outer approximation did not converge")
 
 
 def _oa_solve(
     pool: _CutPool, patch: dict[int, tuple[float, float]] | None, stats: SolveStats
 ) -> lp.LpOutcome:
-    """Solve the LP under the bound patch, adding nadir cuts until the cone
-    holds at the optimum (``_oa_loop``).
+    """Solve the LP under the bound patch, adding nadir cuts (Kelley cuts,
+    and fans of tangents at hours on a cut vertex) until the cone holds at
+    the optimum (``_oa_loop``).
 
     The patched bounds are set in place in the pool's session and the first
     LP is solved from whatever basis the session holds.
@@ -460,11 +496,9 @@ def _omega(model: UCModel, mu: np.ndarray) -> np.ndarray:
 def _duals_from(pool: _CutPool, out: lp.LpOutcome) -> DualSolution:
     model = pool.model
     rows, b = model.rows, model.b
-    n_base = len(b)
-    T = model.scenario.horizon
     # equality rows report their marginal m (the aggregation rows -m);
     # inequality rows hold their <= form, so their multiplier is mu = -m >= 0
-    m = out.row_marginals[:n_base]
+    m = out.row_marginals[: len(b)]
     mu = -m
     gens, res, stos = model.class_tables
 
@@ -477,12 +511,7 @@ def _duals_from(pool: _CutPool, out: lp.LpOutcome) -> DualSolution:
     first = np.concatenate([gens.gather(rows, K_COMMIT)[:, 0], gens.gather(rows, K_MUT)[:, 0]])
     for i in first[b[first] != 0.0]:
         initial_rhs_term -= b[i] * m[i]
-    # cut multipliers through the cut gradients, added in cut order
-    mu1, mu2, mu3 = np.zeros(T), np.zeros(T), np.zeros(T)
-    nu = -out.row_marginals[n_base:]
-    np.add.at(mu1, pool.t, nu * pool.a1)
-    np.add.at(mu2, pool.t, nu * pool.a2)
-    np.add.at(mu3, pool.t, nu)
+    mu1, mu2, mu3, _ = pool.multipliers(out)
 
     # bound multipliers, zero on the infinite bounds
     psi_ub = np.where(np.isfinite(model.ub), -out.upper_marginals, 0.0)

@@ -1,9 +1,10 @@
 """Independent oracles used by the tests: exhaustive enumeration over binary
 commitment patterns (the LP evaluator is shared with the solver, the search
 is not: ``fixed_binary_objective`` solves each pattern cold on its own cut
-pool, independent of the branch-and-bound's warm session), and the per-unit
-relaxation that the class-column relaxation reduces, scipy's CSR matrix of a
-model's ``lp.Csr``, and the payment audit as plain per-unit loops."""
+pool, independent of the branch-and-bound's warm session), the relaxed
+optimum by plain Kelley cutting planes, the per-unit relaxation that the
+class-column relaxation reduces, scipy's CSR matrix of a model's
+``lp.Csr``, and the payment audit as plain per-unit loops."""
 from __future__ import annotations
 
 from dataclasses import fields, replace
@@ -13,6 +14,7 @@ import numpy as np
 from scipy import sparse
 
 from asmarket import lp, solve
+from asmarket.frequency import separating_cut
 from asmarket.lp import Csr
 from asmarket.pricing import MarketBreakdown, as_prices_from_duals
 from asmarket.scenario import Scenario
@@ -37,6 +39,24 @@ def fixed_binary_objective(model: UCModel, values: dict[int, int]) -> float | No
     if out.status != lp.OPTIMAL:
         raise solve.SolverError(f"LP backend failure: {out.message}")
     return out.objective
+
+
+def kelley_objective(model: UCModel) -> float:
+    """The optimum of the relaxed ``model`` by plain Kelley cutting planes on
+    a fresh cut pool: each round adds the tangent at the point of every hour
+    whose cone is violated beyond ``CONE_REL_TOL``, and nothing else, until
+    every cone holds. No grace rule; raises after ``MAX_CUT_ROUNDS`` LPs."""
+    pool, stats = solve._CutPool(model), solve.SolveStats()
+    for _ in range(solve.MAX_CUT_ROUNDS):
+        out = solve._lp_round(pool, stats)
+        if out.status != lp.OPTIMAL:
+            raise solve.SolverError(f"LP backend failure: {out.message}")
+        u1, u2, scaled = solve._cone_violations(model, out.x)
+        hot = np.flatnonzero(scaled > solve.CONE_REL_TOL)
+        if not len(hot):
+            return out.objective
+        pool.add(hot, *separating_cut(u1[hot], u2[hot]))
+    raise solve.SolverError("Kelley cutting planes did not converge")
 
 
 def enumerate_commitments(model: UCModel, max_binaries: int = 12):

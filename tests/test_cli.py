@@ -52,6 +52,14 @@ class TestValidate:
         assert main(["run", str(path), "--out", str(tmp_path / "out")]) == EXIT_VALIDATION
         assert WRONG_TYPES[case][1] in capsys.readouterr().err
 
+    def test_horizon_below_one_names_its_document_key(self, tmp_path, capsys):
+        doc = scenario_to_dict(endog_scenario(horizon=2))
+        doc["horizon_hours"] = 0
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["validate", str(path)]) == EXIT_VALIDATION
+        assert capsys.readouterr().err.splitlines()[0] == "horizon_hours: must be >= 1 (got 0)"
+
     def test_empty_fleet_exits_validation(self, tmp_path, capsys):
         doc = scenario_to_dict(endog_scenario(horizon=2))
         for key in ("generators", "res_units", "storage_units"):

@@ -5,6 +5,7 @@ import pytest
 
 from asmarket.frequency import (
     cut_coefficients,
+    fan_cuts,
     nadir_feasible,
     nadir_feasible_product,
     nadir_residual,
@@ -13,6 +14,7 @@ from asmarket.frequency import (
     separating_cut,
 )
 from asmarket.scenario import SystemParams
+from asmarket.solve import CONE_REL_TOL, FAN_ANGLE
 
 GB = SystemParams()
 
@@ -93,3 +95,18 @@ class TestNadir:
                 if nadir_feasible(h2, efr2, pfr2, p2, GB):
                     val2 = c["h"] * h2 + c["efr"] * efr2 + c["pfr"] * pfr2 + c["p_loss"] * p2
                     assert val2 <= 1e-9 * max(1.0, abs(val2))
+
+    def test_fan_vertices_meet_the_cone_tolerance(self):
+        # three unit tangents per direction, the middle one along (mu1, mu2);
+        # neighbouring tangents meet at v = 1 where ||u|| - 1 <= CONE_REL_TOL / 2
+        rng = np.random.default_rng(7)
+        mu1, mu2 = rng.normal(0.0, 1e3, 500), rng.normal(0.0, 1e3, 500)
+        a1, a2 = (a.reshape(-1, 3) for a in fan_cuts(mu1, mu2, FAN_ANGLE))
+        assert np.allclose(np.hypot(a1, a2), 1.0, rtol=0.0, atol=1e-15)
+        nrm = np.hypot(mu1, mu2)
+        assert np.allclose(a1[:, 1], mu1 / nrm, rtol=0.0, atol=1e-15)
+        assert np.allclose(a2[:, 1], mu2 / nrm, rtol=0.0, atol=1e-15)
+        for k in range(len(mu1)):
+            for j in (0, 1):
+                u = np.linalg.solve([[a1[k, j], a2[k, j]], [a1[k, j + 1], a2[k, j + 1]]], [1.0, 1.0])
+                assert CONE_REL_TOL / 4 <= math.hypot(*u) - 1.0 <= CONE_REL_TOL / 2 * (1 + 1e-3)

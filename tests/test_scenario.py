@@ -366,7 +366,7 @@ RANGE_ERRORS = {
     "storage-kind": (("storage_units", 1, "kind"), "flywheel",
                      ["storage_units[1].kind: must be 'PHES' or 'BESS' (got 'flywheel')"]),
     "horizon-zero": (("horizon_hours",), 0, [
-        "horizon: must be >= 1 (got 0)",
+        "horizon_hours: must be >= 1 (got 0)",
         "demand_mw: length 6 does not match horizon 0",
         "res_units[0].cf: length 6 does not match horizon 0",
         "res_units[1].cf: length 6 does not match horizon 0",

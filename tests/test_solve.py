@@ -38,7 +38,7 @@ from asmarket.ucmodel import (
     build_uc,
 )
 from conftest import bess, binding_scenario, gen, hour_one_shutdown_scenario, single_gen_scenario, toy10_scenario
-from oracles import as_scipy, binary_columns, enumerate_commitments, fixed_binary_objective
+from oracles import as_scipy, binary_columns, enumerate_commitments, fixed_binary_objective, kelley_objective
 
 
 def plain_gen_scenario(horizon=2, demand=60.0):
@@ -276,6 +276,76 @@ class TestCutPool:
         for got, want in zip((duals.mu_nadir_1, duals.mu_nadir_2, duals.mu_nadir_3), mu):
             assert got.tobytes() == want.tobytes()
         assert np.any(mu[2] > 0)
+
+
+class TestFanCuts:
+    @pytest.fixture(scope="class")
+    def gb6(self):
+        return build_uc(gb_template(6), EndogenousMax(), relaxed=True)
+
+    def test_gb_six_hours_ends_the_bisection_tail(self, gb6):
+        # plain Kelley cuts take 15 LPs here: three hours sit on a cut vertex
+        # and each cut only halves their violation
+        dispatch, _, stats = solve_relaxed(gb6)
+        assert stats.oa_rounds <= 8
+        assert stats.stop_reason == "converged"
+        assert stats.final_cone_residual <= CONE_REL_TOL
+        assert dispatch.objective == pytest.approx(kelley_objective(gb6), rel=1e-9, abs=0.0)
+
+    def test_fan_rows_only_at_vertex_hours(self, monkeypatch, gb6):
+        # every OA round's rows: one Kelley cut per violated hour, in hour
+        # order, then three unit tangents about the hour's aggregated cut
+        # multiplier at exactly the violated hours whose point lies on two or
+        # more direction cuts with a positive multiplier, counted by a loop
+        real_solve, real_add = lp.solve_lp, solve._CutPool.add
+        last = []
+        rounds = []
+
+        def solve_lp(session):
+            out = real_solve(session)
+            last[:] = [out]
+            return out
+
+        def add(pool, t, a1, a2):
+            if last:
+                out = last[0]
+                _, _, scaled = solve._cone_violations(pool.model, out.x)
+                hot = np.flatnonzero(scaled > CONE_REL_TOL)
+                nu = -out.row_marginals[len(pool.model.b):]
+                on = np.zeros(pool.model.scenario.horizon, dtype=int)
+                mu = np.zeros((2, pool.model.scenario.horizon))
+                for k, hour in enumerate(pool.t):
+                    on[hour] += nu[k] > 0 and (pool.a1[k], pool.a2[k]) != (0.0, 0.0)
+                    mu[:, hour] += nu[k] * np.array([pool.a1[k], pool.a2[k]])
+                rounds.append((hot, on, mu, t.copy(), a1.copy(), a2.copy()))
+            real_add(pool, t, a1, a2)
+
+        monkeypatch.setattr(lp, "solve_lp", solve_lp)
+        monkeypatch.setattr(solve._CutPool, "add", add)
+        solve_relaxed(gb6)
+        fans = 0
+        for hot, on, mu, t, a1, a2 in rounds:
+            assert np.array_equal(t[: len(hot)], hot)
+            vertex = [hour for hour in hot if on[hour] >= 2]
+            assert t[len(hot):].tolist() == [hour for hour in vertex for _ in range(3)]
+            for k in range(len(hot), len(t)):
+                assert math.hypot(a1[k], a2[k]) == pytest.approx(1.0, abs=1e-15)
+            for j, hour in enumerate(vertex):
+                k = len(hot) + 3 * j + 1  # the middle tangent of the hour's fan
+                direction = mu[:, hour] / math.hypot(*mu[:, hour])
+                assert np.allclose((a1[k], a2[k]), direction, rtol=0.0, atol=1e-12)
+            fans += len(vertex)
+        assert fans > 0, "no fan was added"
+
+    @pytest.mark.parametrize("relaxed, counts", [
+        (True, (0, 4, 24)),
+        (False, (61, 70, 36)),
+    ], ids=["relaxed", "mip"])
+    def test_toy10_path_is_unchanged(self, relaxed, counts):
+        # toy10's hours never reach a cut vertex: its OA path is plain Kelley
+        m = build_uc(toy10_scenario(6), EndogenousMax(), relaxed=relaxed)
+        stats = (solve_relaxed if relaxed else solve_mip)(m)[-1]
+        assert (stats.nodes, stats.oa_rounds, stats.cuts) == counts
 
 
 class TestWarmStart:
